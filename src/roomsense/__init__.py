@@ -1,7 +1,7 @@
 """roomsense: classroom occupancy estimation from WiFi session logs."""
 
 from .records import ApInventory, ApLocation, ClassEvent, SessionRecord
-from .store import SessionStore, load_inventory, load_rosters, load_sessions, load_timetable
+from .store import SessionStore, SessionTable, load_inventory, load_rosters, load_sessions, load_timetable
 
 __version__ = "0.1.0"
 
@@ -11,6 +11,7 @@ __all__ = [
     "ClassEvent",
     "SessionRecord",
     "SessionStore",
+    "SessionTable",
     "load_inventory",
     "load_rosters",
     "load_sessions",

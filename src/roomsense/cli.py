@@ -93,8 +93,25 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _parse_sweep(text: str) -> tuple[int, ...]:
+    """`--sweep` resolutions: comma-separated positive integer minutes."""
+    resolutions = []
+    for part in text.split(","):
+        try:
+            resolution = int(part)
+        except ValueError:
+            raise ConfigError(f"--sweep: {part.strip()!r} is not an integer resolution") from None
+        if resolution <= 0:
+            raise ConfigError(f"--sweep: resolution {resolution} is not positive")
+        resolutions.append(resolution)
+    return tuple(resolutions)
+
+
 def cmd_map_aps(args) -> int:
     config = _config_from_args(args, need_truth=False)
+    resolutions = _parse_sweep(args.sweep) if args.sweep else ()
+    if resolutions and not config.inventory:
+        raise ConfigError("--sweep requires --inventory for accuracy scoring")
     corpus = pipeline.load_corpus(config)
     if args.classes:
         wanted = set(args.classes.split(","))
@@ -111,10 +128,7 @@ def cmd_map_aps(args) -> int:
         os.path.join(config.output_dir, "mapping_report.json"),
         pipeline.mapping_report(corpus, results, config),
     )
-    if args.sweep:
-        if corpus.inventory is None:
-            raise ConfigError("--sweep requires --inventory for accuracy scoring")
-        resolutions = tuple(int(r) for r in args.sweep.split(","))
+    if resolutions:
         rows = mapping.resolution_sweep(
             corpus.store,
             corpus.events,

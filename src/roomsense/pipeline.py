@@ -46,7 +46,7 @@ class LoadedCorpus:
 
 
 def load_corpus(config: PipelineConfig) -> LoadedCorpus:
-    records, _ = load_sessions(config.sessions, delimiter=config.delimiter)
+    sessions, _ = load_sessions(config.sessions, delimiter=config.delimiter)
     events, timetable_report = load_timetable(config.timetable, delimiter=config.delimiter)
     if timetable_report.rejects:
         first = timetable_report.rejects[0]
@@ -63,7 +63,7 @@ def load_corpus(config: PipelineConfig) -> LoadedCorpus:
     missing = [e.class_id for e in events if e.class_id not in rosters]
     if missing:
         raise DataValidationError(f"no roster for classes: {', '.join(sorted(missing)[:5])}")
-    return LoadedCorpus(SessionStore(records), events, rosters, inventory, truth)
+    return LoadedCorpus(SessionStore(sessions), events, rosters, inventory, truth)
 
 
 def _parallel(jobs: int, fn, items):

@@ -6,7 +6,7 @@ does not cover it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import datetime, timedelta
 
 TIME_FMT = "%d/%m/%Y %H:%M"
@@ -43,6 +43,7 @@ SESSION_COLUMNS = (
 TIMETABLE_COLUMNS = ("class_id", "room_id", "date", "start", "end")
 ROSTER_COLUMNS = ("class_id", "user_id")
 INVENTORY_COLUMNS = ("ap_name", "room_id", "building", "floor")
+GROUND_TRUTH_COUNT_COLUMNS = ("class_id", "true_count")
 
 ALLOWED_CLASS_MINUTES = frozenset({30, 60, 90, 120, 150, 180, 240})
 
@@ -127,12 +128,6 @@ class SessionRecord:
     @property
     def end_time(self) -> datetime:
         return self.assoc_time + timedelta(minutes=self.duration)
-
-    def clipped(self, lo: datetime, hi: datetime) -> "SessionRecord":
-        """Copy of this record clipped to [lo, hi); caller ensures overlap."""
-        start = max(self.assoc_time, lo)
-        end = min(self.end_time, hi)
-        return replace(self, assoc_time=start, duration=to_minutes(end) - to_minutes(start))
 
 
 @dataclass(frozen=True)

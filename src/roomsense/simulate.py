@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 
 from .records import (
+    GROUND_TRUTH_COUNT_COLUMNS,
     INVENTORY_COLUMNS,
     ROSTER_COLUMNS,
     SESSION_COLUMNS,
@@ -26,9 +27,11 @@ from .records import (
     ApLocation,
     ClassEvent,
     ConfigError,
+    DataValidationError,
     format_minutes,
     to_minutes,
 )
+from .store import _check_header, _open_rows
 
 SEMESTER_START = datetime(2025, 3, 3)  # a Monday
 DAY_START_MIN = 9 * 60
@@ -535,19 +538,32 @@ def write_ground_truth(users_path, counts_path, campus: Campus, truth: GroundTru
                 writer.writerow([class_id, user, 1 if user in present else 0])
     with open(counts_path, "w", newline="") as handle:
         writer = csv.writer(handle, delimiter=delimiter)
-        writer.writerow(["class_id", "true_count"])
+        writer.writerow(GROUND_TRUTH_COUNT_COLUMNS)
         for class_id in sorted(truth.attendees):
             writer.writerow([class_id, truth.count(class_id)])
 
 
 def load_ground_truth_counts(path, delimiter: str = ",") -> dict[str, int]:
+    """class_id -> true occupancy; any malformed row is fatal."""
+    handle, rows = _open_rows(path, delimiter)
     counts: dict[str, int] = {}
-    with open(path, newline="") as handle:
-        rows = csv.reader(handle, delimiter=delimiter)
-        header = next(rows, None)
-        for fields in rows:
-            if len(fields) >= 2 and fields[0].strip():
-                counts[fields[0].strip()] = int(fields[1])
+    with handle:
+        _check_header(path, next(rows, None), GROUND_TRUTH_COUNT_COLUMNS)
+        for line_no, fields in enumerate(rows, start=2):
+            if len(fields) < 2 or not fields[0].strip():
+                continue
+            class_id = fields[0].strip()
+            try:
+                count = int(fields[1])
+            except ValueError:
+                count = -1
+            if count < 0:
+                raise DataValidationError(
+                    f"{path}: row {line_no}: true_count {fields[1]!r} is not a non-negative integer"
+                )
+            if class_id in counts:
+                raise DataValidationError(f"{path}: row {line_no}: duplicate class_id {class_id}")
+            counts[class_id] = count
     return counts
 
 

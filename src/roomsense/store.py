@@ -1,11 +1,12 @@
-"""Loading, validation and time-windowed querying of session logs.
+"""Columnar session-log loading and time-window queries.
 
-The store is immutable after construction; every query is read-only, so
-classes can be processed concurrently against one shared store.
+`load_sessions` parses a session log straight into a `SessionTable` of numpy
+columns. `SessionStore` indexes the table once; every query is read-only.
 """
 from __future__ import annotations
 
 import csv
+from array import array
 from dataclasses import dataclass, field
 from datetime import datetime
 
@@ -18,17 +19,41 @@ from .records import (
     INVENTORY_COLUMNS,
     ROSTER_COLUMNS,
     SESSION_COLUMNS,
-    STATUS_ASSOCIATED,
-    STATUS_DISASSOCIATED,
     TIMETABLE_COLUMNS,
     ApInventory,
     ApLocation,
     ClassEvent,
     DataValidationError,
-    SessionRecord,
     parse_stamp,
     to_minutes,
 )
+
+# `rssi` column value of a session whose RSSI was logged as `-` or empty.
+RSSI_MISSING = -(2**63)
+
+
+@dataclass(frozen=True, eq=False)
+class SessionTable:
+    """Accepted sessions as parallel int64 columns, one entry per session.
+
+    `user`, `mac` and `ap` are codes into the sorted name lists, so ordering
+    by code is ordering by name. `start` and `end` are minutes since epoch of
+    the half-open interval [start, end); `end` is the effective end (the
+    report time for ongoing sessions). `rssi` holds RSSI_MISSING where unknown.
+    """
+
+    user_names: list[str]
+    mac_names: list[str]
+    ap_names: list[str]
+    user: np.ndarray
+    mac: np.ndarray
+    ap: np.ndarray
+    start: np.ndarray
+    end: np.ndarray
+    rssi: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.start)
 
 
 @dataclass
@@ -89,123 +114,180 @@ def _maybe_fatal_rejects(path, report: LoadReport) -> None:
         )
 
 
-def _parse_optional_int(text: str) -> int | None:
-    text = text.strip()
-    if text in ("", "-"):
+def _stamp_minutes(text: str) -> int | None:
+    """Minutes since epoch of a `dd/mm/yyyy HH:MM` stamp, or None if malformed."""
+    try:
+        return to_minutes(parse_stamp(text))
+    except (ValueError, IndexError, OverflowError):
         return None
-    return int(text)
 
 
-def parse_session_row(
-    fields: list[str], report_time: datetime | None
-) -> tuple[SessionRecord | None, str | None, str | None]:
-    """Parse one data row; returns (record, reject_reason, warning)."""
-    if len(fields) < len(SESSION_COLUMNS):
-        return None, f"expected {len(SESSION_COLUMNS)} columns, found {len(fields)}", None
-    vals = [f.strip() for f in fields]
-    user_id, mac = vals[0], vals[1]
-    if not user_id or not mac:
-        return None, "missing user id or MAC address", None
+def _logged_minutes(text: str) -> tuple[str, int] | None:
+    """(leading token, its value) of a logged duration such as `35 min`, or None.
+
+    Only a token of digits with an optional leading minus is compared with
+    the recomputed duration.
+    """
+    logged = text.split()
+    if not logged or not logged[0].lstrip("-").isdecimal():
+        return None
     try:
-        assoc = parse_stamp(vals[2])
-    except (ValueError, IndexError):
-        return None, f"bad association time {vals[2]!r}", None
+        return logged[0], int(logged[0])
+    except ValueError:  # "--5", or more digits than int() accepts
+        return None
 
-    status_text = vals[10].lower()
-    if status_text in ("ass", "associated"):
-        status = STATUS_ASSOCIATED
-    elif status_text in ("disass", "disassociated"):
-        status = STATUS_DISASSOCIATED
-    else:
-        return None, f"unknown status {vals[10]!r}", None
 
-    disassoc = None
-    if vals[3] not in ("", "-"):
-        try:
-            disassoc = parse_stamp(vals[3])
-        except (ValueError, IndexError):
-            return None, f"bad disassociation time {vals[3]!r}", None
-
-    if status == STATUS_DISASSOCIATED:
-        if disassoc is None:
-            return None, "disassociated session without disassociation time", None
-        if disassoc < assoc:
-            return None, "disassociation time precedes association time", None
-        end = disassoc
-    else:
-        if disassoc is not None:
-            return None, "ongoing session carries a disassociation time", None
-        end = report_time if report_time is not None else assoc.replace(
-            hour=DEFAULT_REPORT_HOUR, minute=0
-        )
-        if end < assoc:
-            return None, "ongoing session starts after report generation time", None
-
+def _rssi_value(text: str) -> int | None:
+    """RSSI of a field: RSSI_MISSING for `-` or empty, None when malformed."""
+    if text in ("", "-"):
+        return RSSI_MISSING
     try:
-        bytes_tx = int(vals[6])
-        bytes_rcvd = int(vals[7])
-        snr = _parse_optional_int(vals[8])
-        rssi = _parse_optional_int(vals[9])
+        value = int(text)
     except ValueError:
-        return None, "bad numeric field", None
+        return None
+    return value if abs(value) < 2**63 else None  # beyond the int64 column
 
-    duration = to_minutes(end) - to_minutes(assoc)
-    warning = None
-    logged = vals[4].split()
-    if logged and logged[0].lstrip("-").isdigit() and int(logged[0]) != duration:
-        warning = f"logged duration {logged[0]} min != recomputed {duration} min"
 
-    retries = None
-    if len(vals) > len(SESSION_COLUMNS):
-        try:
-            retries = _parse_optional_int(vals[len(SESSION_COLUMNS)])
-        except ValueError:
-            retries = None
+class _Memo(dict):
+    """`memo[text]` is `parse(text)`, computed once per distinct text."""
 
-    record = SessionRecord(
-        user_id=user_id,
-        device_mac=mac,
-        assoc_time=assoc,
-        disassoc_time=disassoc,
-        duration=duration,
-        ap_name=vals[5],
-        bytes_tx=bytes_tx,
-        bytes_rcvd=bytes_rcvd,
-        snr=snr,
-        rssi=rssi,
-        status=status,
-        retries=retries,
-    )
-    return record, None, warning
+    def __init__(self, parse):
+        super().__init__()
+        self.parse = parse
+
+    def __missing__(self, text):
+        value = self[text] = self.parse(text)
+        return value
+
+
+def _sorted_codes(codes: array, names: dict[str, int]) -> tuple[np.ndarray, list[str]]:
+    """Renumber first-seen name codes so that code order is name order."""
+    seen = list(names)
+    order = sorted(range(len(seen)), key=seen.__getitem__)
+    rank = np.empty(len(seen), dtype=np.int64)
+    rank[order] = np.arange(len(seen), dtype=np.int64)
+    return rank[np.frombuffer(codes, dtype=np.int64)], [seen[i] for i in order]
 
 
 def load_sessions(
     path, report_time: datetime | None = None, delimiter: str = ","
-) -> tuple[list[SessionRecord], LoadReport]:
-    """Load and validate a session-log file.
+) -> tuple[SessionTable, LoadReport]:
+    """Load and validate a session-log file into a `SessionTable`.
 
     Ongoing (`Ass`) sessions get their effective end from `report_time`; when
     it is None, the default 9pm report time on the row's own date applies.
+    Bytes, SNR and Retries are validated but not kept.
     """
     handle, rows = _open_rows(path, delimiter)
     report = LoadReport()
-    records: list[SessionRecord] = []
+    reject = report.reject
+    report_end = None if report_time is None else to_minutes(report_time)
+    n_columns = len(SESSION_COLUMNS)
+    stamps = _Memo(_stamp_minutes)
+    rssi_values = _Memo(_rssi_value)
+    durations = _Memo(_logged_minutes)
+    users: dict[str, int] = {}
+    macs: dict[str, int] = {}
+    aps: dict[str, int] = {}
+    user_col, mac_col, ap_col, start_col, end_col, rssi_col = (array("q") for _ in range(6))
+    rows_read = 0
     with handle:
         header = next(rows, None)
         _check_header(path, header, SESSION_COLUMNS)
         for line_no, fields in enumerate(rows, start=2):
-            if not fields or all(not f.strip() for f in fields):
+            if not fields or (not fields[0].strip() and all(not f.strip() for f in fields)):
                 continue
-            report.rows_read += 1
-            record, reason, warning = parse_session_row(fields, report_time)
-            if reason is not None:
-                report.reject(line_no, reason)
+            rows_read += 1
+            if len(fields) < n_columns:
+                reject(line_no, f"expected {n_columns} columns, found {len(fields)}")
                 continue
-            if warning is not None:
-                report.warn(line_no, warning)
-            records.append(record)
+            (user_id, mac, assoc_text, disassoc_text, logged_text, ap_name,
+             bytes_tx, bytes_rcvd, snr, rssi_text, status_text) = map(str.strip, fields[:n_columns])
+            if not user_id or not mac:
+                reject(line_no, "missing user id or MAC address")
+                continue
+            assoc = stamps[assoc_text]
+            if assoc is None:
+                reject(line_no, f"bad association time {assoc_text!r}")
+                continue
+
+            status = status_text.lower()
+            if status in ("disass", "disassociated"):
+                ongoing = False
+            elif status in ("ass", "associated"):
+                ongoing = True
+            else:
+                reject(line_no, f"unknown status {status_text!r}")
+                continue
+
+            disassoc = None
+            if disassoc_text not in ("", "-"):
+                disassoc = stamps[disassoc_text]
+                if disassoc is None:
+                    reject(line_no, f"bad disassociation time {disassoc_text!r}")
+                    continue
+
+            if not ongoing:
+                if disassoc is None:
+                    reject(line_no, "disassociated session without disassociation time")
+                    continue
+                if disassoc < assoc:
+                    reject(line_no, "disassociation time precedes association time")
+                    continue
+                end = disassoc
+            else:
+                if disassoc is not None:
+                    reject(line_no, "ongoing session carries a disassociation time")
+                    continue
+                if report_end is None:
+                    end = assoc - assoc % 1440 + DEFAULT_REPORT_HOUR * 60
+                else:
+                    end = report_end
+                if end < assoc:
+                    reject(line_no, "ongoing session starts after report generation time")
+                    continue
+
+            rssi = rssi_values[rssi_text]  # None when malformed
+            try:  # bytes and SNR are validated, not kept
+                int(bytes_tx)
+                int(bytes_rcvd)
+                if snr not in ("", "-"):
+                    int(snr)
+            except ValueError:
+                rssi = None
+            if rssi is None:
+                reject(line_no, "bad numeric field")
+                continue
+
+            logged = durations[logged_text]
+            if logged is not None and logged[1] != end - assoc:
+                report.warn(
+                    line_no, f"logged duration {logged[0]} min != recomputed {end - assoc} min"
+                )
+
+            user_col.append(users.setdefault(user_id, len(users)))
+            mac_col.append(macs.setdefault(mac, len(macs)))
+            ap_col.append(aps.setdefault(ap_name, len(aps)))
+            start_col.append(assoc)
+            end_col.append(end)
+            rssi_col.append(rssi)
+    report.rows_read = rows_read
     _maybe_fatal_rejects(path, report)
-    return records, report
+    user_codes, user_names = _sorted_codes(user_col, users)
+    mac_codes, mac_names = _sorted_codes(mac_col, macs)
+    ap_codes, ap_names = _sorted_codes(ap_col, aps)
+    table = SessionTable(
+        user_names=user_names,
+        mac_names=mac_names,
+        ap_names=ap_names,
+        user=user_codes,
+        mac=mac_codes,
+        ap=ap_codes,
+        start=np.frombuffer(start_col, dtype=np.int64),
+        end=np.frombuffer(end_col, dtype=np.int64),
+        rssi=np.frombuffer(rssi_col, dtype=np.int64),
+    )
+    return table, report
 
 
 def load_timetable(path, delimiter: str = ",") -> tuple[list[ClassEvent], LoadReport]:
@@ -227,7 +309,7 @@ def load_timetable(path, delimiter: str = ",") -> tuple[list[ClassEvent], LoadRe
             try:
                 start_dt = parse_stamp(f"{date} {start}")
                 end_dt = parse_stamp(f"{date} {end}")
-            except ValueError:
+            except (ValueError, OverflowError):
                 report.reject(line_no, "bad date or time")
                 continue
             if end_dt <= start_dt:
@@ -298,30 +380,41 @@ def load_inventory(path, delimiter: str = ",") -> tuple[ApInventory, LoadReport]
     return ApInventory(locations), report
 
 
-class _ApIndex:
-    """Per-AP numpy views: raw sessions plus per-user merged intervals."""
+def _offsets(sorted_codes: np.ndarray, n_codes: int) -> np.ndarray:
+    """CSR offsets: rows of code k are [offsets[k], offsets[k + 1])."""
+    return np.searchsorted(sorted_codes, np.arange(n_codes + 1))
 
-    __slots__ = ("raw_start", "raw_end", "raw_user", "raw_row", "m_start", "m_end", "m_user")
 
-    def __init__(self, rows, records_start, records_end, user_idx):
-        order = sorted(rows, key=lambda r: (records_start[r], records_end[r]))
-        self.raw_start = np.array([records_start[r] for r in order], dtype=np.int64)
-        self.raw_end = np.array([records_end[r] for r in order], dtype=np.int64)
-        self.raw_user = np.array([user_idx[r] for r in order], dtype=np.int64)
-        self.raw_row = np.array(order, dtype=np.int64)
+def _merged_intervals(table: SessionTable):
+    """Per-(ap, user) unions of session intervals, ordered by (ap, user, start).
 
-        by_user: dict[int, list[tuple[int, int]]] = {}
-        for r in order:
-            by_user.setdefault(user_idx[r], []).append((records_start[r], records_end[r]))
-        m_start, m_end, m_user = [], [], []
-        for uid in sorted(by_user):
-            for s, e in merge_intervals(by_user[uid]):
-                m_start.append(s)
-                m_end.append(e)
-                m_user.append(uid)
-        self.m_start = np.array(m_start, dtype=np.int64)
-        self.m_end = np.array(m_end, dtype=np.int64)
-        self.m_user = np.array(m_user, dtype=np.int64)
+    Returns (start, end, user, ap) columns. Touching intervals coalesce, as in
+    `merge_intervals`: a session starting at or before the running maximum
+    end of its (ap, user) group joins the current merged interval.
+    """
+    order = np.lexsort((table.start, table.user, table.ap))
+    ap, user = table.ap[order], table.user[order]
+    start, end = table.start[order], table.end[order]
+    n = order.size
+    if n == 0:
+        return start, end, user, ap
+    opens = np.ones(n, dtype=bool)
+    opens[1:] = (ap[1:] != ap[:-1]) | (user[1:] != user[:-1])
+    # Lift each group's times above every earlier group's, so that one running
+    # maximum over the whole column restarts at each group. int64 holds the
+    # lifted times for any table below about a billion rows.
+    low = min(int(start.min()), int(end.min()))
+    lift = np.cumsum(opens, dtype=np.int64)
+    lift -= 1
+    lift *= int(end.max()) - low + 1
+    lift -= low
+    start += lift
+    end += lift
+    np.maximum.accumulate(end, out=end)
+    opens[1:] |= start[1:] > end[:-1]
+    heads = np.flatnonzero(opens)
+    tails = np.append(heads[1:], n) - 1
+    return start[heads] - lift[heads], end[tails] - lift[tails], user[heads], ap[heads]
 
 
 @dataclass(frozen=True)
@@ -333,57 +426,65 @@ class ConnectionSnapshot:
 
 
 class SessionStore:
-    """Immutable queryable view over a validated list of session records."""
+    """Immutable time-window queries over a `SessionTable`.
 
-    def __init__(self, records: list[SessionRecord]):
-        self._records = list(records)
-        self._users: list[str] = sorted({r.user_id for r in self._records})
-        self._user_index = {u: i for i, u in enumerate(self._users)}
+    Two indexes, each grouped by AP code with CSR offsets: the raw sessions in
+    (ap, start, end, row) order, and the per-(ap, user) merged intervals.
+    """
 
-        starts = [to_minutes(r.assoc_time) for r in self._records]
-        ends = [s + r.duration for s, r in zip(starts, self._records)]
-        users = [self._user_index[r.user_id] for r in self._records]
+    def __init__(self, table: SessionTable):
+        self.table = table
+        self._ap_code = {name: i for i, name in enumerate(table.ap_names)}
+        self._user_code = {name: i for i, name in enumerate(table.user_names)}
+        n_aps = len(table.ap_names)
 
-        by_ap: dict[str, list[int]] = {}
-        for i, record in enumerate(self._records):
-            by_ap.setdefault(record.ap_name, []).append(i)
-        self._ap_index = {
-            ap: _ApIndex(rows, starts, ends, users) for ap, rows in by_ap.items()
-        }
+        # lexsort is stable, so rows tied on (ap, start, end) stay in row order
+        self._raw_row = np.lexsort((table.end, table.start, table.ap))
+        self._raw_start = table.start[self._raw_row]
+        self._raw_end = table.end[self._raw_row]
+        self._raw_offsets = _offsets(table.ap[self._raw_row], n_aps)
 
-    @property
-    def records(self) -> list[SessionRecord]:
-        return self._records
+        self._m_start, self._m_end, self._m_user, m_ap = _merged_intervals(table)
+        self._m_offsets = _offsets(m_ap, n_aps)
 
     @property
     def aps(self) -> list[str]:
-        return sorted(self._ap_index)
+        return list(self.table.ap_names)
 
     @property
     def users(self) -> list[str]:
-        return list(self._users)
+        return list(self.table.user_names)
 
     def user_ids(self, user_names) -> np.ndarray:
         """Integer ids for the given user names; unknown names are dropped."""
-        ids = [self._user_index[u] for u in user_names if u in self._user_index]
+        ids = [self._user_code[u] for u in user_names if u in self._user_code]
         return np.array(sorted(ids), dtype=np.int64)
 
     def user_name(self, user_id: int) -> str:
-        return self._users[user_id]
+        return self.table.user_names[user_id]
+
+    def _merged(self, ap_name: str):
+        """(start, end, user) of the merged intervals on one AP, or None."""
+        code = self._ap_code.get(ap_name)
+        if code is None:
+            return None
+        lo, hi = self._m_offsets[code], self._m_offsets[code + 1]
+        return self._m_start[lo:hi], self._m_end[lo:hi], self._m_user[lo:hi]
 
     def connected_users(self, ap_name: str, at: datetime) -> frozenset[str]:
         """Users whose merged sessions on `ap_name` cover `at` ([start, end))."""
-        index = self._ap_index.get(ap_name)
-        if index is None:
+        merged = self._merged(ap_name)
+        if merged is None:
             return frozenset()
+        starts, ends, users = merged
         t = to_minutes(at)
-        mask = (index.m_start <= t) & (t < index.m_end)
-        return frozenset(self._users[u] for u in index.m_user[mask])
+        mask = (starts <= t) & (t < ends)
+        return frozenset(self.table.user_names[u] for u in users[mask])
 
     def snapshot(self, at: datetime) -> ConnectionSnapshot:
         """Connected user set per AP at one instant; quiet APs are omitted."""
         connections = {}
-        for ap in sorted(self._ap_index):
+        for ap in self.table.ap_names:
             users = self.connected_users(ap, at)
             if users:
                 connections[ap] = users
@@ -398,14 +499,15 @@ class SessionStore:
         user subset (typically a class roster). Multi-device users count once
         because intervals are merged per user.
         """
-        index = self._ap_index.get(ap_name)
+        merged = self._merged(ap_name)
         n = len(times)
-        if index is None or index.m_start.size == 0:
+        if merged is None or merged[0].size == 0:
             zero = np.zeros(n, dtype=np.int64)
             return zero, zero.copy()
+        m_start, m_end, m_user = merged
         lo, hi = int(times.min()), int(times.max())
-        window = (index.m_start <= hi) & (index.m_end > lo)
-        starts, ends, users = index.m_start[window], index.m_end[window], index.m_user[window]
+        window = (m_start <= hi) & (m_end > lo)
+        starts, ends, users = m_start[window], m_end[window], m_user[window]
         cover = (starts[:, None] <= times[None, :]) & (times[None, :] < ends[:, None])
         total = cover.sum(axis=0)
         if member_ids is None or member_ids.size == 0:
@@ -416,27 +518,22 @@ class SessionStore:
 
     def active_aps(self, lo: datetime, hi: datetime) -> list[str]:
         """APs with at least one session overlapping [lo, hi)."""
-        lo_m, hi_m = to_minutes(lo), to_minutes(hi)
-        out = []
-        for ap in sorted(self._ap_index):
-            index = self._ap_index[ap]
-            if np.any((index.raw_start < hi_m) & (index.raw_end > lo_m)):
-                out.append(ap)
-        return out
+        table = self.table
+        hit = (table.start < to_minutes(hi)) & (table.end > to_minutes(lo))
+        return [table.ap_names[code] for code in np.unique(table.ap[hit])]
 
-    def sessions_overlapping(self, ap_names, lo: datetime, hi: datetime) -> list[SessionRecord]:
-        """Raw (unclipped) sessions on the given APs overlapping [lo, hi)."""
+    def sessions_overlapping(self, ap_names, lo: datetime, hi: datetime) -> np.ndarray:
+        """Table rows of raw (unclipped) sessions on the given APs overlapping [lo, hi).
+
+        Rows come grouped by AP name in sorted order, then by (start, end, row).
+        """
         lo_m, hi_m = to_minutes(lo), to_minutes(hi)
-        out: list[SessionRecord] = []
+        parts = []
         for ap in sorted(set(ap_names)):
-            index = self._ap_index.get(ap)
-            if index is None:
+            code = self._ap_code.get(ap)
+            if code is None:
                 continue
-            mask = (index.raw_start < hi_m) & (index.raw_end > lo_m)
-            out.extend(self._records[r] for r in index.raw_row[mask])
-        return out
-
-    def class_window_sessions(self, event: ClassEvent, ap_names) -> list[SessionRecord]:
-        """Sessions on the given APs clipped to the class window [start, end)."""
-        overlapping = self.sessions_overlapping(ap_names, event.start, event.end)
-        return [r.clipped(event.start, event.end) for r in overlapping]
+            a, b = self._raw_offsets[code], self._raw_offsets[code + 1]
+            mask = (self._raw_start[a:b] < hi_m) & (self._raw_end[a:b] > lo_m)
+            parts.append(self._raw_row[a:b][mask])
+        return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)

@@ -15,6 +15,8 @@ those sessions plus the user's other activity on the same APs during the
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 
@@ -27,7 +29,7 @@ from .records import (
     day_start,
     to_minutes,
 )
-from .store import SessionStore, merge_intervals
+from .store import RSSI_MISSING, SessionStore, merge_intervals
 
 FEATURE_NAMES = ("t_in", "t_out", "arrival_delay", "n_sessions", "n_devices", "avg_rssi")
 
@@ -81,29 +83,35 @@ def extract_class_features(
     day_lo = midnight + TEACHING_DAY_START_MIN
     day_hi = midnight + TEACHING_DAY_END_MIN
 
-    day_sessions = store.sessions_overlapping(
+    rows = store.sessions_overlapping(
         mapped_aps, event.date.replace(hour=9), event.date.replace(hour=21)
     )
-    by_user: dict[str, list] = {}
-    for rec in day_sessions:
-        by_user.setdefault(rec.user_id, []).append(rec)
+    table = store.table
+    # a stable sort keeps each user's sessions in the store's AP-then-time order
+    rows = rows[np.argsort(table.user[rows], kind="stable")]
+    sessions = zip(
+        table.user[rows].tolist(),
+        table.mac[rows].tolist(),
+        table.start[rows].tolist(),
+        table.end[rows].tolist(),
+        table.rssi[rows].tolist(),
+    )
 
     out: list[UserFeatureVector] = []
     out_denom = (day_hi - day_lo) - duration
-    for user_id in sorted(by_user):
+    for user, user_sessions in groupby(sessions, key=itemgetter(0)):
         in_class = []
         day_spans = []
         macs = set()
         rssi_vals = []
         first_seen = None
-        for rec in by_user[user_id]:
-            s, e = to_minutes(rec.assoc_time), to_minutes(rec.end_time)
+        for _, mac, s, e, rssi in user_sessions:
             span = _overlap(class_lo, class_hi, s, e)
             if span is not None:
                 in_class.append(span)
-                macs.add(rec.device_mac)
-                if rec.rssi is not None:
-                    rssi_vals.append(abs(rec.rssi))
+                macs.add(mac)
+                if rssi != RSSI_MISSING:
+                    rssi_vals.append(abs(rssi))
                 if first_seen is None or span[0] < first_seen:
                     first_seen = span[0]
             day_span = _overlap(day_lo, day_hi, s, e)
@@ -124,7 +132,7 @@ def extract_class_features(
         )
         out.append(
             UserFeatureVector(
-                user_id=user_id,
+                user_id=table.user_names[user],
                 class_id=event.class_id,
                 t_in=100.0 * in_minutes / duration,
                 t_out=100.0 * out_minutes / out_denom if out_denom > 0 else 0.0,

@@ -5,13 +5,14 @@ needing it shares a single session-scoped copy.
 """
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from roomsense.config import PipelineConfig
 from roomsense.pipeline import LoadedCorpus, load_corpus, run_pipeline
-from roomsense.records import SessionRecord, parse_stamp
+from roomsense.records import SessionRecord, parse_stamp, to_minutes
 from roomsense.simulate import SimConfig, simulate_corpus
-from roomsense.store import SessionStore
+from roomsense.store import RSSI_MISSING, SessionStore, SessionTable
 
 DAY = "03/03/2025"
 
@@ -44,10 +45,39 @@ def make_session(
     )
 
 
+def _codes(names: list[str]) -> tuple[list[str], np.ndarray]:
+    ordered = sorted(set(names))
+    index = {name: i for i, name in enumerate(ordered)}
+    return ordered, np.array([index[name] for name in names], dtype=np.int64)
+
+
+def record_store(records) -> SessionStore:
+    """A store over hand-built records, as if `load_sessions` had read them from a log."""
+    records = list(records)
+    user_names, user = _codes([r.user_id for r in records])
+    mac_names, mac = _codes([r.device_mac for r in records])
+    ap_names, ap = _codes([r.ap_name for r in records])
+    start = np.array([to_minutes(r.assoc_time) for r in records], dtype=np.int64)
+    duration = np.array([r.duration for r in records], dtype=np.int64)
+    rssi = [RSSI_MISSING if r.rssi is None else r.rssi for r in records]
+    table = SessionTable(
+        user_names=user_names,
+        mac_names=mac_names,
+        ap_names=ap_names,
+        user=user,
+        mac=mac,
+        ap=ap,
+        start=start,
+        end=start + duration,
+        rssi=np.array(rssi, dtype=np.int64),
+    )
+    return SessionStore(table)
+
+
 @pytest.fixture()
 def store_builder():
     def build(*records: SessionRecord) -> SessionStore:
-        return SessionStore(list(records))
+        return record_store(records)
 
     return build
 

@@ -16,9 +16,8 @@ from roomsense.mapping import (
     sample_times,
 )
 from roomsense.records import ApInventory, ApLocation, ClassEvent, DataValidationError, parse_stamp
-from roomsense.store import SessionStore
 
-from conftest import DAY, make_session
+from conftest import DAY, make_session, record_store
 
 
 def event(class_id="c1", room="room1", start="10:00", end="11:00"):
@@ -48,7 +47,7 @@ class TestSampleTimes:
 
 class TestComputeApFeatures:
     def test_single_ap_holds_all_connections(self, store_builder):
-        store = SessionStore(span_sessions("ap1", ["e1", "e2", "e3", "e4", "e5"]))
+        store = record_store(span_sessions("ap1", ["e1", "e2", "e3", "e4", "e5"]))
         series = compute_ap_features(store, event(), frozenset(["e1", "e2", "e3", "e4", "e5"]), 10)
         assert len(series) == 1
         assert np.allclose(series[0].frac_class, 100.0)
@@ -57,7 +56,7 @@ class TestComputeApFeatures:
     def test_class_frac_60_percent(self):
         enrolled = [f"e{i}" for i in range(6)]
         outsiders = [f"b{i}" for i in range(4)]
-        store = SessionStore(
+        store = record_store(
             span_sessions("ap1", enrolled) + span_sessions("ap1", outsiders, prefix="x")
         )
         series = compute_ap_features(store, event(), frozenset(enrolled), 10)
@@ -65,7 +64,7 @@ class TestComputeApFeatures:
 
     def test_frac_class_split_50_30_20(self):
         e = [f"e{i}" for i in range(10)]
-        store = SessionStore(
+        store = record_store(
             span_sessions("ap1", e[:5])
             + span_sessions("ap2", e[5:8], prefix="n")
             + span_sessions("ap3", e[8:], prefix="o")
@@ -77,7 +76,7 @@ class TestComputeApFeatures:
 
     def test_frac_class_sums_to_100_or_0(self):
         e = ["e1", "e2"]
-        store = SessionStore(
+        store = record_store(
             span_sessions("ap1", e, start="10:00", end="10:30")  # gone by 10:40
             + span_sessions("ap2", ["b1"], prefix="q")
         )
@@ -87,14 +86,14 @@ class TestComputeApFeatures:
         assert any(abs(t) < 1e-9 for t in total)  # samples after the enrolled left
 
     def test_ap_without_enrolled_omitted(self):
-        store = SessionStore(
+        store = record_store(
             span_sessions("ap1", ["e1"]) + span_sessions("ap2", ["b1"], prefix="z")
         )
         series = compute_ap_features(store, event(), frozenset(["e1"]), 10)
         assert [s.ap_name for s in series] == ["ap1"]
 
     def test_class_frac_100_iff_all_enrolled(self):
-        store = SessionStore(
+        store = record_store(
             span_sessions("ap1", ["e1", "e2"]) + span_sessions("ap1", ["b1"], prefix="y")
         )
         series = compute_ap_features(store, event(), frozenset(["e1", "e2"]), 10)
@@ -243,7 +242,7 @@ class TestMapClassAps:
             + span_sessions("far0", e[7:], start="10:00", end="10:21", prefix="f")
             + span_sessions("far0", [f"b{i}" for i in range(9)], prefix="bb")
         )
-        return SessionStore(sessions), frozenset(e)
+        return record_store(sessions), frozenset(e)
 
     @pytest.mark.parametrize("algorithm", ["kmeans", "hierarchical", "em-gmm"])
     def test_algorithms_find_the_room_aps(self, algorithm):
@@ -267,12 +266,12 @@ class TestMapClassAps:
             assert (score > 0.5) == (ap in result.mapped)
 
     def test_single_featured_ap_maps_alone(self):
-        store = SessionStore(span_sessions("only", ["e1", "e2"]))
+        store = record_store(span_sessions("only", ["e1", "e2"]))
         result, _ = map_class_aps(store, event(), frozenset(["e1", "e2"]))
         assert result.mapped == {"only"} and result.not_mapped == frozenset()
 
     def test_no_featured_aps_empty_mapping(self):
-        store = SessionStore(span_sessions("ap1", ["b1"]))
+        store = record_store(span_sessions("ap1", ["b1"]))
         result, series = map_class_aps(store, event(), frozenset(["enrolled-absent"]))
         assert result.mapped == frozenset() and series == []
 
@@ -285,7 +284,7 @@ class TestResolutionSweep:
             + span_sessions("far0", e[5:], start="10:00", end="10:25", prefix="f")
             + span_sessions("far0", [f"b{i}" for i in range(8)], start="10:00", end="12:00", prefix="x")
         )
-        store = SessionStore(sessions)
+        store = record_store(sessions)
         ev = event(end="12:00")
         inventory = ApInventory(
             {"in0": ApLocation("room1", "bldA", 1), "far0": ApLocation(None, "campus", 0)}

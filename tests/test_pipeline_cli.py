@@ -308,3 +308,75 @@ class TestModelReuseAcrossCorpora:
         assert [(e.class_id, e.wifi_count, e.lda_count, e.calibrated_count) for e in from_cli] == [
             (e.class_id, e.wifi_count, e.lda_count, e.calibrated_count) for e in in_process
         ]
+
+
+def _corpus_args(corpus_dir, **paths):
+    files = {
+        "sessions": f"{corpus_dir}/sessions.csv",
+        "timetable": f"{corpus_dir}/timetable.csv",
+        "rosters": f"{corpus_dir}/roster.csv",
+        "ground-truth-counts": f"{corpus_dir}/ground_truth_counts.csv",
+    }
+    files.update({key.replace("_", "-"): str(value) for key, value in paths.items()})
+    return [arg for key, value in files.items() for arg in (f"--{key}", value)]
+
+
+class TestMalformedInputs:
+    HUGE_YEAR = "03/03/99999999999999999999 09:00"
+
+    @pytest.mark.parametrize("sweep", ["10,abc", "10,0", "-5", "10,"])
+    def test_bad_sweep_is_usage_error_before_any_report(self, small_corpus_dir, tmp_path, capsys, sweep):
+        code = main(
+            ["map-aps", *_corpus_args(small_corpus_dir),
+             "--inventory", f"{small_corpus_dir}/inventory.csv",
+             "--sweep", sweep, "--out", str(tmp_path)]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: --sweep")
+        assert not (tmp_path / "mapping.csv").exists()
+
+    def test_huge_year_in_session_log_is_a_rejected_row(self, small_corpus_dir, tmp_path, capsys):
+        sessions = tmp_path / "sessions.csv"
+        text = open(f"{small_corpus_dir}/sessions.csv").read()
+        bad = f"u1,m1,{self.HUGE_YEAR},-,5 min,ap1,1,1,30,-60,Ass\n"
+        bad += f"u1,m1,03/03/2025 09:00,{self.HUGE_YEAR},5 min,ap1,1,1,30,-60,Disass\n"
+        sessions.write_text(text + bad)
+        code = main(["map-aps", *_corpus_args(small_corpus_dir, sessions=sessions),
+                     "--seed", "7", "--out", str(tmp_path / "out")])
+        assert code == 0
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_huge_year_in_timetable_is_a_rejected_row(self, small_corpus_dir, tmp_path, capsys):
+        timetable = tmp_path / "timetable.csv"
+        text = open(f"{small_corpus_dir}/timetable.csv").read()
+        timetable.write_text(text + "cX,room1,03/03/99999999999999999999,09:00,10:00\n")
+        code = main(["map-aps", *_corpus_args(small_corpus_dir, timetable=timetable),
+                     "--seed", "7", "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code in (0, 2) and "Traceback" not in err
+        assert "bad date or time" in err
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (None, "cannot read"),
+            ("class,count\nc1,3\n", "header mismatch"),
+            ("class_id,true_count\nc1,three\n", "row 2: true_count 'three'"),
+            ("class_id,true_count\nc1,3\nc2,-1\n", "row 3: true_count '-1'"),
+            ("class_id,true_count\nc1,3\nc2,4\nc1,5\n", "row 4: duplicate class_id c1"),
+        ],
+        ids=["unreadable", "header", "non-integer", "negative", "duplicate"],
+    )
+    def test_malformed_ground_truth_counts_are_data_errors(
+        self, small_corpus_dir, tmp_path, capsys, content, message
+    ):
+        truth = tmp_path / "truth"
+        if content is None:
+            truth.mkdir()  # exists, so it passes the config check, but cannot be read
+        else:
+            truth.write_text(content)
+        code = main(["train", *_corpus_args(small_corpus_dir, ground_truth_counts=truth),
+                     "--mapping", str(tmp_path / "mapping.csv"), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and message in err

@@ -1,11 +1,18 @@
 """Session-log loading, validation and time-window queries."""
+import os
+import tempfile
+from datetime import datetime, timedelta
+
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from roomsense.records import DataValidationError, parse_stamp
+import session_oracle
+
+from roomsense.records import DataValidationError, parse_stamp, to_minutes
 from roomsense.store import (
-    SessionStore,
+    RSSI_MISSING,
     load_inventory,
     load_rosters,
     load_sessions,
@@ -13,7 +20,7 @@ from roomsense.store import (
     merge_intervals,
 )
 
-from conftest import DAY, make_session
+from conftest import DAY, make_session, record_store
 
 SESSIONS_HEADER = (
     "User ID,MAC address,Association time,Disassociation time,"
@@ -38,14 +45,14 @@ class TestLoadSessions:
                 " 35 min, mattap1, 2717397, 1717397, 31, -63, Disass",
             ],
         )
-        records, report = load_sessions(path)
-        assert len(records) == 1 and not report.rejects
-        rec = records[0]
-        assert rec.duration == 35
-        assert rec.user_id == "145e7e26"
-        assert rec.ap_name == "mattap1"
-        assert rec.rssi == -63
-        assert rec.status == "Disassociated"
+        table, report = load_sessions(path)
+        assert len(table) == 1 and not report.rejects
+        assert table.end[0] - table.start[0] == 35
+        assert table.user_names[table.user[0]] == "145e7e26"
+        assert table.mac_names[table.mac[0]] == "00:08:22:60:fb:fe"
+        assert table.ap_names[table.ap[0]] == "mattap1"
+        assert table.rssi[0] == -63
+        assert table.end[0] == to_minutes(parse_stamp("31/07/2017 11:15"))  # Disass: logged end
 
     def test_ongoing_session_gets_default_report_end(self, tmp_path):
         path = write(
@@ -57,10 +64,9 @@ class TestLoadSessions:
                 " 156318, 3462431, 49, -45, Ass",
             ],
         )
-        records, _ = load_sessions(path)
-        assert records[0].end_time == parse_stamp("31/07/2017 21:00")
-        assert records[0].duration == 20
-        assert records[0].disassoc_time is None
+        table, _ = load_sessions(path)
+        assert table.end[0] == to_minutes(parse_stamp("31/07/2017 21:00"))
+        assert table.end[0] - table.start[0] == 20
 
     def test_explicit_report_time_overrides_default(self, tmp_path):
         path = write(
@@ -68,13 +74,13 @@ class TestLoadSessions:
             "s.csv",
             [SESSIONS_HEADER, "u1, m1, 31/07/2017 20:40, -, 20 min, ap1, 1, 1, 30, -60, Ass"],
         )
-        records, _ = load_sessions(path, report_time=parse_stamp("31/07/2017 22:30"))
-        assert records[0].duration == 110
+        table, _ = load_sessions(path, report_time=parse_stamp("31/07/2017 22:30"))
+        assert table.end[0] - table.start[0] == 110
 
     def test_empty_stream_with_header(self, tmp_path):
         path = write(tmp_path, "s.csv", [SESSIONS_HEADER])
-        records, report = load_sessions(path)
-        assert records == [] and report.rejects == []
+        table, report = load_sessions(path)
+        assert len(table) == 0 and report.rejects == []
 
     def test_unreadable_source_fatal(self, tmp_path):
         with pytest.raises(DataValidationError):
@@ -100,8 +106,8 @@ class TestLoadSessions:
             "s.csv",
             [SESSIONS_HEADER, good, "u2, m2, notadate, -, 5 min, ap, 1, 1, 30, -60, Ass", good, good],
         )
-        records, report = load_sessions(path)
-        assert len(records) == 3
+        table, report = load_sessions(path)
+        assert len(table) == 3
         assert [line for line, _ in report.rejects] == [3]
 
     def test_disassociated_without_time_rejected(self, tmp_path):
@@ -111,8 +117,8 @@ class TestLoadSessions:
             "s.csv",
             [SESSIONS_HEADER, good, "u1, m1, 31/07/2017 10:00, -, 10 min, ap, 1, 1, 30, -60, Disass", good],
         )
-        records, report = load_sessions(path)
-        assert len(records) == 2 and len(report.rejects) == 1
+        table, report = load_sessions(path)
+        assert len(table) == 2 and len(report.rejects) == 1
 
     def test_duration_mismatch_is_warning_not_reject(self, tmp_path):
         path = write(
@@ -120,8 +126,8 @@ class TestLoadSessions:
             "s.csv",
             [SESSIONS_HEADER, "u1, m1, 31/07/2017 10:00, 31/07/2017 10:30, 7 min, ap, 1, 1, 30, -60, Disass"],
         )
-        records, report = load_sessions(path)
-        assert records[0].duration == 30  # recomputed value wins
+        table, report = load_sessions(path)
+        assert table.end[0] - table.start[0] == 30  # recomputed value wins
         assert not report.rejects and len(report.warnings) == 1
 
     def test_extra_trailing_columns_ignored_retries_optional(self, tmp_path):
@@ -133,9 +139,9 @@ class TestLoadSessions:
                 "u1, m1, 31/07/2017 10:00, 31/07/2017 10:30, 30 min, ap, 1, 1, 30, -60, Disass, 142",
             ],
         )
-        records, report = load_sessions(path)
-        assert not report.rejects
-        assert records[0].retries == 142
+        table, report = load_sessions(path)
+        assert not report.rejects and not report.warnings
+        assert len(table) == 1  # Retries is validated by nothing and not kept
 
     def test_missing_rssi_parsed_as_none(self, tmp_path):
         path = write(
@@ -143,8 +149,139 @@ class TestLoadSessions:
             "s.csv",
             [SESSIONS_HEADER, "u1, m1, 31/07/2017 10:00, 31/07/2017 10:30, 30 min, ap, 1, 1, 30, -, Disass"],
         )
-        records, _ = load_sessions(path)
-        assert records[0].rssi is None
+        table, _ = load_sessions(path)
+        assert table.rssi[0] == RSSI_MISSING
+
+
+def _stamp(moment: datetime, padded: bool) -> str:
+    if padded:
+        return moment.strftime("%d/%m/%Y %H:%M")
+    return f"{moment.day}/{moment.month}/{moment.year} {moment.hour}:{moment.minute}"
+
+
+BAD_STAMPS = (
+    "notadate",
+    "31/02/2025 10:00",
+    "03/03/2025 24:00",
+    "03/03/2025",
+    "03-03-2025 10:00",
+    "03/03/99999999999999999999 09:00",
+    "99999999999999999999/03/2025 09:00",
+)
+
+
+def _mostly(draw, good, bad):
+    """`good` fifteen times in sixteen, otherwise one of `bad`."""
+    return draw(st.sampled_from(bad)) if draw(st.integers(0, 15)) == 0 else good
+
+
+@st.composite
+def session_lines(draw):
+    """One data line: mostly valid rows, plus every malformation the loader handles."""
+    kind = draw(st.sampled_from(["row"] * 13 + ["short", "blank", "spaces"]))
+    if kind == "short":
+        return ",".join(draw(st.lists(st.sampled_from(["u1", "m1", "", " x "]), max_size=10)))
+    if kind == "blank":
+        return ""
+    if kind == "spaces":
+        return draw(st.sampled_from(["   ", " , ,", "\t"]))
+    assoc = datetime(2025, 3, 3) + timedelta(minutes=draw(st.integers(7 * 60, 22 * 60)))
+    length = _mostly(draw, draw(st.integers(0, 240)), [-1, -30])
+    ongoing = draw(st.booleans())
+    status = draw(st.sampled_from(["Ass", "associated"] if ongoing else ["Disass", "Disassociated", "DISASS"]))
+    disassoc = "-" if ongoing else _stamp(assoc + timedelta(minutes=length), draw(st.booleans()))
+    logged = draw(st.sampled_from([f"{length} min", f"{length}", "", "-"]))
+    fields = [
+        _mostly(draw, draw(st.sampled_from(["u1", "u2", "u10", "u3"])), [""]),
+        _mostly(draw, draw(st.sampled_from(["m1", "m2", "aa:bb"])), [""]),
+        _mostly(draw, _stamp(assoc, draw(st.booleans())), BAD_STAMPS),
+        _mostly(draw, disassoc, ["-", "", *[_stamp(assoc, True)] * 4, *BAD_STAMPS]),
+        _mostly(draw, logged, [f"{length + 5} min", "-5 min", "--5 min", "abc", "7"]),
+        draw(st.sampled_from(["ap1", "ap2", "ap10", ""])),
+        _mostly(draw, "1000", ["x1", "", "1.5"]),
+        _mostly(draw, "2000", ["x1", "", "1.5"]),
+        _mostly(draw, draw(st.sampled_from(["30", "-", ""])), ["snr", "3.0"]),
+        _mostly(draw, draw(st.sampled_from(["-60", "-45", "-", ""])), ["weak", str(2**63), str(-(2**63))]),
+        _mostly(draw, status, ["gone", "", "Disass" if ongoing else "Ass"]),
+    ]
+    retries = draw(st.sampled_from([None, "142", "-", "x"]))
+    if retries is not None:
+        fields.append(retries)
+    pad = draw(st.sampled_from(["", " "]))
+    return ",".join(pad + f for f in fields)
+
+
+def _load_both(path, report_time):
+    """(columnar outcome, oracle outcome); a fatal load becomes its message."""
+    outcomes = []
+    for loader in (load_sessions, session_oracle.load_sessions):
+        try:
+            outcomes.append(loader(path, report_time=report_time))
+        except DataValidationError as exc:
+            outcomes.append(str(exc))
+    return outcomes
+
+
+def _table_rows(table):
+    return [
+        (table.user_names[u], table.mac_names[m], table.ap_names[a], s, e, None if r == RSSI_MISSING else r)
+        for u, m, a, s, e, r in zip(
+            table.user.tolist(),
+            table.mac.tolist(),
+            table.ap.tolist(),
+            table.start.tolist(),
+            table.end.tolist(),
+            table.rssi.tolist(),
+        )
+    ]
+
+
+def _record_rows(records):
+    return [
+        (
+            r.user_id,
+            r.device_mac,
+            r.ap_name,
+            to_minutes(r.assoc_time),
+            to_minutes(r.assoc_time) + r.duration,
+            r.rssi,
+        )
+        for r in records
+    ]
+
+
+def assert_matches_oracle(path, report_time=None):
+    columnar, oracle = _load_both(path, report_time)
+    if isinstance(oracle, str) or isinstance(columnar, str):
+        assert columnar == oracle
+        return
+    (table, report), (records, expected) = columnar, oracle
+    assert _table_rows(table) == _record_rows(records)
+    assert report.rejects == expected.rejects
+    assert report.warnings == expected.warnings
+    assert report.rows_read == expected.rows_read
+
+
+class TestLoaderMatchesOracle:
+    """The columnar loader against the record-building loader it replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        lines=st.lists(session_lines(), max_size=30),
+        retries_header=st.booleans(),
+        report_time=st.none()
+        | st.datetimes(datetime(2025, 3, 3, 8), datetime(2025, 3, 4, 2)),
+    )
+    def test_generated_logs(self, lines, retries_header, report_time):
+        header = SESSIONS_HEADER + (",Retries" if retries_header else "")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "sessions.csv")
+            with open(path, "w", newline="") as handle:
+                handle.write("\n".join([header, *lines]) + "\n")
+            assert_matches_oracle(path, report_time)
+
+    def test_seed42_corpus(self, corpus42_dir):
+        assert_matches_oracle(os.path.join(corpus42_dir, "sessions.csv"))
 
 
 class TestMergeIntervals:
@@ -231,8 +368,8 @@ class TestConnectedUsers:
         base = [make_session("u1", "ap1", "09:00", "09:30")]
         extra = make_session("u2", "ap1", "09:10", "09:20", mac="m9")
         at = parse_stamp(f"{DAY} 09:15")
-        small = SessionStore(base).connected_users("ap1", at)
-        large = SessionStore(base + [extra]).connected_users("ap1", at)
+        small = record_store(base).connected_users("ap1", at)
+        large = record_store(base + [extra]).connected_users("ap1", at)
         assert small <= large
 
     def test_snapshot_covers_active_aps(self, store_builder):
@@ -244,28 +381,86 @@ class TestConnectedUsers:
         assert snap.connections == {"ap1": {"u1"}, "ap2": {"u2"}}
 
 
+@st.composite
+def small_logs(draw):
+    """Hand-built sessions: few users, APs and devices, so intervals overlap and touch."""
+    records = []
+    for _ in range(draw(st.integers(0, 25))):
+        start = draw(st.integers(9 * 60, 12 * 60))
+        end = start + draw(st.integers(0, 90))
+        records.append(
+            make_session(
+                draw(st.sampled_from(["u1", "u2", "u3"])),
+                draw(st.sampled_from(["ap1", "ap2", "ap10"])),
+                f"{start // 60:02d}:{start % 60:02d}",
+                f"{end // 60:02d}:{end % 60:02d}",
+                mac=draw(st.sampled_from(["m1", "m2"])),
+            )
+        )
+    return records
+
+
+class TestIndexMatchesBruteForce:
+    """Store queries against direct scans of the hand-built sessions."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(records=small_logs(), lo=st.integers(9 * 60, 14 * 60), length=st.integers(1, 120))
+    def test_queries(self, records, lo, length):
+        store = record_store(records)
+        midnight = to_minutes(parse_stamp(f"{DAY} 00:00"))
+        spans = [
+            (r.user_id, r.ap_name, to_minutes(r.assoc_time), to_minutes(r.assoc_time) + r.duration)
+            for r in records
+        ]
+        times = np.arange(midnight + 9 * 60, midnight + 14 * 60, 7, dtype=np.int64)
+        for ap in ("ap1", "ap2", "ap10", "nosuch"):
+            total, members = store.user_counts_at(ap, times, store.user_ids({"u1", "u3"}))
+            covering = [{u for u, a, s, e in spans if a == ap and s <= t < e} for t in times]
+            assert total.tolist() == [len(users) for users in covering]
+            assert members.tolist() == [len(users & {"u1", "u3"}) for users in covering]
+
+        lo_at = parse_stamp(f"{DAY} 00:00") + timedelta(minutes=lo)
+        window = (lo_at, lo_at + timedelta(minutes=length))
+        lo_m, hi_m = midnight + lo, midnight + lo + length
+        hits = [i for i, (_, a, s, e) in enumerate(spans) if s < hi_m and e > lo_m]
+        assert store.active_aps(*window) == sorted({spans[i][1] for i in hits})
+        expected = sorted(
+            (i for i in hits if spans[i][1] in {"ap10", "ap2"}),
+            key=lambda i: (spans[i][1], spans[i][2], spans[i][3], i),
+        )
+        assert store.sessions_overlapping(["ap2", "ap10", "nosuch"], *window).tolist() == expected
+
+
 class TestClassWindowSessions:
+    """`sessions_overlapping` rows clipped to the class window [start, end)."""
+
     def _event(self, start="11:00", end="14:00"):
         from roomsense.records import ClassEvent
 
         return ClassEvent("c1", "room1", parse_stamp(f"{DAY} {start}"), parse_stamp(f"{DAY} {end}"))
 
+    def _clipped(self, store, event, aps):
+        rows = store.sessions_overlapping(aps, event.start, event.end)
+        lo, hi = to_minutes(event.start), to_minutes(event.end)
+        table = store.table
+        return [(max(s, lo), min(e, hi)) for s, e in zip(table.start[rows], table.end[rows])]
+
     def test_clipping(self, store_builder):
         store = store_builder(make_session("u1", "ap1", "10:50", "14:40"))
-        clipped = store.class_window_sessions(self._event(), {"ap1"})
+        clipped = self._clipped(store, self._event(), {"ap1"})
         assert len(clipped) == 1
-        assert clipped[0].assoc_time == parse_stamp(f"{DAY} 11:00")
-        assert clipped[0].end_time == parse_stamp(f"{DAY} 14:00")
+        assert clipped[0][0] == to_minutes(parse_stamp(f"{DAY} 11:00"))
+        assert clipped[0][1] == to_minutes(parse_stamp(f"{DAY} 14:00"))
 
     def test_inside_unchanged(self, store_builder):
         store = store_builder(make_session("u1", "ap1", "11:30", "12:00"))
-        clipped = store.class_window_sessions(self._event(), {"ap1"})
-        assert clipped[0].assoc_time == parse_stamp(f"{DAY} 11:30")
-        assert clipped[0].duration == 30
+        clipped = self._clipped(store, self._event(), {"ap1"})
+        assert clipped[0][0] == to_minutes(parse_stamp(f"{DAY} 11:30"))
+        assert clipped[0][1] - clipped[0][0] == 30
 
     def test_boundary_session_excluded(self, store_builder):
         store = store_builder(make_session("u1", "ap1", "10:00", "11:00"))
-        assert store.class_window_sessions(self._event(), {"ap1"}) == []
+        assert self._clipped(store, self._event(), {"ap1"}) == []
 
     def test_all_clipped_within_window(self, store_builder):
         store = store_builder(
@@ -274,9 +469,11 @@ class TestClassWindowSessions:
             make_session("u3", "ap1", "11:10", "11:20", mac="m3"),
         )
         event = self._event()
-        for rec in store.class_window_sessions(event, {"ap1"}):
-            assert rec.assoc_time >= event.start
-            assert rec.end_time <= event.end
+        clipped = self._clipped(store, event, {"ap1"})
+        assert len(clipped) == 3
+        for start, end in clipped:
+            assert start >= to_minutes(event.start)
+            assert end <= to_minutes(event.end)
 
 
 class TestOtherLoaders:

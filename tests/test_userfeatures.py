@@ -2,7 +2,6 @@
 import pytest
 
 from roomsense.records import BYSTANDER, OCCUPANT, ClassEvent, parse_stamp
-from roomsense.store import SessionStore
 from roomsense.userfeatures import (
     extract_class_features,
     extract_user_features,
@@ -11,7 +10,7 @@ from roomsense.userfeatures import (
     label_vectors,
 )
 
-from conftest import DAY, make_session
+from conftest import DAY, make_session, record_store
 
 
 def event(class_id="c1", start="11:00", end="14:00"):
@@ -37,7 +36,7 @@ def build_four_user_day():
         make_session("S4", "room-ap", "12:30", "13:10", mac="s4:a"),
         make_session("S4", "room-ap", "15:00", "15:25", mac="s4:a"),
     ]
-    return SessionStore(sessions)
+    return record_store(sessions)
 
 
 class TestWorkedExamples:
@@ -80,7 +79,7 @@ class TestExtraction:
         sessions = [
             make_session("u", "room-ap", "10:55", "14:05", mac=f"d{i}") for i in range(4)
         ]
-        vec = extract_class_features(SessionStore(sessions), event(), AP)[0]
+        vec = extract_class_features(record_store(sessions), event(), AP)[0]
         assert vec.t_in == pytest.approx(100.0)
         assert vec.n_devices == 4
 
@@ -90,13 +89,13 @@ class TestExtraction:
             make_session("u", "room-ap", "07:00", "08:00"),  # before teaching day
             make_session("u", "room-ap", "20:30", "21:40"),  # clipped at 21:00
         ]
-        vec = extract_class_features(SessionStore(sessions), event(), AP)[0]
+        vec = extract_class_features(record_store(sessions), event(), AP)[0]
         # only the 20:30-21:00 slice counts: 30 / (720 - 180)
         assert vec.t_out == pytest.approx(100.0 * 30 / 540)
 
     def test_early_connector_gets_zero_arrival_delay(self):
         sessions = [make_session("u", "room-ap", "10:30", "12:00")]
-        vec = extract_class_features(SessionStore(sessions), event(), AP)[0]
+        vec = extract_class_features(record_store(sessions), event(), AP)[0]
         assert vec.arrival_delay == 0.0
 
     def test_mean_rssi_magnitude(self):
@@ -104,7 +103,7 @@ class TestExtraction:
             make_session("u", "room-ap", "11:10", "11:40", rssi=-60, mac="a"),
             make_session("u", "room-ap", "12:10", "12:40", rssi=-70, mac="a"),
         ]
-        vec = extract_class_features(SessionStore(sessions), event(), AP)[0]
+        vec = extract_class_features(record_store(sessions), event(), AP)[0]
         assert vec.avg_rssi == pytest.approx(65.0)
 
     def test_sessions_off_mapped_aps_ignored(self):
@@ -112,7 +111,7 @@ class TestExtraction:
             make_session("u", "room-ap", "11:10", "11:40"),
             make_session("u", "elsewhere", "12:00", "13:00"),
         ]
-        vec = extract_class_features(SessionStore(sessions), event(), AP)[0]
+        vec = extract_class_features(record_store(sessions), event(), AP)[0]
         assert vec.t_in == pytest.approx(100.0 * 30 / 180)
         assert vec.n_sessions == 1
 
@@ -140,7 +139,7 @@ class TestLabelsAndImputation:
             make_session("u2", "room-ap", "11:10", "11:40", rssi=-70, mac="b"),
             make_session("u3", "room-ap", "11:10", "11:40", rssi=None, mac="c"),
         ]
-        vectors = extract_class_features(SessionStore(sessions), event(), AP)
+        vectors = extract_class_features(record_store(sessions), event(), AP)
         fill = impute_rssi(vectors)
         assert fill == pytest.approx(65.0)
         by_user = {v.user_id: v for v in vectors}
@@ -150,6 +149,6 @@ class TestLabelsAndImputation:
 
     def test_impute_with_explicit_fill(self):
         sessions = [make_session("u", "room-ap", "11:10", "11:40", rssi=None)]
-        vectors = extract_class_features(SessionStore(sessions), event(), AP)
+        vectors = extract_class_features(record_store(sessions), event(), AP)
         impute_rssi(vectors, 58.5)
         assert vectors[0].avg_rssi == pytest.approx(58.5)
