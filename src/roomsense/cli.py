@@ -53,7 +53,6 @@ def _add_mapping_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--resample-len", type=int, default=mapping.DEFAULT_RESAMPLE_LEN)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--no-adjacency", action="store_true", help="corridor APs never count as in-room")
-    parser.add_argument("--jobs", type=int, default=1, help="worker threads across classes")
 
 
 def _config_from_args(args, need_truth: bool) -> PipelineConfig:
@@ -72,7 +71,6 @@ def _config_from_args(args, need_truth: bool) -> PipelineConfig:
         adjacency=not getattr(args, "no_adjacency", False),
         use_room_aps=getattr(args, "use_room_aps", False),
         delimiter=args.delimiter,
-        jobs=getattr(args, "jobs", 1),
     )
     config.validate(require_truth=need_truth)
     return config
@@ -119,10 +117,10 @@ def cmd_map_aps(args) -> int:
         if not corpus.events:
             raise ConfigError(f"no timetable entries match --classes {args.classes}")
     os.makedirs(config.output_dir, exist_ok=True)
-    results, series = pipeline.map_stage(corpus, config)
+    results, clustered = pipeline.map_stage(corpus, config)
     pipeline.write_mapping_csv(os.path.join(config.output_dir, "mapping.csv"), results)
     pipeline.write_pca_csv(
-        os.path.join(config.output_dir, "pca.csv"), corpus, results, series, config
+        os.path.join(config.output_dir, "pca.csv"), corpus, results, clustered, config
     )
     pipeline.write_json(
         os.path.join(config.output_dir, "mapping_report.json"),
@@ -139,6 +137,7 @@ def cmd_map_aps(args) -> int:
             algorithm=config.algorithm,
             seed=config.seed,
             adjacency=config.adjacency,
+            mapped={config.resolution: results},
         )
         pipeline.write_sweep_csv(os.path.join(config.output_dir, "resolution_sweep.csv"), rows)
     print(f"mapped {len(results)} classes -> {config.output_dir}")
@@ -149,10 +148,10 @@ def cmd_train(args) -> int:
     config = _config_from_args(args, need_truth=True)
     corpus = pipeline.load_corpus(config)
     results = pipeline.read_mapping_csv(args.mapping)
-    features = pipeline.features_stage(corpus, results, config)
     train_ids, _ = estimation.split_classes(
         [e.class_id for e in corpus.events], train_ratio=config.train_ratio, seed=config.seed
     )
+    features = pipeline.features_stage(corpus, results, config, train_ids)
     lda, calibration = pipeline.train_stage(corpus, features, train_ids)
     os.makedirs(config.output_dir, exist_ok=True)
     model_path = os.path.join(config.output_dir, "model.txt")
@@ -205,7 +204,6 @@ def cmd_run(args) -> int:
             "resample_len",
             "seed",
             "train_ratio",
-            "jobs",
         )
     }
     if args.no_adjacency:
@@ -220,8 +218,15 @@ def cmd_run(args) -> int:
     return 0
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a usage error as `ConfigError` (exit 1) rather than exiting with 2."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="roomsense", description="Classroom occupancy estimation from WiFi session logs"
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -247,7 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--train-ratio", type=float, default=0.7)
     p.add_argument("--use-room-aps", action="store_true", help="use inventory room APs instead of the mapping")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 
@@ -256,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mapping", required=True, help="mapping.csv from map-aps")
     p.add_argument("--model", required=True, help="model.txt from train")
     p.add_argument("--use-room-aps", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_estimate)
 
@@ -280,7 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resample-len", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--train-ratio", type=float, default=None)
-    p.add_argument("--jobs", type=int, default=None)
     p.add_argument("--no-adjacency", action="store_true")
     p.add_argument("--use-room-aps", action="store_true")
     p.set_defaults(func=cmd_run)

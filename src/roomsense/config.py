@@ -19,7 +19,7 @@ def read_config_file(path) -> dict[str, str]:
     try:
         with open(path) as handle:
             lines = handle.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     values: dict[str, str] = {}
     for no, line in enumerate(lines, start=1):
@@ -77,7 +77,6 @@ class PipelineConfig:
     adjacency: bool = True
     use_room_aps: bool = False
     delimiter: str = ","
-    jobs: int = 1
 
     def validate(self, require_truth: bool = True) -> None:
         needed = {"sessions": self.sessions, "timetable": self.timetable, "rosters": self.rosters}
@@ -94,8 +93,8 @@ class PipelineConfig:
                 raise ConfigError(f"{name} file not found: {path}")
         if not 0.0 < self.train_ratio < 1.0:
             raise ConfigError("train_ratio must lie strictly between 0 and 1")
-        if self.resolution < 1 or self.resample_len < 1 or self.jobs < 1:
-            raise ConfigError("resolution, resample_len and jobs must be positive")
+        if self.resolution < 1 or self.resample_len < 1:
+            raise ConfigError("resolution and resample_len must be positive")
         if self.use_room_aps and not self.inventory:
             raise ConfigError("use_room_aps requires an inventory file")
 
@@ -104,7 +103,6 @@ _PIPELINE_PARSERS = {
     "resolution": int,
     "resample_len": int,
     "seed": int,
-    "jobs": int,
     "train_ratio": float,
     "adjacency": _parse_bool,
     "use_room_aps": _parse_bool,

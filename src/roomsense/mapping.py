@@ -14,7 +14,6 @@ set for the class.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from datetime import timedelta
 
 import numpy as np
 
@@ -73,35 +72,26 @@ def sample_times(event: ClassEvent, resolution: int) -> np.ndarray:
 def compute_ap_features(
     store: SessionStore, event: ClassEvent, enrolled: frozenset[str], resolution: int
 ) -> list[ApFeatureSeries]:
-    """Feature series for every AP with enrolled activity during the class.
+    """Feature series for every AP with enrolled activity during the class, by AP name.
 
     APs that never hold an enrolled connection at any sample instant carry
     identically-zero features and are omitted (implicitly not mapped).
     """
     times = sample_times(event, resolution)
-    member_ids = store.user_ids(enrolled)
-    window_lo = event.start + timedelta(minutes=TRIM_MINUTES)
-    window_hi = event.end - timedelta(minutes=TRIM_MINUTES)
-    # +1 minute: a session starting exactly at the last (inclusive) sample
-    # instant still covers it under the half-open convention
-    aps = store.active_aps(window_lo, window_hi + timedelta(minutes=1))
-
-    totals = np.zeros((len(aps), len(times)), dtype=np.int64)
-    members = np.zeros_like(totals)
-    for i, ap in enumerate(aps):
-        totals[i], members[i] = store.user_counts_at(ap, times, member_ids)
+    totals, members = store.user_counts_at(times, store.user_ids(enrolled))
+    featured = np.flatnonzero(members.any(axis=1))
+    totals, members = totals[featured], members[featured]
 
     enrolled_sum = members.sum(axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
         frac_class = np.where(enrolled_sum > 0, 100.0 * members / enrolled_sum, 0.0)
         class_frac = np.where(totals > 0, 100.0 * members / totals, 0.0)
 
-    series = []
-    for i, ap in enumerate(aps):
-        if members[i].sum() == 0:
-            continue
-        series.append(ApFeatureSeries(ap, resolution, times, frac_class[i], class_frac[i]))
-    return series
+    ap_names = store.table.ap_names
+    return [
+        ApFeatureSeries(ap_names[code], resolution, times, frac_class[i], class_frac[i])
+        for i, code in enumerate(featured.tolist())
+    ]
 
 
 def resample_series(values, target_len: int) -> np.ndarray:
@@ -193,24 +183,27 @@ def map_class_aps(
     resample_len: int = DEFAULT_RESAMPLE_LEN,
     algorithm: str = "kmeans",
     seed: int = 0,
-) -> tuple[MappingResult, list[ApFeatureSeries]]:
+) -> tuple[MappingResult, tuple[np.ndarray, list[str]]]:
     """Full per-class mapping: features, clustering, cluster naming.
 
-    Degenerate classes are handled conservatively: zero featured APs give an
-    empty mapping, a single featured AP (which by definition holds all
-    enrolled connections) maps alone, and identical feature rows map together.
+    Returns the mapping and the clustered (feature matrix, AP names) of
+    `build_feature_matrix`. Degenerate classes are handled conservatively:
+    zero featured APs give an empty mapping, a single featured AP (which by
+    definition holds all enrolled connections) maps alone, and identical
+    feature rows map together.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
     series = compute_ap_features(store, event, enrolled, resolution)
     if not series:
-        return MappingResult(event.class_id, frozenset(), frozenset(), algorithm, {}), series
-    matrix, ap_names = build_feature_matrix(series, resample_len)
+        empty = MappingResult(event.class_id, frozenset(), frozenset(), algorithm, {})
+        return empty, (np.empty((0, 2 * resample_len)), [])
+    features = matrix, ap_names = build_feature_matrix(series, resample_len)
     if len(ap_names) == 1:
         result = MappingResult(
             event.class_id, frozenset(ap_names), frozenset(), algorithm, {ap_names[0]: 0.0}
         )
-        return result, series
+        return result, features
 
     try:
         if algorithm == "kmeans":
@@ -233,7 +226,7 @@ def map_class_aps(
             algorithm,
             {ap: 0.0 for ap in ap_names},
         )
-        return result, series
+        return result, features
 
     result = label_clusters(assignment, matrix, ap_names, event.class_id, algorithm)
     if posterior is not None:
@@ -244,7 +237,7 @@ def map_class_aps(
     else:
         scores = _margin_scores(matrix, assignment, ap_names, result.mapped)
     result.scores.update(scores)
-    return result, series
+    return result, features
 
 
 @dataclass
@@ -342,12 +335,16 @@ def resolution_sweep(
     algorithm: str = "kmeans",
     seed: int = 0,
     adjacency: bool = True,
+    mapped: dict[int, dict[str, MappingResult]] | None = None,
 ) -> list[dict]:
     """TP/TN accuracy per sampling resolution.
 
     At each resolution only classes whose trimmed window yields at least two
     samples take part; a resolution no class can serve is marked skipped.
+    `mapped` holds results already computed with the same settings, by
+    resolution and class id; those classes are not mapped again.
     """
+    mapped = mapped or {}
     events_by_id = {e.class_id: e for e in events}
     rows = []
     for resolution in resolutions:
@@ -359,8 +356,11 @@ def resolution_sweep(
         if not eligible:
             rows.append({"resolution": resolution, "skipped": True})
             continue
+        known = mapped.get(resolution, {})
         results = [
-            map_class_aps(
+            known[e.class_id]
+            if e.class_id in known
+            else map_class_aps(
                 store,
                 e,
                 rosters[e.class_id],

@@ -178,33 +178,55 @@ def save_model(path, model: LdaModel, calibration: CalibrationModel) -> None:
 
 
 def load_model(path) -> tuple[LdaModel, CalibrationModel]:
-    values: dict[str, str] = {}
+    """Read a `save_model` file; a missing key, a malformed value or a shape
+    that does not fit `FEATURE_NAMES` is a `DataValidationError` naming the line."""
+    values: dict[str, tuple[int, str]] = {}
     try:
         with open(path) as handle:
-            for line in handle:
+            for line_no, line in enumerate(handle, start=1):
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
                 key, _, val = line.partition("=")
-                values[key.strip()] = val.strip()
-    except OSError as exc:
+                values[key.strip()] = (line_no, val.strip())
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataValidationError(f"cannot read model file {path}: {exc}") from exc
 
-    def vec(key):
-        return np.array([float(v) for v in values[key].split()])
+    def entry(key):
+        if key not in values:
+            raise DataValidationError(f"model file {path} missing key {key!r}")
+        return values[key]
 
-    try:
-        dim = len(values["features"].split())
-        cov = np.array([vec(f"covariance_{i}") for i in range(dim)])
-        model = LdaModel(
-            mean_occupant=vec("mean_occupant"),
-            mean_bystander=vec("mean_bystander"),
-            covariance=cov,
-            prior_occupant=float(values["prior_occupant"]),
-            prior_bystander=float(values["prior_bystander"]),
-            rssi_fill=float(values["rssi_fill"]),
+    def vec(key, length):
+        line_no, text = entry(key)
+        try:
+            out = np.array([float(v) for v in text.split()])
+        except ValueError:
+            raise DataValidationError(f"{path}: line {line_no}: {key} is not numeric: {text!r}") from None
+        if out.size != length:
+            raise DataValidationError(
+                f"{path}: line {line_no}: {key} has {out.size} values, expected {length}"
+            )
+        return out
+
+    def number(key):
+        return float(vec(key, 1)[0])
+
+    line_no, names = entry("features")
+    if names.split() != list(FEATURE_NAMES):
+        raise DataValidationError(
+            f"{path}: line {line_no}: features {names!r} are not {' '.join(FEATURE_NAMES)!r}"
         )
-        calibration = CalibrationModel(float(values["slope"]), float(values["intercept"]))
-    except KeyError as exc:
-        raise DataValidationError(f"model file {path} missing key {exc}") from exc
-    return model, calibration
+    dim = len(FEATURE_NAMES)
+    model = LdaModel(
+        mean_occupant=vec("mean_occupant", dim),
+        mean_bystander=vec("mean_bystander", dim),
+        covariance=np.array([vec(f"covariance_{i}", dim) for i in range(dim)]),
+        prior_occupant=number("prior_occupant"),
+        prior_bystander=number("prior_bystander"),
+        rssi_fill=number("rssi_fill"),
+    )
+    for key in ("prior_occupant", "prior_bystander"):
+        if not getattr(model, key) > 0:
+            raise DataValidationError(f"{path}: line {entry(key)[0]}: {key} must be positive")
+    return model, CalibrationModel(number("slope"), number("intercept"))

@@ -9,15 +9,23 @@ from __future__ import annotations
 import csv
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import estimation, mapping, model as model_mod, userfeatures
 from .clustering import pca_project
 from .config import PipelineConfig, echo_config
 from .records import ApInventory, ClassEvent, DataValidationError
 from .simulate import load_ground_truth_counts
-from .store import SessionStore, load_inventory, load_rosters, load_sessions, load_timetable
+from .store import (
+    SessionStore,
+    _open_rows,
+    load_inventory,
+    load_rosters,
+    load_sessions,
+    load_timetable,
+)
 
 ESTIMATE_COLUMNS = (
     "class_id",
@@ -66,18 +74,13 @@ def load_corpus(config: PipelineConfig) -> LoadedCorpus:
     return LoadedCorpus(SessionStore(sessions), events, rosters, inventory, truth)
 
 
-def _parallel(jobs: int, fn, items):
-    if jobs <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
 def map_stage(
     corpus: LoadedCorpus, config: PipelineConfig
-) -> tuple[dict[str, mapping.MappingResult], dict[str, list[mapping.ApFeatureSeries]]]:
-    def one(event: ClassEvent):
-        return mapping.map_class_aps(
+) -> tuple[dict[str, mapping.MappingResult], dict[str, tuple[np.ndarray, list[str]]]]:
+    """Mapping results and the clustered (feature matrix, AP names), by class id."""
+    results, features = {}, {}
+    for event in sorted(corpus.events, key=lambda e: e.class_id):
+        results[event.class_id], features[event.class_id] = mapping.map_class_aps(
             corpus.store,
             event,
             corpus.rosters[event.class_id],
@@ -86,12 +89,7 @@ def map_stage(
             algorithm=config.algorithm,
             seed=config.seed,
         )
-
-    ordered = sorted(corpus.events, key=lambda e: e.class_id)
-    outcomes = _parallel(config.jobs, one, ordered)
-    results = {r.class_id: r for r, _ in outcomes}
-    series = {e.class_id: s for e, (_, s) in zip(ordered, outcomes)}
-    return results, series
+    return results, features
 
 
 def mapped_aps_for(
@@ -112,16 +110,19 @@ def features_stage(
     corpus: LoadedCorpus,
     results: dict[str, mapping.MappingResult],
     config: PipelineConfig,
+    class_ids: set[str] | None = None,
 ) -> dict[str, list[userfeatures.UserFeatureVector]]:
-    def one(event: ClassEvent):
+    """Labelled feature vectors by class id, for every class or only `class_ids`."""
+    features = {}
+    for event in sorted(corpus.events, key=lambda e: e.class_id):
+        if class_ids is not None and event.class_id not in class_ids:
+            continue
         aps = mapped_aps_for(event, results, corpus, config)
         vectors = userfeatures.extract_class_features(corpus.store, event, aps)
-        return event.class_id, userfeatures.label_vectors(
+        features[event.class_id] = userfeatures.label_vectors(
             vectors, corpus.rosters[event.class_id]
         )
-
-    ordered = sorted(corpus.events, key=lambda e: e.class_id)
-    return dict(_parallel(config.jobs, one, ordered))
+    return features
 
 
 def train_stage(
@@ -185,23 +186,25 @@ def write_mapping_csv(path, results: dict[str, mapping.MappingResult]) -> None:
 
 def read_mapping_csv(path) -> dict[str, mapping.MappingResult]:
     results: dict[str, dict] = {}
-    try:
-        with open(path, newline="") as handle:
-            rows = csv.reader(handle)
-            header = next(rows, None)
-            if header is None or [h.strip() for h in header] != list(MAPPING_COLUMNS):
+    with _open_rows(path, ",") as rows:
+        header = next(rows, None)
+        if header is None or [h.strip() for h in header] != list(MAPPING_COLUMNS):
+            raise DataValidationError(
+                f"{path}: expected columns {list(MAPPING_COLUMNS)}, found {header}"
+            )
+        for line_no, fields in enumerate(rows, start=2):
+            if len(fields) < 4:
+                continue
+            class_id, ap, flag, score = fields[:4]
+            try:
+                value = float(score)
+            except ValueError:
                 raise DataValidationError(
-                    f"{path}: expected columns {list(MAPPING_COLUMNS)}, found {header}"
-                )
-            for fields in rows:
-                if len(fields) < 4:
-                    continue
-                class_id, ap, flag, score = fields[:4]
-                entry = results.setdefault(class_id, {"mapped": set(), "not": set(), "scores": {}})
-                (entry["mapped"] if flag.strip() == "1" else entry["not"]).add(ap)
-                entry["scores"][ap] = float(score)
-    except OSError as exc:
-        raise DataValidationError(f"cannot read mapping file {path}: {exc}") from exc
+                    f"{path}: line {line_no}: score {score!r} is not a number"
+                ) from None
+            entry = results.setdefault(class_id, {"mapped": set(), "not": set(), "scores": {}})
+            (entry["mapped"] if flag.strip() == "1" else entry["not"]).add(ap)
+            entry["scores"][ap] = value
     return {
         cid: mapping.MappingResult(
             cid, frozenset(e["mapped"]), frozenset(e["not"]), "file", e["scores"]
@@ -214,19 +217,18 @@ def write_pca_csv(
     path,
     corpus: LoadedCorpus,
     results: dict[str, mapping.MappingResult],
-    series_by_class: dict[str, list[mapping.ApFeatureSeries]],
+    features_by_class: dict[str, tuple[np.ndarray, list[str]]],
     config: PipelineConfig,
 ) -> None:
-    """2-D projections of each class's AP features, for plotting only."""
+    """2-D projections of each class's clustered AP features, for plotting only."""
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(PCA_COLUMNS)
         for event in sorted(corpus.events, key=lambda e: e.class_id):
-            series = series_by_class.get(event.class_id, [])
-            if len(series) < 2:
+            matrix, ap_names = features_by_class.get(event.class_id, (None, []))
+            if len(ap_names) < 2:
                 continue
             result = results[event.class_id]
-            matrix, ap_names = mapping.build_feature_matrix(series, config.resample_len)
             coords, _ = pca_project(matrix, components=2)
             positives = None
             if corpus.inventory is not None:
@@ -315,30 +317,33 @@ def write_estimates_csv(path, estimates: list[estimation.OccupancyEstimate]) -> 
 
 def read_estimates_csv(path) -> list[estimation.OccupancyEstimate]:
     estimates = []
-    try:
-        with open(path, newline="") as handle:
-            rows = csv.reader(handle)
-            header = next(rows, None)
-            if header is None or [h.strip() for h in header] != list(ESTIMATE_COLUMNS):
+    with _open_rows(path, ",") as rows:
+        header = next(rows, None)
+        if header is None or [h.strip() for h in header] != list(ESTIMATE_COLUMNS):
+            raise DataValidationError(
+                f"{path}: expected columns {list(ESTIMATE_COLUMNS)}, found {header}"
+            )
+        for line_no, fields in enumerate(rows, start=2):
+            if len(fields) < 7 or not fields[0].strip():
+                continue
+            try:
+                wifi, enrolled, lda, calibrated = (int(f) for f in fields[2:6])
+                truth = int(fields[6]) if fields[6].strip() else None
+            except ValueError:
                 raise DataValidationError(
-                    f"{path}: expected columns {list(ESTIMATE_COLUMNS)}, found {header}"
+                    f"{path}: line {line_no}: counts {fields[2:7]} are not all integers"
+                ) from None
+            estimates.append(
+                estimation.OccupancyEstimate(
+                    class_id=fields[0].strip(),
+                    room_id=fields[1].strip(),
+                    wifi_count=wifi,
+                    enrolled_wifi_count=enrolled,
+                    lda_count=lda,
+                    calibrated_count=calibrated,
+                    ground_truth=truth,
                 )
-            for fields in rows:
-                if len(fields) < 7 or not fields[0].strip():
-                    continue
-                estimates.append(
-                    estimation.OccupancyEstimate(
-                        class_id=fields[0].strip(),
-                        room_id=fields[1].strip(),
-                        wifi_count=int(fields[2]),
-                        enrolled_wifi_count=int(fields[3]),
-                        lda_count=int(fields[4]),
-                        calibrated_count=int(fields[5]),
-                        ground_truth=int(fields[6]) if fields[6].strip() else None,
-                    )
-                )
-    except OSError as exc:
-        raise DataValidationError(f"cannot read estimates file {path}: {exc}") from exc
+            )
     return estimates
 
 
@@ -374,7 +379,7 @@ def run_pipeline(config: PipelineConfig) -> dict[str, str]:
     os.makedirs(config.output_dir, exist_ok=True)
     corpus = load_corpus(config)
 
-    results, series = map_stage(corpus, config)
+    results, clustered = map_stage(corpus, config)
     features = features_stage(corpus, results, config)
     train_ids, _ = estimation.split_classes(
         [e.class_id for e in corpus.events], train_ratio=config.train_ratio, seed=config.seed
@@ -392,7 +397,7 @@ def run_pipeline(config: PipelineConfig) -> dict[str, str]:
         "evaluation": os.path.join(config.output_dir, "evaluation.json"),
     }
     write_mapping_csv(paths["mapping"], results)
-    write_pca_csv(paths["pca"], corpus, results, series, config)
+    write_pca_csv(paths["pca"], corpus, results, clustered, config)
     write_json(paths["mapping_report"], mapping_report(corpus, results, config))
     model_mod.save_model(paths["model"], lda, calibration)
     write_estimates_csv(paths["estimates"], estimates)

@@ -545,9 +545,8 @@ def write_ground_truth(users_path, counts_path, campus: Campus, truth: GroundTru
 
 def load_ground_truth_counts(path, delimiter: str = ",") -> dict[str, int]:
     """class_id -> true occupancy; any malformed row is fatal."""
-    handle, rows = _open_rows(path, delimiter)
     counts: dict[str, int] = {}
-    with handle:
+    with _open_rows(path, delimiter) as rows:
         _check_header(path, next(rows, None), GROUND_TRUTH_COUNT_COLUMNS)
         for line_no, fields in enumerate(rows, start=2):
             if len(fields) < 2 or not fields[0].strip():

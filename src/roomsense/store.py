@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import csv
 from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime
 
@@ -71,29 +72,45 @@ class LoadReport:
         self.warnings.append((line_no, message))
 
 
-def merge_intervals(intervals):
-    """Merge [start, end] pairs into a disjoint sorted list.
-
-    Touching intervals (end == next start) coalesce, matching the half-open
-    convention used everywhere else. Works on any comparable endpoint type.
-    """
-    spans = sorted((s, e) for s, e in intervals)
-    merged: list[list] = []
-    for start, end in spans:
-        if merged and start <= merged[-1][1]:
-            if end > merged[-1][1]:
-                merged[-1][1] = end
-        else:
-            merged.append([start, end])
-    return [(s, e) for s, e in merged]
-
-
+@contextmanager
 def _open_rows(path, delimiter: str):
+    """The csv rows of a text file, with read and parse errors as `DataValidationError`.
+
+    Guards the whole `with` body: an undecodable byte or a csv error (such as
+    a field beyond the csv module's size limit) names the file and its line.
+    """
     try:
         handle = open(path, "r", newline="")
     except OSError as exc:
         raise DataValidationError(f"cannot read {path}: {exc}") from exc
-    return handle, csv.reader(handle, delimiter=delimiter)
+    rows = csv.reader(handle, delimiter=delimiter)
+    with handle:
+        try:
+            yield rows
+        except UnicodeDecodeError as exc:
+            line = _undecodable_line(path, handle.encoding)
+            raise DataValidationError(
+                f"{path}: line {line}: not valid {handle.encoding} text ({exc.reason})"
+            ) from exc
+        except csv.Error as exc:
+            raise DataValidationError(f"{path}: line {rows.line_num}: {exc}") from exc
+        except OSError as exc:
+            raise DataValidationError(f"cannot read {path}: {exc}") from exc
+
+
+def _undecodable_line(path, encoding: str) -> int:
+    """Line number of the first byte sequence in `path` that `encoding` cannot decode.
+
+    A text reader decodes in chunks, so its error does not say which line
+    holds the bad byte; the file is decoded again as a whole to find it.
+    """
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        data.decode(encoding)
+    except UnicodeDecodeError as exc:
+        return data.count(b"\n", 0, exc.start) + 1
+    return 0
 
 
 def _check_header(path, header, expected) -> None:
@@ -178,7 +195,6 @@ def load_sessions(
     it is None, the default 9pm report time on the row's own date applies.
     Bytes, SNR and Retries are validated but not kept.
     """
-    handle, rows = _open_rows(path, delimiter)
     report = LoadReport()
     reject = report.reject
     report_end = None if report_time is None else to_minutes(report_time)
@@ -191,7 +207,7 @@ def load_sessions(
     aps: dict[str, int] = {}
     user_col, mac_col, ap_col, start_col, end_col, rssi_col = (array("q") for _ in range(6))
     rows_read = 0
-    with handle:
+    with _open_rows(path, delimiter) as rows:
         header = next(rows, None)
         _check_header(path, header, SESSION_COLUMNS)
         for line_no, fields in enumerate(rows, start=2):
@@ -291,11 +307,10 @@ def load_sessions(
 
 
 def load_timetable(path, delimiter: str = ",") -> tuple[list[ClassEvent], LoadReport]:
-    handle, rows = _open_rows(path, delimiter)
     report = LoadReport()
     events: list[ClassEvent] = []
     seen_ids: set[str] = set()
-    with handle:
+    with _open_rows(path, delimiter) as rows:
         header = next(rows, None)
         _check_header(path, header, TIMETABLE_COLUMNS)
         for line_no, fields in enumerate(rows, start=2):
@@ -329,10 +344,9 @@ def load_timetable(path, delimiter: str = ",") -> tuple[list[ClassEvent], LoadRe
 
 
 def load_rosters(path, delimiter: str = ",") -> tuple[dict[str, frozenset[str]], LoadReport]:
-    handle, rows = _open_rows(path, delimiter)
     report = LoadReport()
     enrolled: dict[str, set[str]] = {}
-    with handle:
+    with _open_rows(path, delimiter) as rows:
         header = next(rows, None)
         _check_header(path, header, ROSTER_COLUMNS)
         for line_no, fields in enumerate(rows, start=2):
@@ -352,10 +366,9 @@ def load_rosters(path, delimiter: str = ",") -> tuple[dict[str, frozenset[str]],
 
 
 def load_inventory(path, delimiter: str = ",") -> tuple[ApInventory, LoadReport]:
-    handle, rows = _open_rows(path, delimiter)
     report = LoadReport()
     locations: dict[str, ApLocation] = {}
-    with handle:
+    with _open_rows(path, delimiter) as rows:
         header = next(rows, None)
         _check_header(path, header, INVENTORY_COLUMNS)
         for line_no, fields in enumerate(rows, start=2):
@@ -385,12 +398,23 @@ def _offsets(sorted_codes: np.ndarray, n_codes: int) -> np.ndarray:
     return np.searchsorted(sorted_codes, np.arange(n_codes + 1))
 
 
-def _merged_intervals(table: SessionTable):
-    """Per-(ap, user) unions of session intervals, ordered by (ap, user, start).
+def _sum_by_group(rows: np.ndarray, groups: np.ndarray, n_groups: int) -> np.ndarray:
+    """Column sums of the 2-D `rows` per group code; `groups` is sorted.
 
-    Returns (start, end, user, ap) columns. Touching intervals coalesce, as in
-    `merge_intervals`: a session starting at or before the running maximum
-    end of its (ap, user) group joins the current merged interval.
+    Returns shape (n_groups, columns), with zeros for groups without rows.
+    """
+    sums = np.zeros((rows.shape[0] + 1, rows.shape[1]), dtype=np.int64)
+    np.cumsum(rows, axis=0, out=sums[1:])
+    cuts = _offsets(groups, n_groups)
+    return sums[cuts[1:]] - sums[cuts[:-1]]
+
+
+def _merged_intervals(table: SessionTable):
+    """Per-(ap, user) unions of session intervals, ordered by (ap, start).
+
+    Returns (start, end, user, ap) columns. Touching intervals coalesce: a
+    session starting at or before the running maximum end of its (ap, user)
+    group joins the current merged interval.
     """
     order = np.lexsort((table.start, table.user, table.ap))
     ap, user = table.ap[order], table.user[order]
@@ -414,7 +438,10 @@ def _merged_intervals(table: SessionTable):
     opens[1:] |= start[1:] > end[:-1]
     heads = np.flatnonzero(opens)
     tails = np.append(heads[1:], n) - 1
-    return start[heads] - lift[heads], end[tails] - lift[tails], user[heads], ap[heads]
+    m_start = start[heads] - lift[heads]
+    by_start = np.lexsort((m_start, ap[heads]))
+    heads, tails = heads[by_start], tails[by_start]
+    return m_start[by_start], end[tails] - lift[tails], user[heads], ap[heads]
 
 
 @dataclass(frozen=True)
@@ -429,7 +456,10 @@ class SessionStore:
     """Immutable time-window queries over a `SessionTable`.
 
     Two indexes, each grouped by AP code with CSR offsets: the raw sessions in
-    (ap, start, end, row) order, and the per-(ap, user) merged intervals.
+    (ap, start, end, row) order, and the per-(ap, user) merged intervals in
+    (ap, start) order. The merged intervals also carry an int64 search key,
+    `ap * span + (start - low)`, which is sorted, so one binary search finds
+    any AP's intervals that start in a given time range.
     """
 
     def __init__(self, table: SessionTable):
@@ -446,6 +476,12 @@ class SessionStore:
 
         self._m_start, self._m_end, self._m_user, m_ap = _merged_intervals(table)
         self._m_offsets = _offsets(m_ap, n_aps)
+        self._low, self._span, self._longest = 0, 1, 0
+        if m_ap.size:
+            self._low = int(self._m_start.min())
+            self._span = int(self._m_start.max()) - self._low + 1
+            self._longest = int((self._m_end - self._m_start).max())
+        self._m_key = m_ap * self._span + (self._m_start - self._low)
 
     @property
     def aps(self) -> list[str]:
@@ -491,36 +527,41 @@ class SessionStore:
         return ConnectionSnapshot(at, connections)
 
     def user_counts_at(
-        self, ap_name: str, times: np.ndarray, member_ids: np.ndarray | None = None
+        self, times: np.ndarray, member_ids: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Distinct-user connection counts at each sample time.
+        """Distinct-user connection counts of every AP at each sample time.
 
-        Returns (total, members); `member_ids` restricts the second count to a
-        user subset (typically a class roster). Multi-device users count once
-        because intervals are merged per user.
+        Returns (total, members), int64 arrays of shape (AP code, sample);
+        `member_ids` restricts the second count to a user subset (typically a
+        class roster). Multi-device users count once because intervals are
+        merged per user.
         """
-        merged = self._merged(ap_name)
-        n = len(times)
-        if merged is None or merged[0].size == 0:
-            zero = np.zeros(n, dtype=np.int64)
+        times = np.asarray(times, dtype=np.int64)
+        n_aps = len(self.table.ap_names)
+        if times.size == 0 or self._m_key.size == 0:
+            zero = np.zeros((n_aps, times.size), dtype=np.int64)
             return zero, zero.copy()
-        m_start, m_end, m_user = merged
         lo, hi = int(times.min()), int(times.max())
-        window = (m_start <= hi) & (m_end > lo)
-        starts, ends, users = m_start[window], m_end[window], m_user[window]
-        cover = (starts[:, None] <= times[None, :]) & (times[None, :] < ends[:, None])
-        total = cover.sum(axis=0)
+        # An interval covering a time in [lo, hi] starts in [lo - longest, hi].
+        # Offsets are clipped to [0, span] so that each AP's search stays
+        # inside its own key range.
+        window = np.clip([lo - self._longest - self._low, hi + 1 - self._low], 0, self._span)
+        keys = np.arange(n_aps, dtype=np.int64)[:, None] * self._span + window
+        first, stop = np.searchsorted(self._m_key, keys).T
+        counts = stop - first
+        ap = np.repeat(np.arange(n_aps), counts)
+        rows = np.arange(ap.size) + np.repeat(first - (np.cumsum(counts) - counts), counts)
+        ending = self._m_end[rows] > lo
+        ap, rows = ap[ending], rows[ending]
+        starts, ends = self._m_start[rows, None], self._m_end[rows, None]
+        cover = (starts <= times) & (times < ends)
+        total = _sum_by_group(cover, ap, n_aps)
         if member_ids is None or member_ids.size == 0:
-            members = np.zeros(n, dtype=np.int64)
-        else:
-            members = cover[np.isin(users, member_ids)].sum(axis=0)
-        return total, members
-
-    def active_aps(self, lo: datetime, hi: datetime) -> list[str]:
-        """APs with at least one session overlapping [lo, hi)."""
-        table = self.table
-        hit = (table.start < to_minutes(hi)) & (table.end > to_minutes(lo))
-        return [table.ap_names[code] for code in np.unique(table.ap[hit])]
+            return total, np.zeros_like(total)
+        enrolled = np.zeros(len(self.table.user_names), dtype=bool)
+        enrolled[member_ids] = True
+        enrolled = enrolled[self._m_user[rows]]
+        return total, _sum_by_group(cover[enrolled], ap[enrolled], n_aps)
 
     def sessions_overlapping(self, ap_names, lo: datetime, hi: datetime) -> np.ndarray:
         """Table rows of raw (unclipped) sessions on the given APs overlapping [lo, hi).

@@ -15,8 +15,6 @@ those sessions plus the user's other activity on the same APs during the
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import groupby
-from operator import itemgetter
 
 import numpy as np
 
@@ -29,7 +27,7 @@ from .records import (
     day_start,
     to_minutes,
 )
-from .store import RSSI_MISSING, SessionStore, merge_intervals
+from .store import RSSI_MISSING, SessionStore
 
 FEATURE_NAMES = ("t_in", "t_out", "arrival_delay", "n_sessions", "n_devices", "avg_rssi")
 
@@ -62,15 +60,29 @@ class UserFeatureVector:
         )
 
 
-def _overlap(lo: int, hi: int, start: int, end: int) -> tuple[int, int] | None:
-    s, e = max(lo, start), min(hi, end)
-    return (s, e) if e > s else None
+def _union_minutes(group: np.ndarray, start: np.ndarray, end: np.ndarray, n_groups: int):
+    """Per-group length of the union of the intervals [start, end).
+
+    Rows are sorted by (group, start), with group codes 0..n_groups-1. Each
+    row adds the part of it past the running maximum end of the earlier rows
+    of its group; a row with end <= start adds nothing. Lifting each group's
+    times above every earlier group's lets one running maximum serve all
+    groups, as in `store._merged_intervals`.
+    """
+    low = min(int(start.min()), int(end.min()))
+    lift = group * (max(int(start.max()), int(end.max())) - low + 1) - low
+    start, end = start + lift, end + lift
+    reach = np.empty_like(end)
+    reach[0] = start[0]
+    np.maximum.accumulate(end[:-1], out=reach[1:])
+    added = np.maximum(end - np.maximum(start, reach), 0)
+    return np.bincount(group, weights=added, minlength=n_groups)
 
 
 def extract_class_features(
     store: SessionStore, event: ClassEvent, mapped_aps: frozenset[str]
 ) -> list[UserFeatureVector]:
-    """Feature vectors for every user featured in this class.
+    """Feature vectors for every user featured in this class, in user-code order.
 
     Users with no session on the mapped APs during the class window are
     skipped entirely: they are unfeatured, not bystanders by fiat.
@@ -86,63 +98,71 @@ def extract_class_features(
     rows = store.sessions_overlapping(
         mapped_aps, event.date.replace(hour=9), event.date.replace(hour=21)
     )
+    if rows.size == 0:
+        return []
     table = store.table
-    # a stable sort keeps each user's sessions in the store's AP-then-time order
-    rows = rows[np.argsort(table.user[rows], kind="stable")]
-    sessions = zip(
-        table.user[rows].tolist(),
-        table.mac[rows].tolist(),
-        table.start[rows].tolist(),
-        table.end[rows].tolist(),
-        table.rssi[rows].tolist(),
-    )
+    rows = rows[np.lexsort((table.start[rows], table.user[rows]))]
+    user, start, end = table.user[rows], table.start[rows], table.end[rows]
+    opens = np.ones(rows.size, dtype=bool)
+    opens[1:] = user[1:] != user[:-1]
+    group = np.cumsum(opens) - 1
+    n_users = int(group[-1]) + 1
 
-    out: list[UserFeatureVector] = []
+    def union(lo, hi):
+        return _union_minutes(group, np.maximum(start, lo), np.minimum(end, hi), n_users)
+
+    in_minutes = union(class_lo, class_hi)
+    # the teaching-day union minus its part inside the class window; a class
+    # may run past 9pm, so that part is not the in-class union
+    out_minutes = union(day_lo, day_hi) - union(max(day_lo, class_lo), min(day_hi, class_hi))
+
+    in_class = np.flatnonzero(np.minimum(end, class_hi) > np.maximum(start, class_lo))
+    in_group = group[in_class]
+    n_sessions = np.bincount(in_group, minlength=n_users)
+    n_macs = len(table.mac_names)
+    devices = np.unique(in_group * n_macs + table.mac[rows[in_class]])
+    n_devices = np.bincount(devices // n_macs, minlength=n_users)
+    # rows are sorted by start, so a user's first in-class row starts earliest
+    firsts = in_class[np.flatnonzero(np.diff(in_group, prepend=-1))]
+    arrival = np.maximum(start[firsts], class_lo) - class_lo
+
+    rssi = table.rssi[rows[in_class]]
+    known = rssi != RSSI_MISSING
+    rssi_count = np.bincount(in_group[known], minlength=n_users)
+    # float64 sums of the integer magnitudes are exact below 2**53 and, unlike
+    # an int64 sum, cannot wrap; divided by the count they equal np.mean
+    rssi_sum = np.bincount(in_group[known], weights=np.abs(rssi[known]), minlength=n_users)
+
+    featured = n_sessions > 0
+    t_in = 100.0 * in_minutes[featured] / duration
     out_denom = (day_hi - day_lo) - duration
-    for user, user_sessions in groupby(sessions, key=itemgetter(0)):
-        in_class = []
-        day_spans = []
-        macs = set()
-        rssi_vals = []
-        first_seen = None
-        for _, mac, s, e, rssi in user_sessions:
-            span = _overlap(class_lo, class_hi, s, e)
-            if span is not None:
-                in_class.append(span)
-                macs.add(mac)
-                if rssi != RSSI_MISSING:
-                    rssi_vals.append(abs(rssi))
-                if first_seen is None or span[0] < first_seen:
-                    first_seen = span[0]
-            day_span = _overlap(day_lo, day_hi, s, e)
-            if day_span is not None:
-                day_spans.append(day_span)
-        if not in_class:
-            continue
-
-        merged_in = merge_intervals(in_class)
-        in_minutes = sum(e - s for s, e in merged_in)
-        merged_day = merge_intervals(day_spans)
-        day_minutes = sum(e - s for s, e in merged_day)
-        out_minutes = day_minutes - sum(
-            e - s
-            for s, e in (
-                _overlap(class_lo, class_hi, ds, de) or (0, 0) for ds, de in merged_day
-            )
+    t_out = 100.0 * out_minutes[featured] / out_denom if out_denom > 0 else np.zeros_like(t_in)
+    rssi_count, rssi_sum = rssi_count[featured], rssi_sum[featured]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        avg_rssi = rssi_sum / rssi_count
+    names = table.user_names
+    return [
+        UserFeatureVector(
+            user_id=names[code],
+            class_id=event.class_id,
+            t_in=t_in_u,
+            t_out=t_out_u,
+            arrival_delay=float(delay),
+            n_sessions=sessions,
+            n_devices=devices_u,
+            avg_rssi=mean if count else None,
         )
-        out.append(
-            UserFeatureVector(
-                user_id=table.user_names[user],
-                class_id=event.class_id,
-                t_in=100.0 * in_minutes / duration,
-                t_out=100.0 * out_minutes / out_denom if out_denom > 0 else 0.0,
-                arrival_delay=float(max(0, first_seen - class_lo)),
-                n_sessions=len(in_class),
-                n_devices=len(macs),
-                avg_rssi=float(np.mean(rssi_vals)) if rssi_vals else None,
-            )
+        for code, t_in_u, t_out_u, delay, sessions, devices_u, mean, count in zip(
+            user[opens][featured].tolist(),
+            t_in.tolist(),
+            t_out.tolist(),
+            arrival.tolist(),
+            n_sessions[featured].tolist(),
+            n_devices[featured].tolist(),
+            avg_rssi.tolist(),
+            rssi_count.tolist(),
         )
-    return out
+    ]
 
 
 def extract_user_features(

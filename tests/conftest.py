@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from roomsense.config import PipelineConfig
 from roomsense.pipeline import LoadedCorpus, load_corpus, run_pipeline
@@ -72,6 +73,31 @@ def record_store(records) -> SessionStore:
         rssi=np.array(rssi, dtype=np.int64),
     )
     return SessionStore(table)
+
+
+@st.composite
+def small_logs(draw):
+    """Hand-built sessions on one day: few users, APs and devices, so intervals
+    overlap and touch. Some start before 9am or end after 9pm, some are ongoing
+    (their effective end is the 9pm report time), and some lack an RSSI."""
+    records = []
+    for _ in range(draw(st.integers(0, 25))):
+        start = draw(st.integers(7 * 60, 22 * 60))
+        if draw(st.integers(0, 5)) == 0 and start <= 21 * 60:
+            end = 21 * 60
+        else:
+            end = min(start + draw(st.integers(0, 180)), 24 * 60 - 1)
+        records.append(
+            make_session(
+                draw(st.sampled_from(["u1", "u2", "u3"])),
+                draw(st.sampled_from(["ap1", "ap2", "ap10"])),
+                f"{start // 60:02d}:{start % 60:02d}",
+                f"{end // 60:02d}:{end % 60:02d}",
+                mac=draw(st.sampled_from(["m1", "m2", "m3"])),
+                rssi=draw(st.sampled_from([-60, -45, -71, None])),
+            )
+        )
+    return records
 
 
 @pytest.fixture()

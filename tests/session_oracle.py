@@ -126,10 +126,9 @@ def load_sessions(
     Ongoing (`Ass`) sessions get their effective end from `report_time`; when
     it is None, the default 9pm report time on the row's own date applies.
     """
-    handle, rows = _open_rows(path, delimiter)
     report = LoadReport()
     records: list[SessionRecord] = []
-    with handle:
+    with _open_rows(path, delimiter) as rows:
         header = next(rows, None)
         _check_header(path, header, SESSION_COLUMNS)
         for line_no, fields in enumerate(rows, start=2):

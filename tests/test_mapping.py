@@ -272,8 +272,8 @@ class TestMapClassAps:
 
     def test_no_featured_aps_empty_mapping(self):
         store = record_store(span_sessions("ap1", ["b1"]))
-        result, series = map_class_aps(store, event(), frozenset(["enrolled-absent"]))
-        assert result.mapped == frozenset() and series == []
+        result, (matrix, ap_names) = map_class_aps(store, event(), frozenset(["enrolled-absent"]))
+        assert result.mapped == frozenset() and ap_names == [] and matrix.size == 0
 
 
 class TestResolutionSweep:

@@ -7,6 +7,7 @@ import csv
 import filecmp
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -254,14 +255,6 @@ class TestCli:
         estimates = read_estimates_csv(paths["estimates"])
         assert estimates and all(e.wifi_count >= 0 for e in estimates)
 
-    def test_jobs_parallel_identical_output(self, small_corpus_dir, tmp_path):
-        a = pipeline_config(small_corpus_dir, str(tmp_path / "serial"), seed=7)
-        b = pipeline_config(small_corpus_dir, str(tmp_path / "parallel"), seed=7, jobs=4)
-        paths_a = run_pipeline(a)
-        paths_b = run_pipeline(b)
-        for key in ("estimates", "mapping"):
-            assert filecmp.cmp(paths_a[key], paths_b[key], shallow=False), key
-
 
 class TestEnrolledNeverExceedsWifi:
     def test_on_small_corpus(self, small_run):
@@ -380,3 +373,88 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ") and message in err
+
+    @staticmethod
+    def _edited(source, target, old, new):
+        """Copy a report with its first line starting with `old` replaced by `new`."""
+        lines = Path(source).read_text().splitlines()
+        at = next(i for i, line in enumerate(lines) if line.startswith(old))
+        lines[at] = new
+        target.write_text("\n".join(lines) + "\n")
+        return str(target), at + 1
+
+    @staticmethod
+    def _sessions_with(small_corpus_dir, target, bad_row: bytes):
+        """The log's header and first rows, with `bad_row` as line 5."""
+        with open(f"{small_corpus_dir}/sessions.csv", "rb") as handle:
+            lines = handle.read().splitlines()[:8]
+        lines.insert(4, bad_row)
+        target.write_bytes(b"\n".join(lines) + b"\n")
+        return str(target), 5
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "model-value",
+            "model-shape",
+            "mapping-score",
+            "estimates-count",
+            "sessions-byte",
+            "sessions-field",
+            "config-jobs",
+            "unknown-flag",
+            "bad-flag-value",
+        ],
+    )
+    def test_error_line_and_exit_code(self, small_run, tmp_path, capsys, case):
+        corpus_dir, _, paths = small_run
+        corpus = _corpus_args(corpus_dir)
+        bad, line, code, fragment = None, None, 2, ""
+        if case == "model-value":
+            bad, line = self._edited(paths["model"], tmp_path / "model.txt", "slope =", "slope = abc")
+            argv = ["estimate", *corpus, "--mapping", paths["mapping"], "--model", bad]
+        elif case == "model-shape":
+            bad, line = self._edited(
+                paths["model"], tmp_path / "model.txt", "mean_occupant =", "mean_occupant = 1.0 2.0"
+            )
+            argv = ["estimate", *corpus, "--mapping", paths["mapping"], "--model", bad]
+        elif case == "mapping-score":
+            first_row = Path(paths["mapping"]).read_text().splitlines()[1]
+            bad, line = self._edited(
+                paths["mapping"], tmp_path / "mapping.csv", first_row,
+                first_row.rsplit(",", 1)[0] + ",xyz",
+            )
+            argv = ["train", *corpus, "--mapping", bad, "--out", str(tmp_path)]
+        elif case == "estimates-count":
+            first_row = Path(paths["estimates"]).read_text().splitlines()[1].split(",")
+            first_row[4] = "1.5"
+            bad, line = self._edited(
+                paths["estimates"], tmp_path / "estimates.csv", ",".join(first_row[:2]),
+                ",".join(first_row),
+            )
+            argv = ["evaluate", "--estimates", bad]
+        elif case in ("sessions-byte", "sessions-field"):
+            row = b"u1,m1,\xff" if case == "sessions-byte" else b"u1," + b"x" * 200_000
+            bad, line = self._sessions_with(corpus_dir, tmp_path / "sessions.csv", row)
+            argv = ["map-aps", *_corpus_args(corpus_dir, sessions=bad)]
+        elif case == "config-jobs":
+            config = tmp_path / "run.cfg"
+            config.write_text(f"sessions = {corpus_dir}/sessions.csv\njobs = 2\n")
+            argv, code, fragment = ["run", "--config", str(config)], 1, "'jobs'"
+        elif case == "unknown-flag":
+            argv, code, fragment = ["run", "--bogus"], 1, "--bogus"
+        else:
+            argv, code, fragment = ["map-aps", *corpus, "--resolution", "x"], 1, "'x'"
+        if argv[0] != "run" and "--out" not in argv:
+            argv += ["--out", str(tmp_path / "out")]
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err and fragment in err
+        if bad is not None:
+            assert bad in err and f"line {line}" in err, err
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "--help"])
+        assert exit_info.value.code == 0
+        assert "usage:" in capsys.readouterr().out

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import query_oracle
 import session_oracle
 
 from roomsense.records import DataValidationError, parse_stamp, to_minutes
@@ -17,10 +18,10 @@ from roomsense.store import (
     load_rosters,
     load_sessions,
     load_timetable,
-    merge_intervals,
 )
 
-from conftest import DAY, make_session, record_store
+from conftest import DAY, make_session, record_store, small_logs
+from query_oracle import merge_intervals
 
 SESSIONS_HEADER = (
     "User ID,MAC address,Association time,Disassociation time,"
@@ -381,25 +382,6 @@ class TestConnectedUsers:
         assert snap.connections == {"ap1": {"u1"}, "ap2": {"u2"}}
 
 
-@st.composite
-def small_logs(draw):
-    """Hand-built sessions: few users, APs and devices, so intervals overlap and touch."""
-    records = []
-    for _ in range(draw(st.integers(0, 25))):
-        start = draw(st.integers(9 * 60, 12 * 60))
-        end = start + draw(st.integers(0, 90))
-        records.append(
-            make_session(
-                draw(st.sampled_from(["u1", "u2", "u3"])),
-                draw(st.sampled_from(["ap1", "ap2", "ap10"])),
-                f"{start // 60:02d}:{start % 60:02d}",
-                f"{end // 60:02d}:{end % 60:02d}",
-                mac=draw(st.sampled_from(["m1", "m2"])),
-            )
-        )
-    return records
-
-
 class TestIndexMatchesBruteForce:
     """Store queries against direct scans of the hand-built sessions."""
 
@@ -413,17 +395,18 @@ class TestIndexMatchesBruteForce:
             for r in records
         ]
         times = np.arange(midnight + 9 * 60, midnight + 14 * 60, 7, dtype=np.int64)
-        for ap in ("ap1", "ap2", "ap10", "nosuch"):
-            total, members = store.user_counts_at(ap, times, store.user_ids({"u1", "u3"}))
+        total, members = store.user_counts_at(times, store.user_ids({"u1", "u3", "nosuch"}))
+        assert total.shape == members.shape == (len(store.aps), len(times))
+        for code, ap in enumerate(store.aps):
             covering = [{u for u, a, s, e in spans if a == ap and s <= t < e} for t in times]
-            assert total.tolist() == [len(users) for users in covering]
-            assert members.tolist() == [len(users & {"u1", "u3"}) for users in covering]
+            assert total[code].tolist() == [len(users) for users in covering]
+            assert members[code].tolist() == [len(users & {"u1", "u3"}) for users in covering]
 
         lo_at = parse_stamp(f"{DAY} 00:00") + timedelta(minutes=lo)
         window = (lo_at, lo_at + timedelta(minutes=length))
         lo_m, hi_m = midnight + lo, midnight + lo + length
         hits = [i for i, (_, a, s, e) in enumerate(spans) if s < hi_m and e > lo_m]
-        assert store.active_aps(*window) == sorted({spans[i][1] for i in hits})
+        assert query_oracle.active_aps(store, *window) == sorted({spans[i][1] for i in hits})
         expected = sorted(
             (i for i in hits if spans[i][1] in {"ap10", "ap2"}),
             key=lambda i: (spans[i][1], spans[i][2], spans[i][3], i),
