@@ -409,6 +409,24 @@ def _sum_by_group(rows: np.ndarray, groups: np.ndarray, n_groups: int) -> np.nda
     return sums[cuts[1:]] - sums[cuts[:-1]]
 
 
+def grouped_running_max(group: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Running maximum of int64 `values` that restarts at each group.
+
+    `group` holds nondecreasing integer codes, one per row. Lifting each
+    group's values by its code times the value range puts them above every
+    earlier group's, so one running maximum over the whole column serves all
+    groups; int64 holds the lifted values while the largest group code times
+    the value range stays well below 2**63.
+    """
+    if values.size == 0:
+        return values.copy()
+    lift = group * (int(values.max()) - int(values.min()) + 1)
+    out = values + lift
+    np.maximum.accumulate(out, out=out)
+    out -= lift
+    return out
+
+
 def _merged_intervals(table: SessionTable):
     """Per-(ap, user) unions of session intervals, ordered by (ap, start).
 
@@ -424,24 +442,13 @@ def _merged_intervals(table: SessionTable):
         return start, end, user, ap
     opens = np.ones(n, dtype=bool)
     opens[1:] = (ap[1:] != ap[:-1]) | (user[1:] != user[:-1])
-    # Lift each group's times above every earlier group's, so that one running
-    # maximum over the whole column restarts at each group. int64 holds the
-    # lifted times for any table below about a billion rows.
-    low = min(int(start.min()), int(end.min()))
-    lift = np.cumsum(opens, dtype=np.int64)
-    lift -= 1
-    lift *= int(end.max()) - low + 1
-    lift -= low
-    start += lift
-    end += lift
-    np.maximum.accumulate(end, out=end)
-    opens[1:] |= start[1:] > end[:-1]
+    reach = grouped_running_max(np.cumsum(opens, dtype=np.int64), end)
+    opens[1:] |= start[1:] > reach[:-1]
     heads = np.flatnonzero(opens)
     tails = np.append(heads[1:], n) - 1
-    m_start = start[heads] - lift[heads]
-    by_start = np.lexsort((m_start, ap[heads]))
+    by_start = np.lexsort((start[heads], ap[heads]))
     heads, tails = heads[by_start], tails[by_start]
-    return m_start[by_start], end[tails] - lift[tails], user[heads], ap[heads]
+    return start[heads], reach[tails], user[heads], ap[heads]
 
 
 @dataclass(frozen=True)
@@ -476,11 +483,15 @@ class SessionStore:
 
         self._m_start, self._m_end, self._m_user, m_ap = _merged_intervals(table)
         self._m_offsets = _offsets(m_ap, n_aps)
-        self._low, self._span, self._longest = 0, 1, 0
+        # per AP, the length of its longest merged interval (0 without any)
+        self._longest = np.zeros(n_aps, dtype=np.int64)
+        self._low, self._span = 0, 1
         if m_ap.size:
             self._low = int(self._m_start.min())
             self._span = int(self._m_start.max()) - self._low + 1
-            self._longest = int((self._m_end - self._m_start).max())
+            heads = self._m_offsets[:-1]
+            busy = heads < self._m_offsets[1:]
+            self._longest[busy] = np.maximum.reduceat(self._m_end - self._m_start, heads[busy])
         self._m_key = m_ap * self._span + (self._m_start - self._low)
 
     @property
@@ -542,12 +553,14 @@ class SessionStore:
             zero = np.zeros((n_aps, times.size), dtype=np.int64)
             return zero, zero.copy()
         lo, hi = int(times.min()), int(times.max())
-        # An interval covering a time in [lo, hi] starts in [lo - longest, hi].
-        # Offsets are clipped to [0, span] so that each AP's search stays
-        # inside its own key range.
-        window = np.clip([lo - self._longest - self._low, hi + 1 - self._low], 0, self._span)
-        keys = np.arange(n_aps, dtype=np.int64)[:, None] * self._span + window
-        first, stop = np.searchsorted(self._m_key, keys).T
+        # An interval covering a time in [lo, hi] starts in [lo - longest, hi],
+        # with the longest interval of its own AP. Offsets are clipped to
+        # [0, span] so that each AP's search stays inside its own key range.
+        base = np.arange(n_aps, dtype=np.int64) * self._span
+        first = np.searchsorted(
+            self._m_key, base + np.clip(lo - self._longest - self._low, 0, self._span)
+        )
+        stop = np.searchsorted(self._m_key, base + min(max(hi + 1 - self._low, 0), self._span))
         counts = stop - first
         ap = np.repeat(np.arange(n_aps), counts)
         rows = np.arange(ap.size) + np.repeat(first - (np.cumsum(counts) - counts), counts)
@@ -562,6 +575,12 @@ class SessionStore:
         enrolled[member_ids] = True
         enrolled = enrolled[self._m_user[rows]]
         return total, _sum_by_group(cover[enrolled], ap[enrolled], n_aps)
+
+    def active_aps(self, lo: datetime, hi: datetime) -> list[str]:
+        """APs with at least one session overlapping [lo, hi), in name order."""
+        table = self.table
+        hit = (table.start < to_minutes(hi)) & (table.end > to_minutes(lo))
+        return [table.ap_names[code] for code in np.unique(table.ap[hit])]
 
     def sessions_overlapping(self, ap_names, lo: datetime, hi: datetime) -> np.ndarray:
         """Table rows of raw (unclipped) sessions on the given APs overlapping [lo, hi).

@@ -27,7 +27,7 @@ from .records import (
     day_start,
     to_minutes,
 )
-from .store import RSSI_MISSING, SessionStore
+from .store import RSSI_MISSING, SessionStore, grouped_running_max
 
 FEATURE_NAMES = ("t_in", "t_out", "arrival_delay", "n_sessions", "n_devices", "avg_rssi")
 
@@ -65,16 +65,12 @@ def _union_minutes(group: np.ndarray, start: np.ndarray, end: np.ndarray, n_grou
 
     Rows are sorted by (group, start), with group codes 0..n_groups-1. Each
     row adds the part of it past the running maximum end of the earlier rows
-    of its group; a row with end <= start adds nothing. Lifting each group's
-    times above every earlier group's lets one running maximum serve all
-    groups, as in `store._merged_intervals`.
+    of its group; a row with end <= start adds nothing.
     """
-    low = min(int(start.min()), int(end.min()))
-    lift = group * (max(int(start.max()), int(end.max())) - low + 1) - low
-    start, end = start + lift, end + lift
     reach = np.empty_like(end)
-    reach[0] = start[0]
-    np.maximum.accumulate(end[:-1], out=reach[1:])
+    reach[1:] = grouped_running_max(group, end)[:-1]
+    firsts = np.flatnonzero(np.diff(group, prepend=-1))
+    reach[firsts] = start[firsts]
     added = np.maximum(end - np.maximum(start, reach), 0)
     return np.bincount(group, weights=added, minlength=n_groups)
 

@@ -7,7 +7,7 @@ test_oracles.py require the new code to return exactly what these return.
 """
 from __future__ import annotations
 
-from datetime import datetime, timedelta
+from datetime import timedelta
 from itertools import groupby
 from operator import itemgetter
 
@@ -42,13 +42,6 @@ def merge_intervals(intervals):
     return [(s, e) for s, e in merged]
 
 
-def active_aps(store: SessionStore, lo: datetime, hi: datetime) -> list[str]:
-    """APs with at least one session overlapping [lo, hi)."""
-    table = store.table
-    hit = (table.start < to_minutes(hi)) & (table.end > to_minutes(lo))
-    return [table.ap_names[code] for code in np.unique(table.ap[hit])]
-
-
 def user_counts_at(
     store: SessionStore, ap_name: str, times: np.ndarray, member_ids: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -81,7 +74,7 @@ def compute_ap_features(
     window_hi = event.end - timedelta(minutes=TRIM_MINUTES)
     # +1 minute: a session starting exactly at the last (inclusive) sample
     # instant still covers it under the half-open convention
-    aps = active_aps(store, window_lo, window_hi + timedelta(minutes=1))
+    aps = store.active_aps(window_lo, window_hi + timedelta(minutes=1))
 
     totals = np.zeros((len(aps), len(times)), dtype=np.int64)
     members = np.zeros_like(totals)

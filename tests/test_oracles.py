@@ -2,6 +2,7 @@
 
 `query_oracle` holds the loops; every comparison here is exact.
 """
+from dataclasses import replace
 from datetime import timedelta
 
 import numpy as np
@@ -75,6 +76,25 @@ class TestCountsMatchPerApOracle:
         )
         total, members = store.user_counts_at(times, store.user_ids({"u1"}))
         assert total.tolist() == members.tolist() == [covered]
+
+    def test_long_session_widens_only_its_own_ap(self, store_builder):
+        days = 3 * 24 * 60
+        store = store_builder(
+            replace(make_session("u1", "ap1", "09:00", "10:00"), duration=days),
+            make_session("u2", "ap2", "09:00", "09:30", mac="m2"),
+            make_session("u2", "ap2", "10:00", "10:45", mac="m2"),
+        )
+        # each AP's search window reaches back by its own longest interval
+        assert store._longest.tolist() == [days, 45]
+        member_ids = store.user_ids({"u1", "u2"})
+        for day in range(3):
+            start = parse_stamp(f"{DAY} 09:00") + timedelta(days=day)
+            times = sample_times(ClassEvent("c1", "room1", start, start + timedelta(hours=2)), 1)
+            total, members = store.user_counts_at(times, member_ids)
+            for code, ap in enumerate(store.aps):
+                old_total, old_members = query_oracle.user_counts_at(store, ap, times, member_ids)
+                assert np.array_equal(total[code], old_total)
+                assert np.array_equal(members[code], old_members)
 
     def test_times_outside_the_log_count_zero(self, store_builder):
         store = store_builder(make_session("u1", "ap1", "10:00", "11:00"))

@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import query_oracle
 import session_oracle
 
 from roomsense.records import DataValidationError, parse_stamp, to_minutes
 from roomsense.store import (
     RSSI_MISSING,
+    grouped_running_max,
     load_inventory,
     load_rosters,
     load_sessions,
@@ -334,6 +334,20 @@ class TestMergeIntervals:
         assert covered == merged_cover
 
 
+class TestGroupedRunningMax:
+    @given(st.lists(st.tuples(st.integers(0, 4), st.integers(-(10**6), 10**6)), max_size=40))
+    def test_matches_a_loop(self, rows):
+        rows = sorted(rows, key=lambda row: row[0])  # values stay unordered within a group
+        expected, prev, best = [], None, None
+        for g, v in rows:
+            best = v if g != prev else max(best, v)
+            prev = g
+            expected.append(best)
+        group = np.array([g for g, _ in rows], dtype=np.int64)
+        values = np.array([v for _, v in rows], dtype=np.int64)
+        assert grouped_running_max(group, values).tolist() == expected
+
+
 class TestConnectedUsers:
     def test_multi_session_user_counted_once(self, store_builder):
         store = store_builder(
@@ -406,7 +420,7 @@ class TestIndexMatchesBruteForce:
         window = (lo_at, lo_at + timedelta(minutes=length))
         lo_m, hi_m = midnight + lo, midnight + lo + length
         hits = [i for i, (_, a, s, e) in enumerate(spans) if s < hi_m and e > lo_m]
-        assert query_oracle.active_aps(store, *window) == sorted({spans[i][1] for i in hits})
+        assert store.active_aps(*window) == sorted({spans[i][1] for i in hits})
         expected = sorted(
             (i for i in hits if spans[i][1] in {"ap10", "ap2"}),
             key=lambda i: (spans[i][1], spans[i][2], spans[i][3], i),
