@@ -1,6 +1,6 @@
 """roomsense: classroom occupancy estimation from WiFi session logs."""
 
-from .records import ApInventory, ApLocation, ClassEvent, SessionRecord
+from .records import ApInventory, ApLocation, ClassEvent
 from .store import SessionStore, SessionTable, load_inventory, load_rosters, load_sessions, load_timetable
 
 __version__ = "0.1.0"
@@ -9,7 +9,6 @@ __all__ = [
     "ApInventory",
     "ApLocation",
     "ClassEvent",
-    "SessionRecord",
     "SessionStore",
     "SessionTable",
     "load_inventory",

@@ -19,7 +19,9 @@ import argparse
 import os
 import sys
 
-from . import estimation, mapping, model as model_mod, pipeline
+import numpy as np
+
+from . import estimation, mapping, model as model_mod, pipeline, userfeatures
 from .config import (
     PipelineConfig,
     echo_config,
@@ -152,11 +154,13 @@ def cmd_train(args) -> int:
         [e.class_id for e in corpus.events], train_ratio=config.train_ratio, seed=config.seed
     )
     features = pipeline.features_stage(corpus, results, config, train_ids)
+    imputed = sum(
+        int(np.isnan(f.matrix[:, userfeatures.AVG_RSSI]).sum()) for f in features.values()
+    )
     lda, calibration = pipeline.train_stage(corpus, features, train_ids)
     os.makedirs(config.output_dir, exist_ok=True)
     model_path = os.path.join(config.output_dir, "model.txt")
     model_mod.save_model(model_path, lda, calibration)
-    imputed = sum(v.rssi_imputed for vecs in features.values() for v in vecs)
     if imputed:
         print(f"note: {imputed} users had no RSSI; filled with corpus mean {lda.rssi_fill:.1f}")
     print(f"trained on {len(train_ids)} classes -> {model_path}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .metrics import smape
 from .model import CalibrationModel, LdaModel, count_occupants, fit_calibration
 from .records import DataValidationError
-from .userfeatures import UserFeatureVector
+from .userfeatures import ClassFeatures
 
 OCCUPANCY_BINS = ((0, 100), (101, 200), (201, 300), (301, 400), (401, 500), (501, None))
 
@@ -51,19 +51,18 @@ def split_classes(class_ids, train_ratio: float = 0.7, seed: int = 0) -> tuple[s
 def estimate_class(
     class_id: str,
     room_id: str,
-    vectors: list[UserFeatureVector],
+    features: ClassFeatures,
     enrolled: frozenset[str],
     model: LdaModel,
     calibration: CalibrationModel,
     ground_truth: int | None = None,
 ) -> OccupancyEstimate:
-    users = {v.user_id for v in vectors}
-    lda_count = count_occupants(model, vectors)
+    lda_count = count_occupants(model, features)
     return OccupancyEstimate(
         class_id=class_id,
         room_id=room_id,
-        wifi_count=len(users),
-        enrolled_wifi_count=len(users & enrolled),
+        wifi_count=len(features.users),
+        enrolled_wifi_count=len(enrolled.intersection(features.users)),
         lda_count=lda_count,
         calibrated_count=calibration.predict(lda_count),
         ground_truth=ground_truth,

@@ -13,20 +13,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .records import BYSTANDER, OCCUPANT, DataValidationError, NumericalError
-from .userfeatures import FEATURE_NAMES, UserFeatureVector
+from .userfeatures import FEATURE_NAMES, ClassFeatures, stack
 
 LDA_REGULARIZER = 1e-6
 
 
 def rank_features(
-    vectors: list[UserFeatureVector], feature_names=FEATURE_NAMES
+    features: list[ClassFeatures], feature_names=FEATURE_NAMES
 ) -> list[tuple[str, float]]:
     """Features ordered by one-way ANOVA F-statistic (descending).
 
     A feature with zero within-group variance but distinct group means gets an
     infinite F and ranks first; a feature identical everywhere scores 0.
     """
-    X, y = _design(vectors)
+    X, y = _design(features)
     n = len(y)
     groups = [X[y == 0], X[y == 1]]
     if any(g.shape[0] < 2 for g in groups):
@@ -68,22 +68,19 @@ class LdaModel:
         return d_occ, d_bys
 
 
-def _design(vectors: list[UserFeatureVector]) -> tuple[np.ndarray, np.ndarray]:
-    if not vectors:
+def _design(features: list[ClassFeatures]) -> tuple[np.ndarray, np.ndarray]:
+    X, occupant = stack(features)
+    if not len(X):
         raise DataValidationError("no feature vectors")
-    missing = [v.user_id for v in vectors if v.label is None]
-    if missing:
-        raise DataValidationError(f"unlabeled vectors, e.g. user {missing[0]}")
-    X = np.array([v.as_array() for v in vectors])
-    y = np.array([1 if v.label == OCCUPANT else 0 for v in vectors])
+    y = occupant.astype(int)
     if y.min() == y.max():
         raise DataValidationError("both occupant and bystander samples are required")
     return X, y
 
 
-def train_lda(vectors: list[UserFeatureVector], rssi_fill: float = 0.0) -> LdaModel:
+def train_lda(features: list[ClassFeatures], rssi_fill: float = 0.0) -> LdaModel:
     """Fit class means, pooled covariance (regularized) and priors."""
-    X, y = _design(vectors)
+    X, y = _design(features)
     occ, bys = X[y == 1], X[y == 0]
     if occ.shape[0] < 2 or bys.shape[0] < 2:
         raise DataValidationError("need at least 2 samples in each class")
@@ -121,13 +118,12 @@ def predict_lda(model: LdaModel, X) -> tuple[list[str], np.ndarray]:
     return labels, np.column_stack([d_occ, d_bys])
 
 
-def count_occupants(model: LdaModel, vectors: list[UserFeatureVector]) -> int:
-    """Distinct featured users the classifier calls occupants."""
-    if not vectors:
+def count_occupants(model: LdaModel, features: ClassFeatures) -> int:
+    """Featured users (one row each) the classifier calls occupants."""
+    if not len(features):
         return 0
-    X = np.array([v.as_array() for v in vectors])
-    labels, _ = predict_lda(model, X)
-    return len({v.user_id for v, lab in zip(vectors, labels) if lab == OCCUPANT})
+    labels, _ = predict_lda(model, features.matrix)
+    return labels.count(OCCUPANT)
 
 
 @dataclass

@@ -98,12 +98,17 @@ def mapped_aps_for(
     corpus: LoadedCorpus,
     config: PipelineConfig,
 ) -> frozenset[str]:
-    """Class AP set: the clustering's mapped set, or inventory room APs as fallback."""
+    """Class AP set: the clustering's mapped set, or inventory room APs as fallback.
+
+    A class without a mapping result maps no AP: `mapping.csv` holds no row
+    for a class whose mapping featured no AP.
+    """
     if config.use_room_aps:
         if corpus.inventory is None:
             raise DataValidationError("use_room_aps requires an inventory")
         return corpus.inventory.room_aps(event.room_id)
-    return results[event.class_id].mapped
+    result = results.get(event.class_id)
+    return result.mapped if result is not None else frozenset()
 
 
 def features_stage(
@@ -111,50 +116,48 @@ def features_stage(
     results: dict[str, mapping.MappingResult],
     config: PipelineConfig,
     class_ids: set[str] | None = None,
-) -> dict[str, list[userfeatures.UserFeatureVector]]:
-    """Labelled feature vectors by class id, for every class or only `class_ids`."""
+) -> dict[str, userfeatures.ClassFeatures]:
+    """Labelled user features by class id, for every class or only `class_ids`."""
     features = {}
     for event in sorted(corpus.events, key=lambda e: e.class_id):
         if class_ids is not None and event.class_id not in class_ids:
             continue
         aps = mapped_aps_for(event, results, corpus, config)
-        vectors = userfeatures.extract_class_features(corpus.store, event, aps)
-        features[event.class_id] = userfeatures.label_vectors(
-            vectors, corpus.rosters[event.class_id]
-        )
+        features[event.class_id] = userfeatures.extract_class_features(corpus.store, event, aps)
+        userfeatures.label_vectors(features[event.class_id], corpus.rosters[event.class_id])
     return features
 
 
 def train_stage(
     corpus: LoadedCorpus,
-    features: dict[str, list[userfeatures.UserFeatureVector]],
+    features: dict[str, userfeatures.ClassFeatures],
     train_ids: set,
 ) -> tuple[model_mod.LdaModel, model_mod.CalibrationModel]:
-    training = [v for cid in sorted(train_ids) for v in features.get(cid, [])]
+    """Fit the classifier and calibration on the training classes, filling
+    their missing RSSI in place with the training mean."""
+    training = [features[cid] for cid in sorted(train_ids)]
     fill = userfeatures.impute_rssi(training)
     lda = model_mod.train_lda(training, rssi_fill=fill)
     if corpus.truth_counts is None:
         raise DataValidationError("training requires ground-truth counts")
-    pairs = []
-    for cid in sorted(train_ids):
-        if cid in corpus.truth_counts:
-            vectors = features.get(cid, [])
-            userfeatures.impute_rssi(vectors, fill)
-            pairs.append((model_mod.count_occupants(lda, vectors), corpus.truth_counts[cid]))
+    pairs = [
+        (model_mod.count_occupants(lda, features[cid]), corpus.truth_counts[cid])
+        for cid in sorted(train_ids)
+        if cid in corpus.truth_counts
+    ]
     calibration = model_mod.fit_calibration(pairs)
     return lda, calibration
 
 
 def estimate_stage(
     corpus: LoadedCorpus,
-    features: dict[str, list[userfeatures.UserFeatureVector]],
+    features: dict[str, userfeatures.ClassFeatures],
     lda: model_mod.LdaModel,
     calibration: model_mod.CalibrationModel,
 ) -> list[estimation.OccupancyEstimate]:
+    userfeatures.impute_rssi(list(features.values()), lda.rssi_fill)
     estimates = []
     for event in sorted(corpus.events, key=lambda e: e.class_id):
-        vectors = features.get(event.class_id, [])
-        userfeatures.impute_rssi(vectors, lda.rssi_fill)
         truth = None
         if corpus.truth_counts is not None:
             truth = corpus.truth_counts.get(event.class_id)
@@ -162,7 +165,7 @@ def estimate_stage(
             estimation.estimate_class(
                 event.class_id,
                 event.room_id,
-                vectors,
+                features[event.class_id],
                 corpus.rosters[event.class_id],
                 lda,
                 calibration,
@@ -170,6 +173,14 @@ def estimate_stage(
             )
         )
     return estimates
+
+
+def _check_width(path, line_no: int, fields: list[str], columns) -> None:
+    """A non-blank report row must hold every column."""
+    if len(fields) < len(columns):
+        raise DataValidationError(
+            f"{path}: line {line_no}: expected {len(columns)} fields, found {len(fields)}"
+        )
 
 
 def write_mapping_csv(path, results: dict[str, mapping.MappingResult]) -> None:
@@ -193,8 +204,9 @@ def read_mapping_csv(path) -> dict[str, mapping.MappingResult]:
                 f"{path}: expected columns {list(MAPPING_COLUMNS)}, found {header}"
             )
         for line_no, fields in enumerate(rows, start=2):
-            if len(fields) < 4:
+            if not any(f.strip() for f in fields):
                 continue
+            _check_width(path, line_no, fields, MAPPING_COLUMNS)
             class_id, ap, flag, score = fields[:4]
             try:
                 value = float(score)
@@ -324,7 +336,10 @@ def read_estimates_csv(path) -> list[estimation.OccupancyEstimate]:
                 f"{path}: expected columns {list(ESTIMATE_COLUMNS)}, found {header}"
             )
         for line_no, fields in enumerate(rows, start=2):
-            if len(fields) < 7 or not fields[0].strip():
+            if not any(f.strip() for f in fields):
+                continue
+            _check_width(path, line_no, fields, ESTIMATE_COLUMNS)
+            if not fields[0].strip():
                 continue
             try:
                 wifi, enrolled, lda, calibrated = (int(f) for f in fields[2:6])

@@ -1,4 +1,5 @@
-"""Domain records: WiFi sessions, class events, rosters and the AP inventory.
+"""Domain records: class events and the AP inventory, the input file columns,
+the error classes and the minute-precision time helpers.
 
 All timestamps are naive local time at minute precision. Sessions are treated
 as half-open intervals [assoc, end): a session ending exactly at an instant
@@ -12,9 +13,6 @@ from datetime import datetime, timedelta
 TIME_FMT = "%d/%m/%Y %H:%M"
 DATE_FMT = "%d/%m/%Y"
 CLOCK_FMT = "%H:%M"
-
-STATUS_ASSOCIATED = "Associated"
-STATUS_DISASSOCIATED = "Disassociated"
 
 OCCUPANT = "occupant"
 BYSTANDER = "bystander"
@@ -103,34 +101,6 @@ def day_start(stamp: datetime) -> datetime:
 
 
 @dataclass(frozen=True)
-class SessionRecord:
-    """One WiFi association event.
-
-    `end_time` is the effective end: disassociation time for closed sessions,
-    the report-generation time for sessions still open when the log was cut.
-    `duration` is recomputed from the effective end and is authoritative; the
-    logged duration field is only checked against it at load time.
-    """
-
-    user_id: str
-    device_mac: str
-    assoc_time: datetime
-    disassoc_time: datetime | None
-    duration: int
-    ap_name: str
-    bytes_tx: int
-    bytes_rcvd: int
-    snr: int | None
-    rssi: int | None
-    status: str
-    retries: int | None = None
-
-    @property
-    def end_time(self) -> datetime:
-        return self.assoc_time + timedelta(minutes=self.duration)
-
-
-@dataclass(frozen=True)
 class ClassEvent:
     """A timetabled class held in one room."""
 
@@ -189,9 +159,6 @@ class ApInventory:
 
     def room_aps(self, room_id: str) -> frozenset[str]:
         return frozenset(a for a, loc in self._locations.items() if loc.room_id == room_id)
-
-    def room_ids(self) -> list[str]:
-        return sorted({loc.room_id for loc in self._locations.values() if loc.room_id})
 
     def room_location(self, room_id: str) -> tuple[str, int]:
         """(building, floor) of a room, taken from its APs."""

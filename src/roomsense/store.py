@@ -451,14 +451,6 @@ def _merged_intervals(table: SessionTable):
     return start[heads], reach[tails], user[heads], ap[heads]
 
 
-@dataclass(frozen=True)
-class ConnectionSnapshot:
-    """Who is connected where at one instant: ap_name -> connected user set."""
-
-    timestamp: datetime
-    connections: dict[str, frozenset[str]]
-
-
 class SessionStore:
     """Immutable time-window queries over a `SessionTable`.
 
@@ -494,48 +486,10 @@ class SessionStore:
             self._longest[busy] = np.maximum.reduceat(self._m_end - self._m_start, heads[busy])
         self._m_key = m_ap * self._span + (self._m_start - self._low)
 
-    @property
-    def aps(self) -> list[str]:
-        return list(self.table.ap_names)
-
-    @property
-    def users(self) -> list[str]:
-        return list(self.table.user_names)
-
     def user_ids(self, user_names) -> np.ndarray:
         """Integer ids for the given user names; unknown names are dropped."""
         ids = [self._user_code[u] for u in user_names if u in self._user_code]
         return np.array(sorted(ids), dtype=np.int64)
-
-    def user_name(self, user_id: int) -> str:
-        return self.table.user_names[user_id]
-
-    def _merged(self, ap_name: str):
-        """(start, end, user) of the merged intervals on one AP, or None."""
-        code = self._ap_code.get(ap_name)
-        if code is None:
-            return None
-        lo, hi = self._m_offsets[code], self._m_offsets[code + 1]
-        return self._m_start[lo:hi], self._m_end[lo:hi], self._m_user[lo:hi]
-
-    def connected_users(self, ap_name: str, at: datetime) -> frozenset[str]:
-        """Users whose merged sessions on `ap_name` cover `at` ([start, end))."""
-        merged = self._merged(ap_name)
-        if merged is None:
-            return frozenset()
-        starts, ends, users = merged
-        t = to_minutes(at)
-        mask = (starts <= t) & (t < ends)
-        return frozenset(self.table.user_names[u] for u in users[mask])
-
-    def snapshot(self, at: datetime) -> ConnectionSnapshot:
-        """Connected user set per AP at one instant; quiet APs are omitted."""
-        connections = {}
-        for ap in self.table.ap_names:
-            users = self.connected_users(ap, at)
-            if users:
-                connections[ap] = users
-        return ConnectionSnapshot(at, connections)
 
     def user_counts_at(
         self, times: np.ndarray, member_ids: np.ndarray | None = None

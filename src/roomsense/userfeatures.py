@@ -14,50 +14,39 @@ those sessions plus the user's other activity on the same APs during the
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .records import (
-    BYSTANDER,
-    OCCUPANT,
-    TEACHING_DAY_END_MIN,
-    TEACHING_DAY_START_MIN,
-    ClassEvent,
-    day_start,
-    to_minutes,
-)
+from .records import TEACHING_DAY_END_MIN, TEACHING_DAY_START_MIN, ClassEvent, day_start, to_minutes
 from .store import RSSI_MISSING, SessionStore, grouped_running_max
 
 FEATURE_NAMES = ("t_in", "t_out", "arrival_delay", "n_sessions", "n_devices", "avg_rssi")
+AVG_RSSI = FEATURE_NAMES.index("avg_rssi")
 
 
-@dataclass
-class UserFeatureVector:
-    user_id: str
-    class_id: str
-    t_in: float
-    t_out: float
-    arrival_delay: float
-    n_sessions: int
-    n_devices: int
-    avg_rssi: float | None  # None until imputed when the user has no RSSI at all
-    label: str | None = None
-    rssi_imputed: bool = False
+@dataclass(eq=False)
+class ClassFeatures:
+    """The featured users of one class, one row each.
 
-    def as_array(self) -> np.ndarray:
-        if self.avg_rssi is None:
-            raise ValueError(f"user {self.user_id}: avg_rssi missing and not imputed")
-        return np.array(
-            [
-                self.t_in,
-                self.t_out,
-                self.arrival_delay,
-                float(self.n_sessions),
-                float(self.n_devices),
-                self.avg_rssi,
-            ]
-        )
+    `matrix` is float64 of shape (users, len(FEATURE_NAMES)); `avg_rssi` is
+    NaN for a user without any RSSI reading until `impute_rssi` fills it.
+    `occupant` flags the rows `label_vectors` marked as enrolled users.
+    """
+
+    users: list[str]
+    matrix: np.ndarray
+    occupant: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.users)
+
+
+def stack(features: list[ClassFeatures]) -> tuple[np.ndarray, np.ndarray]:
+    """The rows and occupant flags of several classes, in list order."""
+    if not features:
+        return np.empty((0, len(FEATURE_NAMES))), np.empty(0, dtype=bool)
+    return np.vstack([f.matrix for f in features]), np.concatenate([f.occupant for f in features])
 
 
 def _union_minutes(group: np.ndarray, start: np.ndarray, end: np.ndarray, n_groups: int):
@@ -77,14 +66,13 @@ def _union_minutes(group: np.ndarray, start: np.ndarray, end: np.ndarray, n_grou
 
 def extract_class_features(
     store: SessionStore, event: ClassEvent, mapped_aps: frozenset[str]
-) -> list[UserFeatureVector]:
-    """Feature vectors for every user featured in this class, in user-code order.
+) -> ClassFeatures:
+    """Features of every user featured in this class, in user-code order.
 
     Users with no session on the mapped APs during the class window are
-    skipped entirely: they are unfeatured, not bystanders by fiat.
+    skipped entirely: they are unfeatured, not bystanders by fiat. Every
+    row starts as a bystander until `label_vectors` marks the occupants.
     """
-    if not mapped_aps:
-        return []
     class_lo, class_hi = to_minutes(event.start), to_minutes(event.end)
     duration = class_hi - class_lo
     midnight = to_minutes(day_start(event.start))
@@ -94,15 +82,13 @@ def extract_class_features(
     rows = store.sessions_overlapping(
         mapped_aps, event.date.replace(hour=9), event.date.replace(hour=21)
     )
-    if rows.size == 0:
-        return []
     table = store.table
     rows = rows[np.lexsort((table.start[rows], table.user[rows]))]
     user, start, end = table.user[rows], table.start[rows], table.end[rows]
     opens = np.ones(rows.size, dtype=bool)
     opens[1:] = user[1:] != user[:-1]
     group = np.cumsum(opens) - 1
-    n_users = int(group[-1]) + 1
+    n_users = int(opens.sum())
 
     def union(lo, hi):
         return _union_minutes(group, np.maximum(start, lo), np.minimum(end, hi), n_users)
@@ -133,64 +119,28 @@ def extract_class_features(
     t_in = 100.0 * in_minutes[featured] / duration
     out_denom = (day_hi - day_lo) - duration
     t_out = 100.0 * out_minutes[featured] / out_denom if out_denom > 0 else np.zeros_like(t_in)
-    rssi_count, rssi_sum = rssi_count[featured], rssi_sum[featured]
     with np.errstate(divide="ignore", invalid="ignore"):
-        avg_rssi = rssi_sum / rssi_count
-    names = table.user_names
-    return [
-        UserFeatureVector(
-            user_id=names[code],
-            class_id=event.class_id,
-            t_in=t_in_u,
-            t_out=t_out_u,
-            arrival_delay=float(delay),
-            n_sessions=sessions,
-            n_devices=devices_u,
-            avg_rssi=mean if count else None,
-        )
-        for code, t_in_u, t_out_u, delay, sessions, devices_u, mean, count in zip(
-            user[opens][featured].tolist(),
-            t_in.tolist(),
-            t_out.tolist(),
-            arrival.tolist(),
-            n_sessions[featured].tolist(),
-            n_devices[featured].tolist(),
-            avg_rssi.tolist(),
-            rssi_count.tolist(),
-        )
-    ]
+        avg_rssi = rssi_sum[featured] / rssi_count[featured]  # 0 / 0 is NaN: no RSSI
+    matrix = np.column_stack(
+        [t_in, t_out, arrival, n_sessions[featured], n_devices[featured], avg_rssi]
+    )
+    users = [table.user_names[code] for code in user[opens][featured].tolist()]
+    return ClassFeatures(users, matrix, np.zeros(len(users), dtype=bool))
 
 
-def extract_user_features(
-    store: SessionStore, event: ClassEvent, mapped_aps: frozenset[str], user_id: str
-) -> UserFeatureVector | None:
-    """Features for one user, or None when the user is not featured."""
-    for vector in extract_class_features(store, event, mapped_aps):
-        if vector.user_id == user_id:
-            return vector
-    return None
+def label_vectors(features: ClassFeatures, enrolled: frozenset[str]) -> None:
+    """Mark the featured users appearing in the class list as occupants."""
+    features.occupant[:] = [user in enrolled for user in features.users]
 
 
-def label_user(user_id: str, enrolled: frozenset[str]) -> str:
-    """A featured user appearing in the class list counts as an occupant."""
-    return OCCUPANT if user_id in enrolled else BYSTANDER
-
-
-def label_vectors(
-    vectors: list[UserFeatureVector], enrolled: frozenset[str]
-) -> list[UserFeatureVector]:
-    return [replace(v, label=label_user(v.user_id, enrolled)) for v in vectors]
-
-
-def impute_rssi(vectors: list[UserFeatureVector], fill: float | None = None) -> float:
-    """Fill missing avg_rssi in place with `fill` (or the corpus mean); returns the fill used."""
+def impute_rssi(features: list[ClassFeatures], fill: float | None = None) -> float:
+    """Fill missing avg_rssi in place with `fill` (or the mean of the known
+    values over all the classes); returns the fill used."""
     if fill is None:
-        known = [v.avg_rssi for v in vectors if v.avg_rssi is not None]
-        if not known:
-            fill = 0.0
-        else:
-            fill = float(np.mean(known))
-    for i, v in enumerate(vectors):
-        if v.avg_rssi is None:
-            vectors[i] = replace(v, avg_rssi=fill, rssi_imputed=True)
+        rssi = stack(features)[0][:, AVG_RSSI]
+        known = rssi[~np.isnan(rssi)]
+        fill = float(np.mean(known)) if known.size else 0.0
+    for f in features:
+        rssi = f.matrix[:, AVG_RSSI]
+        rssi[np.isnan(rssi)] = fill
     return fill

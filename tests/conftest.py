@@ -11,9 +11,11 @@ from hypothesis import strategies as st
 
 from roomsense.config import PipelineConfig
 from roomsense.pipeline import LoadedCorpus, load_corpus, run_pipeline
-from roomsense.records import SessionRecord, parse_stamp, to_minutes
+from roomsense.records import parse_stamp, to_minutes
 from roomsense.simulate import SimConfig, simulate_corpus
 from roomsense.store import RSSI_MISSING, SessionStore, SessionTable
+
+from session_oracle import STATUS_DISASSOCIATED, SessionRecord
 
 DAY = "03/03/2025"
 
@@ -42,7 +44,7 @@ def make_session(
         bytes_rcvd=2000,
         snr=30,
         rssi=rssi,
-        status="Disassociated",
+        status=STATUS_DISASSOCIATED,
     )
 
 

@@ -22,7 +22,7 @@ from roomsense.records import (
     to_minutes,
 )
 from roomsense.store import RSSI_MISSING, SessionStore
-from roomsense.userfeatures import UserFeatureVector
+from roomsense.userfeatures import FEATURE_NAMES, ClassFeatures
 
 
 def merge_intervals(intervals):
@@ -42,11 +42,20 @@ def merge_intervals(intervals):
     return [(s, e) for s, e in merged]
 
 
+def _merged(store: SessionStore, ap_name: str):
+    """(start, end, user) of the store's merged intervals on one AP, or None."""
+    code = store._ap_code.get(ap_name)
+    if code is None:
+        return None
+    lo, hi = store._m_offsets[code], store._m_offsets[code + 1]
+    return store._m_start[lo:hi], store._m_end[lo:hi], store._m_user[lo:hi]
+
+
 def user_counts_at(
     store: SessionStore, ap_name: str, times: np.ndarray, member_ids: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Distinct-user connection counts on one AP at each sample time: (total, members)."""
-    merged = store._merged(ap_name)
+    merged = _merged(store, ap_name)
     n = len(times)
     if merged is None or merged[0].size == 0:
         zero = np.zeros(n, dtype=np.int64)
@@ -101,10 +110,8 @@ def _overlap(lo: int, hi: int, start: int, end: int) -> tuple[int, int] | None:
 
 def extract_class_features(
     store: SessionStore, event: ClassEvent, mapped_aps: frozenset[str]
-) -> list[UserFeatureVector]:
-    """Feature vectors for every user featured in this class, one user at a time."""
-    if not mapped_aps:
-        return []
+) -> ClassFeatures:
+    """Features of every user featured in this class, one user at a time."""
     class_lo, class_hi = to_minutes(event.start), to_minutes(event.end)
     duration = class_hi - class_lo
     midnight = to_minutes(day_start(event.start))
@@ -125,7 +132,7 @@ def extract_class_features(
         table.rssi[rows].tolist(),
     )
 
-    out: list[UserFeatureVector] = []
+    users, rows_out = [], []
     out_denom = (day_hi - day_lo) - duration
     for user, user_sessions in groupby(sessions, key=itemgetter(0)):
         in_class = []
@@ -158,16 +165,16 @@ def extract_class_features(
                 _overlap(class_lo, class_hi, ds, de) or (0, 0) for ds, de in merged_day
             )
         )
-        out.append(
-            UserFeatureVector(
-                user_id=table.user_names[user],
-                class_id=event.class_id,
-                t_in=100.0 * in_minutes / duration,
-                t_out=100.0 * out_minutes / out_denom if out_denom > 0 else 0.0,
-                arrival_delay=float(max(0, first_seen - class_lo)),
-                n_sessions=len(in_class),
-                n_devices=len(macs),
-                avg_rssi=float(np.mean(rssi_vals)) if rssi_vals else None,
-            )
+        users.append(table.user_names[user])
+        rows_out.append(
+            [
+                100.0 * in_minutes / duration,
+                100.0 * out_minutes / out_denom if out_denom > 0 else 0.0,
+                float(max(0, first_seen - class_lo)),
+                len(in_class),
+                len(macs),
+                float(np.mean(rssi_vals)) if rssi_vals else np.nan,
+            ]
         )
-    return out
+    matrix = np.array(rows_out, dtype=np.float64).reshape(len(users), len(FEATURE_NAMES))
+    return ClassFeatures(users, matrix, np.zeros(len(users), dtype=bool))

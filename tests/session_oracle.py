@@ -7,18 +7,38 @@ values and report the same rejects and warnings.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
 from datetime import datetime
 
-from roomsense.records import (
-    DEFAULT_REPORT_HOUR,
-    SESSION_COLUMNS,
-    STATUS_ASSOCIATED,
-    STATUS_DISASSOCIATED,
-    SessionRecord,
-    parse_stamp,
-    to_minutes,
-)
+from roomsense.records import DEFAULT_REPORT_HOUR, SESSION_COLUMNS, parse_stamp, to_minutes
 from roomsense.store import LoadReport, _check_header, _maybe_fatal_rejects, _open_rows
+
+STATUS_ASSOCIATED = "Associated"
+STATUS_DISASSOCIATED = "Disassociated"
+
+
+@dataclass(frozen=True)
+class SessionRecord:
+    """One WiFi association event.
+
+    `duration` runs to the effective end: the disassociation time for closed
+    sessions, the report-generation time for sessions still open when the log
+    was cut. It is authoritative; the logged duration field is only checked
+    against it at load time.
+    """
+
+    user_id: str
+    device_mac: str
+    assoc_time: datetime
+    disassoc_time: datetime | None
+    duration: int
+    ap_name: str
+    bytes_tx: int
+    bytes_rcvd: int
+    snr: int | None
+    rssi: int | None
+    status: str
+    retries: int | None = None
 
 
 def _parse_optional_int(text: str) -> int | None:

@@ -18,12 +18,12 @@ from roomsense.metrics import smape
 from roomsense.model import fit_calibration, predict_lda, train_lda
 from roomsense.pipeline import run_pipeline
 from roomsense.records import BYSTANDER, OCCUPANT, ClassEvent, parse_stamp
-from roomsense.userfeatures import UserFeatureVector, extract_user_features
+from roomsense.userfeatures import ClassFeatures
 
 from conftest import DAY, pipeline_config
 from test_clustering import SMALL_FIXTURES, best_two_partition_sse
 from test_model import make_corpus
-from test_userfeatures import build_four_user_day
+from test_userfeatures import build_four_user_day, user_features
 
 
 def check(criterion: int, description: str, passed: bool, elapsed: float, budget: float):
@@ -48,8 +48,8 @@ def test_criterion_01_worked_trace_examples():
     }
     ok = True
     for user, (event, t_in, t_out) in expected.items():
-        vec = extract_user_features(store, event, aps, user)
-        ok = ok and abs(vec.t_in - t_in) <= 0.05 and abs(vec.t_out - t_out) <= 0.05
+        vec = user_features(store, event, user, aps)
+        ok = ok and abs(vec["t_in"] - t_in) <= 0.05 and abs(vec["t_out"] - t_out) <= 0.05
     check(1, "four-user worked examples exact within 0.05pp", ok, time.time() - start, 1.0)
 
 
@@ -155,9 +155,9 @@ def test_criterion_07_lda_oracle_and_invariance():
     start = time.time()
     rng = np.random.default_rng(7)
     train = make_corpus(rng, 6, 6)
-    model = train_lda(train)
+    model = train_lda([train])
     inv = np.linalg.inv(model.covariance)
-    X = np.array([v.as_array() for v in make_corpus(np.random.default_rng(99), 6, 6)])
+    X = make_corpus(np.random.default_rng(99), 6, 6).matrix
     labels, scores = predict_lda(model, X)
     ok = True
     for i, row in enumerate(X):
@@ -170,11 +170,8 @@ def test_criterion_07_lda_oracle_and_invariance():
 
     A = np.diag([0.5, 2.0, 1.5, 0.8, 1.2, 0.6]) @ np.random.default_rng(4).normal(0, 1, (6, 6))
     b = np.random.default_rng(5).normal(0, 5, 6)
-    transformed = [
-        UserFeatureVector(v.user_id, v.class_id, *(v.as_array() @ A.T + b), label=v.label)
-        for v in train
-    ]
-    model_t = train_lda(transformed)
+    transformed = ClassFeatures(train.users, train.matrix @ A.T + b, train.occupant)
+    model_t = train_lda([transformed])
     labels_t, _ = predict_lda(model_t, X @ A.T + b)
     margins = np.abs(scores[:, 0] - scores[:, 1])
     ok = ok and all(

@@ -8,9 +8,9 @@ from roomsense.estimation import (
     split_classes,
 )
 from roomsense.model import CalibrationModel, train_lda
-from roomsense.records import OCCUPANT, DataValidationError
+from roomsense.records import DataValidationError
 
-from test_model import make_corpus, vec
+from test_model import features, make_corpus
 import numpy as np
 
 
@@ -38,11 +38,12 @@ class TestSplitClasses:
 class TestEstimateClass:
     def test_counts_and_invariants(self):
         rng = np.random.default_rng(22)
-        model = train_lda(make_corpus(rng, 10, 10))
+        model = train_lda([make_corpus(rng, 10, 10)])
         calib = CalibrationModel(slope=1.2, intercept=1.0)
-        vectors = make_corpus(np.random.default_rng(23), 6, 4)
-        enrolled = frozenset(v.user_id for v in vectors if v.label == OCCUPANT)
-        est = estimate_class("c1", "room1", vectors, enrolled, model, calib, ground_truth=9)
+        corpus = make_corpus(np.random.default_rng(23), 6, 4)
+        enrolled = frozenset(u for u, flag in zip(corpus.users, corpus.occupant) if flag)
+        roster = enrolled | {"absent"}
+        est = estimate_class("c1", "room1", corpus, roster, model, calib, ground_truth=9)
         assert est.wifi_count == 10
         assert est.enrolled_wifi_count == 6
         assert est.enrolled_wifi_count <= est.wifi_count
@@ -52,8 +53,10 @@ class TestEstimateClass:
 
     def test_no_vectors(self):
         rng = np.random.default_rng(24)
-        model = train_lda(make_corpus(rng, 5, 5))
-        est = estimate_class("c1", "room1", [], frozenset(), model, CalibrationModel(1, 0))
+        model = train_lda([make_corpus(rng, 5, 5)])
+        est = estimate_class(
+            "c1", "room1", features([]), frozenset(), model, CalibrationModel(1, 0)
+        )
         assert est.wifi_count == est.enrolled_wifi_count == est.lda_count == 0
 
 

@@ -15,21 +15,24 @@ from roomsense.model import (
     train_lda,
 )
 from roomsense.records import BYSTANDER, OCCUPANT, DataValidationError, NumericalError
-from roomsense.userfeatures import UserFeatureVector
+from roomsense.userfeatures import ClassFeatures
 
 
-def vec(user, label, t_in=50, t_out=5, delay=10, sessions=2, devices=1, rssi=60, cid="c1"):
-    return UserFeatureVector(
-        user_id=user,
-        class_id=cid,
-        t_in=float(t_in),
-        t_out=float(t_out),
-        arrival_delay=float(delay),
-        n_sessions=sessions,
-        n_devices=devices,
-        avg_rssi=float(rssi),
-        label=label,
+def vec(user, label, t_in=50, t_out=5, delay=10, sessions=2, devices=1, rssi=60):
+    """One featured user: (name, occupant flag, feature row)."""
+    return user, label == OCCUPANT, [t_in, t_out, delay, sessions, devices, rssi]
+
+
+def features(vectors) -> ClassFeatures:
+    """A class whose featured users are the given `vec`s, in order."""
+    users, occupant, rows = zip(*vectors) if vectors else ((), (), ())
+    return ClassFeatures(
+        list(users), np.array(rows, dtype=float).reshape(-1, 6), np.array(occupant, dtype=bool)
     )
+
+
+def row(**feature_values) -> np.ndarray:
+    return features([vec("x", None, **feature_values)]).matrix
 
 
 def make_corpus(rng, n_occ=12, n_bys=12):
@@ -60,7 +63,7 @@ def make_corpus(rng, n_occ=12, n_bys=12):
                 rssi=rng.normal(66, 5),
             )
         )
-    return vectors
+    return features(vectors)
 
 
 class TestRankFeatures:
@@ -68,30 +71,30 @@ class TestRankFeatures:
         # single informative feature: occupants t_in {1,2,3,4}, bystanders {5,6,7,8}
         vectors = [vec(f"o{i}", OCCUPANT, t_in=i + 1) for i in range(4)]
         vectors += [vec(f"b{i}", BYSTANDER, t_in=i + 5) for i in range(4)]
-        scores = dict(rank_features(vectors))
+        scores = dict(rank_features([features(vectors)]))
         # SSB = 4*(2.5-4.5)^2 + 4*(6.5-4.5)^2 = 32; SSW = 5 + 5 = 10; F = 32/(10/6)
         assert scores["t_in"] == pytest.approx(19.2)
 
     def test_constant_feature_scores_zero(self):
         vectors = [vec(f"o{i}", OCCUPANT) for i in range(3)]
         vectors += [vec(f"b{i}", BYSTANDER) for i in range(3)]
-        scores = dict(rank_features(vectors))
+        scores = dict(rank_features([features(vectors)]))
         assert scores["avg_rssi"] == 0.0
 
     def test_zero_within_variance_ranks_first_as_infinity(self):
         vectors = [vec(f"o{i}", OCCUPANT, t_in=0) for i in range(2)]
         vectors += [vec(f"b{i}", BYSTANDER, t_in=1) for i in range(2)]
-        ranked = rank_features(vectors)
+        ranked = rank_features([features(vectors)])
         assert ranked[0][0] == "t_in" and math.isinf(ranked[0][1])
 
     def test_missing_label_errors(self):
         vectors = [vec(f"o{i}", OCCUPANT) for i in range(4)]
         with pytest.raises(DataValidationError):
-            rank_features(vectors)
+            rank_features([features(vectors)])
 
     def test_descending_order(self):
         rng = np.random.default_rng(0)
-        ranked = rank_features(make_corpus(rng))
+        ranked = rank_features([make_corpus(rng)])
         values = [f for _, f in ranked]
         assert values == sorted(values, reverse=True)
 
@@ -99,9 +102,9 @@ class TestRankFeatures:
 class TestTrainLda:
     def test_model_matches_direct_computation(self):
         rng = np.random.default_rng(42)
-        vectors = make_corpus(rng, 6, 6)
-        model = train_lda(vectors)
-        X = np.array([v.as_array() for v in vectors])
+        corpus = make_corpus(rng, 6, 6)
+        model = train_lda([corpus])
+        X = corpus.matrix
         occ, bys = X[:6], X[6:]
         assert np.allclose(model.mean_occupant, occ.mean(axis=0))
         assert np.allclose(model.mean_bystander, bys.mean(axis=0))
@@ -115,9 +118,9 @@ class TestTrainLda:
 
     def test_duplicated_dataset_same_parameters(self):
         rng = np.random.default_rng(1)
-        vectors = make_corpus(rng, 8, 8)
-        a = train_lda(vectors)
-        b = train_lda(vectors + vectors)
+        corpus = make_corpus(rng, 8, 8)
+        a = train_lda([corpus])
+        b = train_lda([corpus, corpus])
         assert np.allclose(a.mean_occupant, b.mean_occupant)
         assert np.allclose(a.mean_bystander, b.mean_bystander)
         # pooled covariance uses n-2: duplicated data halves the denominator gap
@@ -127,22 +130,20 @@ class TestTrainLda:
     def test_needs_both_labels(self):
         vectors = [vec(f"o{i}", OCCUPANT) for i in range(4)]
         with pytest.raises(DataValidationError):
-            train_lda(vectors)
+            train_lda([features(vectors)])
 
     def test_all_constant_features_numerical_error_names_feature(self):
         vectors = [vec(f"o{i}", OCCUPANT) for i in range(3)]
         vectors += [vec(f"b{i}", BYSTANDER) for i in range(3)]
         with pytest.raises(NumericalError, match="t_in"):
-            train_lda(vectors)
+            train_lda([features(vectors)])
 
 
 class TestPredictLda:
     def test_12_sample_oracle_direct_discriminant(self):
         rng = np.random.default_rng(7)
-        train = make_corpus(rng, 6, 6)
-        model = train_lda(train)
-        test = make_corpus(np.random.default_rng(99), 5, 5)
-        X = np.array([v.as_array() for v in test])
+        model = train_lda([make_corpus(rng, 6, 6)])
+        X = make_corpus(np.random.default_rng(99), 5, 5).matrix
         labels, scores = predict_lda(model, X)
 
         # independent evaluation: explicit inverse and per-row arithmetic
@@ -164,7 +165,7 @@ class TestPredictLda:
 
     def test_class_mean_classified_to_own_class(self):
         rng = np.random.default_rng(3)
-        model = train_lda(make_corpus(rng, 10, 10))
+        model = train_lda([make_corpus(rng, 10, 10)])
         labels, _ = predict_lda(model, [model.mean_occupant])
         assert labels == [OCCUPANT]
 
@@ -173,34 +174,36 @@ class TestPredictLda:
         base += [vec(f"b{i}", BYSTANDER, t_in=50 + (i % 2)) for i in range(1)]
         # force both labels to share feature distribution but unbalanced priors
         base += [vec("b9", BYSTANDER, t_in=51)]
-        model = train_lda(base)
-        labels, _ = predict_lda(model, [vec("x", None).as_array()])
+        model = train_lda([features(base)])
+        labels, _ = predict_lda(model, row())
         assert labels == [OCCUPANT]
 
     def test_exact_tie_goes_to_bystander(self):
         model = train_lda(
-            [vec("o1", OCCUPANT, t_in=40), vec("o2", OCCUPANT, t_in=60)]
-            + [vec("b1", BYSTANDER, t_in=40), vec("b2", BYSTANDER, t_in=60)]
+            [
+                features(
+                    [vec("o1", OCCUPANT, t_in=40), vec("o2", OCCUPANT, t_in=60)]
+                    + [vec("b1", BYSTANDER, t_in=40), vec("b2", BYSTANDER, t_in=60)]
+                )
+            ]
         )
         # identical class distributions and priors: every point is an exact tie
-        labels, scores = predict_lda(model, [vec("x", None, t_in=50).as_array()])
+        labels, scores = predict_lda(model, row(t_in=50))
         assert scores[0, 0] == pytest.approx(scores[0, 1])
         assert labels == [BYSTANDER]
 
     def test_training_set_confusion_is_deterministic(self):
         rng = np.random.default_rng(31)
         train = make_corpus(rng, 20, 20)
-        model = train_lda(train)
-        X = np.array([v.as_array() for v in train])
+        model = train_lda([train])
+        X = train.matrix
         labels, _ = predict_lda(model, X)
-        confusion = {
-            (truth.label, predicted)
-            for truth, predicted in zip(train, labels)
-        }
+        truths = [OCCUPANT if flag else BYSTANDER for flag in train.occupant]
+        confusion = set(zip(truths, labels))
         counts = {}
-        for truth, predicted in zip(train, labels):
-            counts[(truth.label, predicted)] = counts.get((truth.label, predicted), 0) + 1
-        again, _ = predict_lda(train_lda(train), X)
+        for truth, predicted in zip(truths, labels):
+            counts[(truth, predicted)] = counts.get((truth, predicted), 0) + 1
+        again, _ = predict_lda(train_lda([train]), X)
         assert labels == again
         # separable fixture: the classifier reproduces the labels exactly
         assert counts == {(OCCUPANT, OCCUPANT): 20, (BYSTANDER, BYSTANDER): 20}
@@ -210,10 +213,9 @@ class TestPredictLda:
         rng = np.random.default_rng(11)
         train = make_corpus(rng, 15, 15)
         test = make_corpus(np.random.default_rng(12), 10, 10)
-        X_train = np.array([v.as_array() for v in train])
-        X_test = np.array([v.as_array() for v in test])
+        X_test = test.matrix
 
-        model = train_lda(train)
+        model = train_lda([train])
         labels, scores = predict_lda(model, X_test)
         margins = np.abs(scores[:, 0] - scores[:, 1])
 
@@ -221,17 +223,8 @@ class TestPredictLda:
         assert abs(np.linalg.det(A)) > 1e-6
         b = rng.normal(0, 5, 6)
 
-        def transform(vectors):
-            rows = np.array([x.as_array() for x in vectors]) @ A.T + b
-            return [
-                UserFeatureVector(
-                    v.user_id, v.class_id, row[0], row[1], row[2],
-                    row[3], row[4], row[5], label=v.label,
-                )
-                for v, row in zip(vectors, rows)
-            ]
-
-        model_t = train_lda(transform(train))
+        transformed = ClassFeatures(train.users, train.matrix @ A.T + b, train.occupant)
+        model_t = train_lda([transformed])
         labels_t, _ = predict_lda(model_t, X_test @ A.T + b)
         for lab, lab_t, margin in zip(labels, labels_t, margins):
             if margin > 1e-8:
@@ -284,25 +277,24 @@ class TestCalibration:
 class TestCountAndModelFile:
     def test_count_occupants_matches_hand_recount(self):
         rng = np.random.default_rng(13)
-        train = make_corpus(rng, 10, 10)
-        model = train_lda(train)
+        model = train_lda([make_corpus(rng, 10, 10)])
         mixed = make_corpus(np.random.default_rng(14), 7, 9)
-        labels, _ = predict_lda(model, np.array([v.as_array() for v in mixed]))
+        labels, _ = predict_lda(model, mixed.matrix)
         expected = sum(1 for lab in labels if lab == OCCUPANT)
         assert count_occupants(model, mixed) == expected
 
     def test_count_empty_and_all_bystanders(self):
         rng = np.random.default_rng(15)
-        model = train_lda(make_corpus(rng, 8, 8))
-        assert count_occupants(model, []) == 0
+        model = train_lda([make_corpus(rng, 8, 8)])
+        assert count_occupants(model, features([])) == 0
         far_bystanders = [
             vec(f"b{i}", None, t_in=1, t_out=45, delay=100, rssi=75) for i in range(5)
         ]
-        assert count_occupants(model, far_bystanders) == 0
+        assert count_occupants(model, features(far_bystanders)) == 0
 
     def test_model_file_round_trip(self, tmp_path):
         rng = np.random.default_rng(16)
-        model = train_lda(make_corpus(rng, 6, 6), rssi_fill=61.25)
+        model = train_lda([make_corpus(rng, 6, 6)], rssi_fill=61.25)
         calib = CalibrationModel(slope=1.3125, intercept=-2.5)
         path = tmp_path / "model.txt"
         save_model(path, model, calib)
@@ -315,7 +307,7 @@ class TestCountAndModelFile:
 
     def test_model_file_text_format(self, tmp_path):
         rng = np.random.default_rng(17)
-        model = train_lda(make_corpus(rng, 6, 6))
+        model = train_lda([make_corpus(rng, 6, 6)])
         save_model(tmp_path / "m.txt", model, CalibrationModel(1.0, 0.0))
         text = (tmp_path / "m.txt").read_text()
         for key in ("features", "mean_occupant", "covariance_0", "prior_occupant", "slope"):

@@ -110,6 +110,28 @@ class TestStageComposability:
         assert filecmp.cmp(stage / "estimates.csv", run_paths["estimates"], shallow=False)
         assert filecmp.cmp(stage / "evaluation.json", run_paths["evaluation"], shallow=False)
 
+    def test_class_without_mapping_rows_maps_no_ap(self, small_run, tmp_path):
+        """A class whose mapping featured no AP has no `mapping.csv` row."""
+        corpus_dir, _, run_paths = small_run
+        lines = Path(run_paths["mapping"]).read_text().splitlines()
+        dropped = lines[1].split(",")[0]
+        mapping = tmp_path / "mapping.csv"
+        mapping.write_text("\n".join(x for x in lines if not x.startswith(dropped + ",")) + "\n")
+        corpus = _corpus_args(corpus_dir)
+        assert main(
+            ["train", *corpus, "--mapping", str(mapping), "--seed", "7", "--out", str(tmp_path)]
+        ) == 0
+        assert main(
+            ["estimate", *corpus, "--mapping", str(mapping),
+             "--model", run_paths["model"], "--out", str(tmp_path)]
+        ) == 0
+        staged = {e.class_id: e for e in read_estimates_csv(tmp_path / "estimates.csv")}
+        full = {e.class_id: e for e in read_estimates_csv(run_paths["estimates"])}
+        empty = staged.pop(dropped)
+        assert (empty.wifi_count, empty.enrolled_wifi_count, empty.lda_count) == (0, 0, 0)
+        del full[dropped]
+        assert staged == full
+
     def test_mapping_round_trip(self, small_run):
         _, _, paths = small_run
         results = read_mapping_csv(paths["mapping"])
@@ -256,6 +278,28 @@ class TestCli:
         assert estimates and all(e.wifi_count >= 0 for e in estimates)
 
 
+    def test_train_notes_users_without_rssi(self, small_corpus_dir, tmp_path, capsys):
+        """Every third session loses its RSSI; `train` fills the users left with none."""
+        lines = Path(f"{small_corpus_dir}/sessions.csv").read_text().splitlines()
+        for i in range(1, len(lines), 3):
+            fields = lines[i].split(",")
+            fields[9] = ""
+            lines[i] = ",".join(fields)
+        sessions = tmp_path / "sessions.csv"
+        sessions.write_text("\n".join(lines) + "\n")
+        config = pipeline_config(small_corpus_dir, str(tmp_path / "run"), seed=7)
+        config.sessions = str(sessions)
+        paths = run_pipeline(config)
+        capsys.readouterr()
+        assert main(
+            ["train", *_corpus_args(small_corpus_dir, sessions=sessions),
+             "--mapping", paths["mapping"], "--seed", "7", "--out", str(tmp_path / "train")]
+        ) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "note: 146 users had no RSSI; filled with corpus mean 61.8"
+        assert filecmp.cmp(tmp_path / "train" / "model.txt", paths["model"], shallow=False)
+
+
 class TestEnrolledNeverExceedsWifi:
     def test_on_small_corpus(self, small_run):
         _, _, paths = small_run
@@ -399,6 +443,8 @@ class TestMalformedInputs:
             "model-shape",
             "mapping-score",
             "estimates-count",
+            "mapping-short-row",
+            "estimates-short-row",
             "sessions-byte",
             "sessions-field",
             "config-jobs",
@@ -433,6 +479,16 @@ class TestMalformedInputs:
                 ",".join(first_row),
             )
             argv = ["evaluate", "--estimates", bad]
+        elif case in ("mapping-short-row", "estimates-short-row"):
+            report = "mapping" if case == "mapping-short-row" else "estimates"
+            first_row = Path(paths[report]).read_text().splitlines()[1]
+            bad, line = self._edited(
+                paths[report], tmp_path / f"{report}.csv", first_row, first_row.rsplit(",", 1)[0]
+            )
+            if report == "mapping":
+                argv, fragment = ["train", *corpus, "--mapping", bad], "expected 4 fields"
+            else:
+                argv, fragment = ["evaluate", "--estimates", bad], "expected 7 fields"
         elif case in ("sessions-byte", "sessions-field"):
             row = b"u1,m1,\xff" if case == "sessions-byte" else b"u1," + b"x" * 200_000
             bad, line = self._sessions_with(corpus_dir, tmp_path / "sessions.csv", row)

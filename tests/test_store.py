@@ -348,17 +348,25 @@ class TestGroupedRunningMax:
         assert grouped_running_max(group, values).tolist() == expected
 
 
+def connected(store, at: str, ap: str = "ap1", members=()) -> tuple[int, int]:
+    """`user_counts_at` on one AP at one 'HH:MM' instant of DAY: (total, members)."""
+    times = np.array([to_minutes(parse_stamp(f"{DAY} {at}"))], dtype=np.int64)
+    total, enrolled = store.user_counts_at(times, store.user_ids(members))
+    code = store.table.ap_names.index(ap)
+    return int(total[code, 0]), int(enrolled[code, 0])
+
+
 class TestConnectedUsers:
     def test_multi_session_user_counted_once(self, store_builder):
         store = store_builder(
             make_session("u1", "ap1", "09:20", "09:40", mac="m1"),
             make_session("u1", "ap1", "09:30", "10:00", mac="m2"),
         )
-        assert store.connected_users("ap1", parse_stamp(f"{DAY} 09:35")) == {"u1"}
+        assert connected(store, "09:35", members={"u1"}) == (1, 1)
 
     def test_before_all_sessions_empty(self, store_builder):
         store = store_builder(make_session("u1", "ap1", "09:20", "09:40"))
-        assert store.connected_users("ap1", parse_stamp(f"{DAY} 08:00")) == frozenset()
+        assert connected(store, "08:00", members={"u1"}) == (0, 0)
 
     def test_two_devices_three_records_fixture(self, store_builder):
         # enumerated by hand: u1 covers 09:00-10:00 via two devices, u2 09:30-09:45
@@ -367,33 +375,36 @@ class TestConnectedUsers:
             make_session("u1", "ap1", "09:25", "10:00", mac="m2"),
             make_session("u2", "ap1", "09:30", "09:45", mac="m3"),
         )
-        assert store.connected_users("ap1", parse_stamp(f"{DAY} 09:35")) == {"u1", "u2"}
-        assert store.connected_users("ap1", parse_stamp(f"{DAY} 09:50")) == {"u1"}
+        assert connected(store, "09:35", members={"u2"}) == (2, 1)
+        assert connected(store, "09:50", members={"u2"}) == (1, 0)
 
     def test_unknown_ap_is_empty_not_error(self, store_builder):
         store = store_builder(make_session("u1", "ap1", "09:00", "09:30"))
-        assert store.connected_users("nosuch", parse_stamp(f"{DAY} 09:10")) == frozenset()
+        at = parse_stamp(f"{DAY} 09:10")
+        total, _ = store.user_counts_at(np.array([to_minutes(at)]), store.user_ids({"u1"}))
+        # one row per AP in the log and nothing else
+        assert store.table.ap_names == ["ap1"] and total.tolist() == [[1]]
+        assert store.sessions_overlapping(["nosuch"], at, at + timedelta(minutes=1)).size == 0
 
     def test_half_open_convention(self, store_builder):
         store = store_builder(make_session("u1", "ap1", "09:00", "09:30"))
-        assert store.connected_users("ap1", parse_stamp(f"{DAY} 09:00")) == {"u1"}
-        assert store.connected_users("ap1", parse_stamp(f"{DAY} 09:30")) == frozenset()
+        assert connected(store, "09:00") == (1, 0)
+        assert connected(store, "09:30") == (0, 0)
 
     def test_monotone_in_the_log(self, store_builder):
         base = [make_session("u1", "ap1", "09:00", "09:30")]
         extra = make_session("u2", "ap1", "09:10", "09:20", mac="m9")
-        at = parse_stamp(f"{DAY} 09:15")
-        small = record_store(base).connected_users("ap1", at)
-        large = record_store(base + [extra]).connected_users("ap1", at)
-        assert small <= large
+        small = connected(record_store(base), "09:15", members={"u1", "u2"})
+        large = connected(record_store(base + [extra]), "09:15", members={"u1", "u2"})
+        assert small == (1, 1) and large == (2, 2)
 
-    def test_snapshot_covers_active_aps(self, store_builder):
+    def test_counts_cover_every_ap(self, store_builder):
         store = store_builder(
             make_session("u1", "ap1", "09:00", "09:30"),
             make_session("u2", "ap2", "09:00", "09:30", mac="m2"),
         )
-        snap = store.snapshot(parse_stamp(f"{DAY} 09:10"))
-        assert snap.connections == {"ap1": {"u1"}, "ap2": {"u2"}}
+        assert connected(store, "09:10", "ap1", {"u1"}) == (1, 1)
+        assert connected(store, "09:10", "ap2", {"u1"}) == (1, 0)
 
 
 class TestIndexMatchesBruteForce:
@@ -410,8 +421,8 @@ class TestIndexMatchesBruteForce:
         ]
         times = np.arange(midnight + 9 * 60, midnight + 14 * 60, 7, dtype=np.int64)
         total, members = store.user_counts_at(times, store.user_ids({"u1", "u3", "nosuch"}))
-        assert total.shape == members.shape == (len(store.aps), len(times))
-        for code, ap in enumerate(store.aps):
+        assert total.shape == members.shape == (len(store.table.ap_names), len(times))
+        for code, ap in enumerate(store.table.ap_names):
             covering = [{u for u, a, s, e in spans if a == ap and s <= t < e} for t in times]
             assert total[code].tolist() == [len(users) for users in covering]
             assert members[code].tolist() == [len(users & {"u1", "u3"}) for users in covering]
