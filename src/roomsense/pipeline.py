@@ -20,6 +20,7 @@ from .records import ApInventory, ClassEvent, DataValidationError
 from .simulate import load_ground_truth_counts
 from .store import (
     SessionStore,
+    _check_row,
     _open_rows,
     load_inventory,
     load_rosters,
@@ -175,14 +176,6 @@ def estimate_stage(
     return estimates
 
 
-def _check_width(path, line_no: int, fields: list[str], columns) -> None:
-    """A non-blank report row must hold every column."""
-    if len(fields) < len(columns):
-        raise DataValidationError(
-            f"{path}: line {line_no}: expected {len(columns)} fields, found {len(fields)}"
-        )
-
-
 def write_mapping_csv(path, results: dict[str, mapping.MappingResult]) -> None:
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
@@ -206,7 +199,7 @@ def read_mapping_csv(path) -> dict[str, mapping.MappingResult]:
         for line_no, fields in enumerate(rows, start=2):
             if not any(f.strip() for f in fields):
                 continue
-            _check_width(path, line_no, fields, MAPPING_COLUMNS)
+            _check_row(path, line_no, fields, MAPPING_COLUMNS)
             class_id, ap, flag, score = fields[:4]
             try:
                 value = float(score)
@@ -338,9 +331,7 @@ def read_estimates_csv(path) -> list[estimation.OccupancyEstimate]:
         for line_no, fields in enumerate(rows, start=2):
             if not any(f.strip() for f in fields):
                 continue
-            _check_width(path, line_no, fields, ESTIMATE_COLUMNS)
-            if not fields[0].strip():
-                continue
+            _check_row(path, line_no, fields, ESTIMATE_COLUMNS)
             try:
                 wifi, enrolled, lda, calibrated = (int(f) for f in fields[2:6])
                 truth = int(fields[6]) if fields[6].strip() else None

@@ -31,7 +31,7 @@ from .records import (
     format_minutes,
     to_minutes,
 )
-from .store import _check_header, _open_rows
+from .store import _Memo, _check_header, _check_row, _open_rows
 
 SEMESTER_START = datetime(2025, 3, 3)  # a Monday
 DAY_START_MIN = 9 * 60
@@ -473,25 +473,29 @@ def simulate_sessions(campus: Campus, config: SimConfig) -> tuple[list[tuple], G
 
 
 def write_sessions_csv(path, rows, delimiter: str = ",") -> None:
+    """Write session-log rows; each distinct stamp, MAC and duration is formatted once."""
+    stamps = _Memo(format_minutes)
+    macs = _Memo(lambda pair: _device_mac(*pair))
+    lengths = _Memo("{} min".format)
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle, delimiter=delimiter)
         writer.writerow(SESSION_COLUMNS)
-        for start, user, device, ap, end, ongoing, rssi, snr, tx, rcvd in rows:
-            writer.writerow(
-                [
-                    user,
-                    _device_mac(user, device),
-                    format_minutes(start),
-                    "-" if ongoing else format_minutes(end),
-                    f"{end - start} min",
-                    ap,
-                    tx,
-                    rcvd,
-                    snr,
-                    rssi,
-                    "Ass" if ongoing else "Disass",
-                ]
+        writer.writerows(
+            (
+                user,
+                macs[user, device],
+                stamps[start],
+                "-" if ongoing else stamps[end],
+                lengths[end - start],
+                ap,
+                tx,
+                rcvd,
+                snr,
+                rssi,
+                "Ass" if ongoing else "Disass",
             )
+            for start, user, device, ap, end, ongoing, rssi, snr, tx, rcvd in rows
+        )
 
 
 def write_timetable_csv(path, events: list[ClassEvent], delimiter: str = ",") -> None:
@@ -544,13 +548,14 @@ def write_ground_truth(users_path, counts_path, campus: Campus, truth: GroundTru
 
 
 def load_ground_truth_counts(path, delimiter: str = ",") -> dict[str, int]:
-    """class_id -> true occupancy; any malformed row is fatal."""
+    """class_id -> true occupancy; blank rows are skipped, any other malformed row is fatal."""
     counts: dict[str, int] = {}
     with _open_rows(path, delimiter) as rows:
         _check_header(path, next(rows, None), GROUND_TRUTH_COUNT_COLUMNS)
         for line_no, fields in enumerate(rows, start=2):
-            if len(fields) < 2 or not fields[0].strip():
+            if not any(f.strip() for f in fields):
                 continue
+            _check_row(path, line_no, fields, GROUND_TRUTH_COUNT_COLUMNS)
             class_id = fields[0].strip()
             try:
                 count = int(fields[1])

@@ -123,6 +123,16 @@ def _check_header(path, header, expected) -> None:
         )
 
 
+def _check_row(path, line_no: int, fields: list[str], columns) -> None:
+    """A non-blank row of a per-class file must hold every column and a class_id."""
+    if len(fields) < len(columns):
+        raise DataValidationError(
+            f"{path}: line {line_no}: expected {len(columns)} fields, found {len(fields)}"
+        )
+    if not fields[0].strip():
+        raise DataValidationError(f"{path}: line {line_no}: blank class_id")
+
+
 def _maybe_fatal_rejects(path, report: LoadReport) -> None:
     if report.rows_read and len(report.rejects) * 2 > report.rows_read:
         raise DataValidationError(
@@ -166,14 +176,14 @@ def _rssi_value(text: str) -> int | None:
 
 
 class _Memo(dict):
-    """`memo[text]` is `parse(text)`, computed once per distinct text."""
+    """`memo[key]` is `compute(key)`, computed once per distinct key."""
 
-    def __init__(self, parse):
+    def __init__(self, compute):
         super().__init__()
-        self.parse = parse
+        self.compute = compute
 
-    def __missing__(self, text):
-        value = self[text] = self.parse(text)
+    def __missing__(self, key):
+        value = self[key] = self.compute(key)
         return value
 
 

@@ -401,8 +401,10 @@ class TestMalformedInputs:
             ("class_id,true_count\nc1,three\n", "row 2: true_count 'three'"),
             ("class_id,true_count\nc1,3\nc2,-1\n", "row 3: true_count '-1'"),
             ("class_id,true_count\nc1,3\nc2,4\nc1,5\n", "row 4: duplicate class_id c1"),
+            ("class_id,true_count\nc1\nc2,5\n", "line 2: expected 2 fields, found 1"),
+            ("class_id,true_count\nc1,3\n,7\nc2,5\n", "line 3: blank class_id"),
         ],
-        ids=["unreadable", "header", "non-integer", "negative", "duplicate"],
+        ids=["unreadable", "header", "non-integer", "negative", "duplicate", "short-row", "blank-class-id"],
     )
     def test_malformed_ground_truth_counts_are_data_errors(
         self, small_corpus_dir, tmp_path, capsys, content, message
@@ -445,6 +447,8 @@ class TestMalformedInputs:
             "estimates-count",
             "mapping-short-row",
             "estimates-short-row",
+            "mapping-blank-class",
+            "estimates-blank-class",
             "sessions-byte",
             "sessions-field",
             "config-jobs",
@@ -479,16 +483,19 @@ class TestMalformedInputs:
                 ",".join(first_row),
             )
             argv = ["evaluate", "--estimates", bad]
-        elif case in ("mapping-short-row", "estimates-short-row"):
-            report = "mapping" if case == "mapping-short-row" else "estimates"
+        elif case.startswith(("mapping-", "estimates-")):
+            report = case.split("-", 1)[0]
             first_row = Path(paths[report]).read_text().splitlines()[1]
-            bad, line = self._edited(
-                paths[report], tmp_path / f"{report}.csv", first_row, first_row.rsplit(",", 1)[0]
-            )
-            if report == "mapping":
-                argv, fragment = ["train", *corpus, "--mapping", bad], "expected 4 fields"
+            if case.endswith("short-row"):
+                edited = first_row.rsplit(",", 1)[0]
+                fragment = "expected 4 fields" if report == "mapping" else "expected 7 fields"
             else:
-                argv, fragment = ["evaluate", "--estimates", bad], "expected 7 fields"
+                edited, fragment = "," + first_row.split(",", 1)[1], "blank class_id"
+            bad, line = self._edited(paths[report], tmp_path / f"{report}.csv", first_row, edited)
+            if report == "mapping":
+                argv = ["train", *corpus, "--mapping", bad]
+            else:
+                argv = ["evaluate", "--estimates", bad]
         elif case in ("sessions-byte", "sessions-field"):
             row = b"u1,m1,\xff" if case == "sessions-byte" else b"u1," + b"x" * 200_000
             bad, line = self._sessions_with(corpus_dir, tmp_path / "sessions.csv", row)

@@ -1,18 +1,88 @@
 """Synthetic campus generator: determinism, conservation, closure, round-trips."""
 import filecmp
+import os
+import tempfile
+from datetime import datetime
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from roomsense.records import ConfigError
+import sim_oracle
+
+from roomsense.records import ConfigError, to_minutes
 from roomsense.simulate import (
     SimConfig,
     generate_campus,
+    load_ground_truth_counts,
     simulate_corpus,
     simulate_sessions,
+    write_sessions_csv,
 )
 from roomsense.store import load_sessions
 
 FAST = dict(seed=11, weeks=2, room_capacities=(42, 110), classes_per_room_per_week=2)
+
+# Late evenings before a midnight, a month end, 29 February and a year end.
+STAMP_ANCHORS = [
+    datetime(2025, 3, 3, 22, 0),
+    datetime(2025, 3, 31, 23, 0),
+    datetime(2025, 4, 30, 22, 30),
+    datetime(2024, 2, 28, 23, 30),
+    datetime(2024, 2, 29, 23, 0),
+    datetime(2025, 2, 28, 23, 30),
+    datetime(2024, 12, 31, 23, 0),
+]
+# The MAC packs the user index into three bytes.
+USER_INDICES = st.one_of(st.integers(0, 0xFFFF), st.integers(0x10000, 0xFFFFFF))
+AP_NAMES = st.sampled_from(["ap1", "bldA-f1-cor1", "a,b", "a;b", "a\tb", 'q"uote', "sp ace"])
+
+
+@st.composite
+def session_rows(draw):
+    """Rows in `simulate_sessions` layout, drawn from small pools so that
+    stamps, users and durations repeat across rows with different partners."""
+    minutes = draw(
+        st.lists(
+            st.builds(
+                lambda anchor, offset: to_minutes(anchor) + offset,
+                st.sampled_from(STAMP_ANCHORS),
+                st.integers(-90, 150),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    users = draw(st.lists(USER_INDICES.map("u{:05d}".format), min_size=1, max_size=4))
+    rows = []
+    for _ in range(draw(st.integers(0, 30))):
+        start = draw(st.sampled_from(minutes))
+        end = draw(st.one_of(st.sampled_from(minutes), st.integers(start + 1, start + 1500)))
+        rows.append(
+            (
+                start,
+                draw(st.sampled_from(users)),
+                draw(st.integers(0, 3)),
+                draw(AP_NAMES),
+                max(end, start + 1),
+                draw(st.booleans()),
+                draw(st.integers(-95, -30)),
+                draw(st.integers(5, 60)),
+                draw(st.integers(0, 10**7)),
+                draw(st.integers(0, 10**7)),
+            )
+        )
+    return rows
+
+
+def _both_writers(rows, delimiter=","):
+    """The bytes of the memoised writer's file and of the per-row oracle's."""
+    with tempfile.TemporaryDirectory() as tmp:
+        new, old = os.path.join(tmp, "new.csv"), os.path.join(tmp, "old.csv")
+        write_sessions_csv(new, rows, delimiter=delimiter)
+        sim_oracle.write_sessions_csv(old, rows, delimiter=delimiter)
+        with open(new, "rb") as a, open(old, "rb") as b:
+            return a.read(), b.read()
 
 
 class TestGenerateCampus:
@@ -177,6 +247,28 @@ class TestSimulateSessions:
             assert end - (end // 1440) * 1440 <= report_minute
             if ongoing:
                 assert end - (end // 1440) * 1440 == report_minute
+
+
+class TestGroundTruthCounts:
+    def test_blank_rows_skipped(self, tmp_path):
+        path = tmp_path / "counts.csv"
+        path.write_text("class_id,true_count\n\nc1,3\n , \nc2,0\n")
+        assert load_ground_truth_counts(path) == {"c1": 3, "c2": 0}
+
+
+class TestWriterMatchesOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(rows=session_rows(), delimiter=st.sampled_from([",", ";", "\t"]))
+    def test_generated_rows(self, rows, delimiter):
+        new, old = _both_writers(rows, delimiter)
+        assert new == old
+
+    def test_small_corpus(self):
+        config = SimConfig(**FAST)
+        rows, _ = simulate_sessions(generate_campus(config), config)
+        new, old = _both_writers(rows)
+        assert new == old
+        assert new.count(b"\n") == len(rows) + 1
 
 
 class TestDefaultCorpus:
