@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -29,61 +30,53 @@ from .config import (
     read_config_file,
     sim_config_from,
 )
-from .records import ConfigError, DataValidationError, NumericalError, RoomsenseError
+from .records import ConfigError, RoomsenseError
 from .simulate import simulate_corpus
 
 
-def _add_corpus_args(parser: argparse.ArgumentParser, need_truth: bool = False) -> None:
-    parser.add_argument("--sessions", required=True, help="session log CSV")
-    parser.add_argument("--timetable", required=True, help="timetable CSV")
-    parser.add_argument("--rosters", required=True, help="roster CSV")
-    parser.add_argument("--inventory", default="", help="AP inventory CSV (evaluation only)")
-    parser.add_argument(
-        "--ground-truth-counts",
-        default="",
-        required=need_truth,
-        help="per-class true occupancy CSV",
-    )
-    parser.add_argument("--delimiter", default=",", help="input file delimiter")
+# Every pipeline flag, declared once: its config key, flag and argparse options.
+# No flag has an argparse default, so an omitted flag is None and
+# `PipelineConfig` holds the only copy of each default.
+_FLAGS = {
+    "sessions": ("--sessions", {"help": "session log CSV"}),
+    "timetable": ("--timetable", {"help": "timetable CSV"}),
+    "rosters": ("--rosters", {"help": "roster CSV"}),
+    "inventory": ("--inventory", {"help": "AP inventory CSV (evaluation only)"}),
+    "ground_truth_counts": ("--ground-truth-counts", {"help": "per-class true occupancy CSV"}),
+    "delimiter": ("--delimiter", {"help": "input file delimiter"}),
+    "resolution": ("--resolution", {"type": int}),
+    "algorithm": ("--algorithm", {"choices": mapping.ALGORITHMS, "help": "clustering algorithm"}),
+    "resample_len": ("--resample-len", {"type": int}),
+    "seed": ("--seed", {"type": int}),
+    "train_ratio": ("--train-ratio", {"type": float}),
+    "adjacency": ("--no-adjacency", {"action": "store_false",
+                                     "help": "corridor APs never count as in-room"}),
+    "use_room_aps": ("--use-room-aps", {"action": "store_true",
+                                        "help": "use inventory room APs instead of the mapping"}),
+}
+_CORPUS = ("sessions", "timetable", "rosters", "inventory", "ground_truth_counts", "delimiter")
+_MAPPING = ("resolution", "algorithm", "resample_len", "seed", "adjacency")
+_PATHS = ("sessions", "timetable", "rosters")
 
 
-def _add_mapping_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--resolution", type=int, default=mapping.DEFAULT_RESOLUTION)
-    parser.add_argument(
-        "--algorithm", choices=mapping.ALGORITHMS, default="kmeans", help="clustering algorithm"
-    )
-    parser.add_argument("--resample-len", type=int, default=mapping.DEFAULT_RESAMPLE_LEN)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--no-adjacency", action="store_true", help="corridor APs never count as in-room")
+def _add_pipeline_args(parser: argparse.ArgumentParser, *keys: str, required=_PATHS) -> None:
+    for key in keys:
+        flag, options = _FLAGS[key]
+        parser.add_argument(flag, dest=key, default=None, required=key in required, **options)
 
 
-def _config_from_args(args, need_truth: bool) -> PipelineConfig:
-    config = PipelineConfig(
-        sessions=args.sessions,
-        timetable=args.timetable,
-        rosters=args.rosters,
-        inventory=args.inventory,
-        ground_truth_counts=getattr(args, "ground_truth_counts", ""),
-        output_dir=args.out,
-        resolution=getattr(args, "resolution", mapping.DEFAULT_RESOLUTION),
-        algorithm=getattr(args, "algorithm", "kmeans"),
-        resample_len=getattr(args, "resample_len", mapping.DEFAULT_RESAMPLE_LEN),
-        seed=getattr(args, "seed", 0),
-        train_ratio=getattr(args, "train_ratio", 0.7),
-        adjacency=not getattr(args, "no_adjacency", False),
-        use_room_aps=getattr(args, "use_room_aps", False),
-        delimiter=args.delimiter,
-    )
-    config.validate(require_truth=need_truth)
+def _config_from_args(args, need_truth: bool = False, need_corpus: bool = True) -> PipelineConfig:
+    """File values (`run --config`), then every given flag, then validation."""
+    values = read_config_file(args.config) if getattr(args, "config", "") else {}
+    flags = {f.name: getattr(args, f.name, None) for f in fields(PipelineConfig)}
+    config = pipeline_config_from(values, flags)
+    config.validate(require_truth=need_truth, require_corpus=need_corpus)
     return config
 
 
 def cmd_simulate(args) -> int:
-    overrides = {"seed": args.seed, "weeks": args.weeks}
-    if args.config:
-        config = sim_config_from(read_config_file(args.config), overrides)
-    else:
-        config = sim_config_from({}, overrides)
+    values = read_config_file(args.config) if args.config else {}
+    config = sim_config_from(values, {"seed": args.seed, "weeks": args.weeks})
     campus, _ = simulate_corpus(config, args.out)
     echo_config(os.path.join(args.out, "sim_config.txt"), config)
     print(
@@ -108,7 +101,7 @@ def _parse_sweep(text: str) -> tuple[int, ...]:
 
 
 def cmd_map_aps(args) -> int:
-    config = _config_from_args(args, need_truth=False)
+    config = _config_from_args(args)
     resolutions = _parse_sweep(args.sweep) if args.sweep else ()
     if resolutions and not config.inventory:
         raise ConfigError("--sweep requires --inventory for accuracy scoring")
@@ -168,7 +161,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    config = _config_from_args(args, need_truth=False)
+    config = _config_from_args(args)
     corpus = pipeline.load_corpus(config)
     results = pipeline.read_mapping_csv(args.mapping)
     lda, calibration = model_mod.load_model(args.model)
@@ -182,10 +175,11 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    config = _config_from_args(args, need_corpus=False)
     estimates = pipeline.read_estimates_csv(args.estimates)
-    report = pipeline.evaluate_estimates(estimates, args.seed, args.train_ratio)
-    os.makedirs(args.out, exist_ok=True)
-    out_path = os.path.join(args.out, "evaluation.json")
+    report = pipeline.evaluate_estimates(estimates, config.seed, config.train_ratio)
+    os.makedirs(config.output_dir, exist_ok=True)
+    out_path = os.path.join(config.output_dir, "evaluation.json")
     pipeline.write_json(out_path, report)
     methods = report["methods"]
     for key in ("wifi_count_lr", "enrolled_count_lr", "lda", "lda_lr"):
@@ -194,29 +188,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_run(args) -> int:
-    overrides = {
-        key: getattr(args, key)
-        for key in (
-            "sessions",
-            "timetable",
-            "rosters",
-            "inventory",
-            "ground_truth_counts",
-            "output_dir",
-            "resolution",
-            "algorithm",
-            "resample_len",
-            "seed",
-            "train_ratio",
-        )
-    }
-    if args.no_adjacency:
-        overrides["adjacency"] = False
-    if args.use_room_aps:
-        overrides["use_room_aps"] = True
-    values = read_config_file(args.config) if args.config else {}
-    config = pipeline_config_from(values, overrides)
-    paths = pipeline.run_pipeline(config)
+    paths = pipeline.run_pipeline(_config_from_args(args, need_truth=True))
     for name in sorted(paths):
         print(f"{name}: {paths[name]}")
     return 0
@@ -243,52 +215,38 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("map-aps", help="map APs to classrooms per class")
-    _add_corpus_args(p)
-    _add_mapping_args(p)
+    _add_pipeline_args(p, *_CORPUS, *_MAPPING)
     p.add_argument("--classes", default="", help="comma-separated class ids to map")
     p.add_argument("--sweep", default="", help="comma-separated resolutions for an accuracy sweep")
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", dest="output_dir", required=True)
     p.set_defaults(func=cmd_map_aps)
 
     p = sub.add_parser("train", help="fit classifier and calibration")
-    _add_corpus_args(p, need_truth=True)
+    _add_pipeline_args(
+        p, *_CORPUS, "seed", "train_ratio", "use_room_aps",
+        required=(*_PATHS, "ground_truth_counts"),
+    )
     p.add_argument("--mapping", required=True, help="mapping.csv from map-aps")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--train-ratio", type=float, default=0.7)
-    p.add_argument("--use-room-aps", action="store_true", help="use inventory room APs instead of the mapping")
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", dest="output_dir", required=True)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("estimate", help="per-class occupancy estimates")
-    _add_corpus_args(p)
+    _add_pipeline_args(p, *_CORPUS, "use_room_aps")
     p.add_argument("--mapping", required=True, help="mapping.csv from map-aps")
     p.add_argument("--model", required=True, help="model.txt from train")
-    p.add_argument("--use-room-aps", action="store_true")
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", dest="output_dir", required=True)
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("evaluate", help="method comparison from an estimates file")
     p.add_argument("--estimates", required=True, help="estimates.csv from estimate")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--train-ratio", type=float, default=0.7)
-    p.add_argument("--out", required=True)
+    _add_pipeline_args(p, "seed", "train_ratio")
+    p.add_argument("--out", dest="output_dir", required=True)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("run", help="run the whole pipeline")
     p.add_argument("--config", default="", help="pipeline config file")
-    p.add_argument("--sessions", default=None)
-    p.add_argument("--timetable", default=None)
-    p.add_argument("--rosters", default=None)
-    p.add_argument("--inventory", default=None)
-    p.add_argument("--ground-truth-counts", default=None)
-    p.add_argument("--output-dir", default=None)
-    p.add_argument("--resolution", type=int, default=None)
-    p.add_argument("--algorithm", choices=mapping.ALGORITHMS, default=None)
-    p.add_argument("--resample-len", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--train-ratio", type=float, default=None)
-    p.add_argument("--no-adjacency", action="store_true")
-    p.add_argument("--use-room-aps", action="store_true")
+    _add_pipeline_args(p, *_CORPUS, *_MAPPING, "train_ratio", "use_room_aps", required=())
+    p.add_argument("--output-dir", dest="output_dir")
     p.set_defaults(func=cmd_run)
     return parser
 
@@ -298,18 +256,9 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except DataValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except RoomsenseError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return exc.exit_code
 
 
 if __name__ == "__main__":

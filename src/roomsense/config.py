@@ -10,7 +10,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, fields
 
-from .mapping import DEFAULT_RESAMPLE_LEN, DEFAULT_RESOLUTION
+from .mapping import ALGORITHMS, DEFAULT_RESAMPLE_LEN, DEFAULT_RESOLUTION, MAX_RESAMPLE_LEN
 from .records import ConfigError
 from .simulate import SimConfig
 
@@ -78,44 +78,46 @@ class PipelineConfig:
     use_room_aps: bool = False
     delimiter: str = ","
 
-    def validate(self, require_truth: bool = True) -> None:
-        needed = {"sessions": self.sessions, "timetable": self.timetable, "rosters": self.rosters}
+    def validate(self, require_truth: bool = True, require_corpus: bool = True) -> None:
+        needed = ["sessions", "timetable", "rosters"] if require_corpus else []
         if require_truth:
-            needed["ground_truth_counts"] = self.ground_truth_counts
-        for name, path in needed.items():
-            if not path:
+            needed.append("ground_truth_counts")
+        for name in needed:
+            if not getattr(self, name):
                 raise ConfigError(f"config is missing required path {name!r}")
-            if not os.path.exists(path):
-                raise ConfigError(f"{name} file not found: {path}")
-        for name, path in (("inventory", self.inventory),
-                           ("ground_truth_counts", self.ground_truth_counts)):
+        for name in ("sessions", "timetable", "rosters", "inventory", "ground_truth_counts"):
+            path = getattr(self, name)
             if path and not os.path.exists(path):
                 raise ConfigError(f"{name} file not found: {path}")
         if not 0.0 < self.train_ratio < 1.0:
             raise ConfigError("train_ratio must lie strictly between 0 and 1")
         if self.resolution < 1 or self.resample_len < 1:
             raise ConfigError("resolution and resample_len must be positive")
+        if self.resample_len > MAX_RESAMPLE_LEN:
+            raise ConfigError(f"resample_len {self.resample_len} exceeds {MAX_RESAMPLE_LEN}")
+        if self.seed < 0:
+            raise ConfigError(f"seed {self.seed} is negative")
+        if self.algorithm not in ALGORITHMS:
+            raise ConfigError(
+                f"unknown algorithm {self.algorithm!r}, expected one of {', '.join(ALGORITHMS)}"
+            )
+        if len(self.delimiter) != 1:
+            raise ConfigError(f"delimiter {self.delimiter!r} is not a single character")
         if self.use_room_aps and not self.inventory:
             raise ConfigError("use_room_aps requires an inventory file")
 
 
-_PIPELINE_PARSERS = {
-    "resolution": int,
-    "resample_len": int,
-    "seed": int,
-    "train_ratio": float,
-    "adjacency": _parse_bool,
-    "use_room_aps": _parse_bool,
-}
+def _config_from(config, kind: str, parsers: dict, values: dict[str, str], overrides: dict | None):
+    """`config` with the file `values` parsed onto it, then the non-None `overrides`.
 
-
-def pipeline_config_from(values: dict[str, str], overrides: dict | None = None) -> PipelineConfig:
-    config = PipelineConfig()
-    known = {f.name for f in fields(PipelineConfig)}
+    A key without a `parsers` entry is parsed by the type of its default.
+    """
+    known = {f.name for f in fields(config)}
     for key, raw in values.items():
         if key not in known:
-            raise ConfigError(f"unknown pipeline config key {key!r}")
-        parser = _PIPELINE_PARSERS.get(key, str)
+            raise ConfigError(f"unknown {kind} config key {key!r}")
+        default = getattr(config, key)
+        parser = parsers.get(key) or (_parse_bool if isinstance(default, bool) else type(default))
         try:
             setattr(config, key, parser(raw))
         except ValueError as exc:
@@ -126,15 +128,11 @@ def pipeline_config_from(values: dict[str, str], overrides: dict | None = None) 
     return config
 
 
+def pipeline_config_from(values: dict[str, str], overrides: dict | None = None) -> PipelineConfig:
+    return _config_from(PipelineConfig(), "pipeline", {}, values, overrides)
+
+
 _SIM_PARSERS = {
-    "seed": int,
-    "weeks": int,
-    "days_per_week": int,
-    "corridor_aps_per_room": int,
-    "walkway_ap_count": int,
-    "classes_per_room_per_week": int,
-    "early_arrival_limit": int,
-    "report_hour": int,
     "room_capacities": lambda t: _parse_tuple(t, int),
     "room_ap_counts": lambda t: _parse_tuple(t, int),
     "churn_gap_minutes": lambda t: _parse_tuple(t, int),
@@ -146,19 +144,7 @@ _SIM_PARSERS = {
 
 
 def sim_config_from(values: dict[str, str], overrides: dict | None = None) -> SimConfig:
-    config = SimConfig()
-    known = {f.name for f in fields(SimConfig)}
-    for key, raw in values.items():
-        if key not in known:
-            raise ConfigError(f"unknown simulator config key {key!r}")
-        parser = _SIM_PARSERS.get(key, float)
-        try:
-            setattr(config, key, parser(raw))
-        except ValueError as exc:
-            raise ConfigError(f"bad value for {key}: {raw!r}") from exc
-    for key, value in (overrides or {}).items():
-        if value is not None:
-            setattr(config, key, value)
+    config = _config_from(SimConfig(), "simulator", _SIM_PARSERS, values, overrides)
     config.validate()
     return config
 

@@ -24,6 +24,7 @@ from .store import SessionStore
 TRIM_MINUTES = 10
 DEFAULT_RESOLUTION = 10
 DEFAULT_RESAMPLE_LEN = 8
+MAX_RESAMPLE_LEN = 1440  # a sample per minute of a day; no class series is longer
 SWEEP_RESOLUTIONS = (1, 2, 5, 10, 15, 30, 45, 60)
 
 ALGORITHMS = ("kmeans", "hierarchical", "em-gmm")

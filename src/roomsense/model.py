@@ -203,6 +203,8 @@ def load_model(path) -> tuple[LdaModel, CalibrationModel]:
             raise DataValidationError(
                 f"{path}: line {line_no}: {key} has {out.size} values, expected {length}"
             )
+        if not np.isfinite(out).all():
+            raise DataValidationError(f"{path}: line {line_no}: {key} is not finite: {text!r}")
         return out
 
     def number(key):

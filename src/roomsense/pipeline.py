@@ -21,11 +21,11 @@ from .simulate import load_ground_truth_counts
 from .store import (
     SessionStore,
     _check_row,
-    _open_rows,
     load_inventory,
     load_rosters,
     load_sessions,
     load_timetable,
+    read_rows,
 )
 
 ESTIMATE_COLUMNS = (
@@ -190,26 +190,18 @@ def write_mapping_csv(path, results: dict[str, mapping.MappingResult]) -> None:
 
 def read_mapping_csv(path) -> dict[str, mapping.MappingResult]:
     results: dict[str, dict] = {}
-    with _open_rows(path, ",") as rows:
-        header = next(rows, None)
-        if header is None or [h.strip() for h in header] != list(MAPPING_COLUMNS):
+    for line_no, fields in read_rows(path, ",", MAPPING_COLUMNS):
+        _check_row(path, line_no, fields, MAPPING_COLUMNS)
+        class_id, ap, flag, score = fields[:4]
+        try:
+            value = float(score)
+        except ValueError:
             raise DataValidationError(
-                f"{path}: expected columns {list(MAPPING_COLUMNS)}, found {header}"
-            )
-        for line_no, fields in enumerate(rows, start=2):
-            if not any(f.strip() for f in fields):
-                continue
-            _check_row(path, line_no, fields, MAPPING_COLUMNS)
-            class_id, ap, flag, score = fields[:4]
-            try:
-                value = float(score)
-            except ValueError:
-                raise DataValidationError(
-                    f"{path}: line {line_no}: score {score!r} is not a number"
-                ) from None
-            entry = results.setdefault(class_id, {"mapped": set(), "not": set(), "scores": {}})
-            (entry["mapped"] if flag.strip() == "1" else entry["not"]).add(ap)
-            entry["scores"][ap] = value
+                f"{path}: line {line_no}: score {score!r} is not a number"
+            ) from None
+        entry = results.setdefault(class_id, {"mapped": set(), "not": set(), "scores": {}})
+        (entry["mapped"] if flag == "1" else entry["not"]).add(ap)
+        entry["scores"][ap] = value
     return {
         cid: mapping.MappingResult(
             cid, frozenset(e["mapped"]), frozenset(e["not"]), "file", e["scores"]
@@ -322,34 +314,26 @@ def write_estimates_csv(path, estimates: list[estimation.OccupancyEstimate]) -> 
 
 def read_estimates_csv(path) -> list[estimation.OccupancyEstimate]:
     estimates = []
-    with _open_rows(path, ",") as rows:
-        header = next(rows, None)
-        if header is None or [h.strip() for h in header] != list(ESTIMATE_COLUMNS):
+    for line_no, fields in read_rows(path, ",", ESTIMATE_COLUMNS):
+        _check_row(path, line_no, fields, ESTIMATE_COLUMNS)
+        try:
+            wifi, enrolled, lda, calibrated = (int(f) for f in fields[2:6])
+            truth = int(fields[6]) if fields[6] else None
+        except ValueError:
             raise DataValidationError(
-                f"{path}: expected columns {list(ESTIMATE_COLUMNS)}, found {header}"
+                f"{path}: line {line_no}: counts {fields[2:7]} are not all integers"
+            ) from None
+        estimates.append(
+            estimation.OccupancyEstimate(
+                class_id=fields[0],
+                room_id=fields[1],
+                wifi_count=wifi,
+                enrolled_wifi_count=enrolled,
+                lda_count=lda,
+                calibrated_count=calibrated,
+                ground_truth=truth,
             )
-        for line_no, fields in enumerate(rows, start=2):
-            if not any(f.strip() for f in fields):
-                continue
-            _check_row(path, line_no, fields, ESTIMATE_COLUMNS)
-            try:
-                wifi, enrolled, lda, calibrated = (int(f) for f in fields[2:6])
-                truth = int(fields[6]) if fields[6].strip() else None
-            except ValueError:
-                raise DataValidationError(
-                    f"{path}: line {line_no}: counts {fields[2:7]} are not all integers"
-                ) from None
-            estimates.append(
-                estimation.OccupancyEstimate(
-                    class_id=fields[0].strip(),
-                    room_id=fields[1].strip(),
-                    wifi_count=wifi,
-                    enrolled_wifi_count=enrolled,
-                    lda_count=lda,
-                    calibrated_count=calibrated,
-                    ground_truth=truth,
-                )
-            )
+        )
     return estimates
 
 

@@ -51,7 +51,9 @@ _EPOCH = datetime(1970, 1, 1)
 
 
 class RoomsenseError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package; `exit_code` is the CLI's."""
+
+    exit_code = 1
 
 
 class ConfigError(RoomsenseError):
@@ -61,9 +63,13 @@ class ConfigError(RoomsenseError):
 class DataValidationError(RoomsenseError):
     """Fatal input-data problem (exit code 2)."""
 
+    exit_code = 2
+
 
 class NumericalError(RoomsenseError):
     """Numerical failure in a model or clustering stage (exit code 3)."""
+
+    exit_code = 3
 
 
 class DegenerateDataError(NumericalError):
@@ -160,23 +166,19 @@ class ApInventory:
     def room_aps(self, room_id: str) -> frozenset[str]:
         return frozenset(a for a, loc in self._locations.items() if loc.room_id == room_id)
 
-    def room_location(self, room_id: str) -> tuple[str, int]:
-        """(building, floor) of a room, taken from its APs."""
-        for loc in self._locations.values():
-            if loc.room_id == room_id:
-                return (loc.building, loc.floor)
-        raise KeyError(room_id)
-
     def positives_for_room(self, room_id: str, adjacency: bool = True) -> frozenset[str]:
         """APs that ground truth associates with a room.
 
-        With `adjacency` on, corridor APs on the room's own building+floor
-        count as associated as well.
+        With `adjacency` on, corridor APs on the building+floor of the room's
+        first AP count as associated as well. A room without an AP of its own
+        has no positive AP in either mode.
         """
-        names = set(self.room_aps(room_id))
-        if adjacency:
-            building, floor = self.room_location(room_id)
-            for ap, loc in self._locations.items():
-                if loc.is_corridor and loc.building == building and loc.floor == floor:
-                    names.add(ap)
-        return frozenset(names)
+        names = self.room_aps(room_id)
+        home = next((loc for loc in self._locations.values() if loc.room_id == room_id), None)
+        if adjacency and home is not None:
+            names |= {
+                ap
+                for ap, loc in self._locations.items()
+                if loc.is_corridor and (loc.building, loc.floor) == (home.building, home.floor)
+            }
+        return names

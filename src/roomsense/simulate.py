@@ -31,7 +31,7 @@ from .records import (
     format_minutes,
     to_minutes,
 )
-from .store import _Memo, _check_header, _check_row, _open_rows
+from .store import _Memo, _check_row, read_rows
 
 SEMESTER_START = datetime(2025, 3, 3)  # a Monday
 DAY_START_MIN = 9 * 60
@@ -550,24 +550,20 @@ def write_ground_truth(users_path, counts_path, campus: Campus, truth: GroundTru
 def load_ground_truth_counts(path, delimiter: str = ",") -> dict[str, int]:
     """class_id -> true occupancy; blank rows are skipped, any other malformed row is fatal."""
     counts: dict[str, int] = {}
-    with _open_rows(path, delimiter) as rows:
-        _check_header(path, next(rows, None), GROUND_TRUTH_COUNT_COLUMNS)
-        for line_no, fields in enumerate(rows, start=2):
-            if not any(f.strip() for f in fields):
-                continue
-            _check_row(path, line_no, fields, GROUND_TRUTH_COUNT_COLUMNS)
-            class_id = fields[0].strip()
-            try:
-                count = int(fields[1])
-            except ValueError:
-                count = -1
-            if count < 0:
-                raise DataValidationError(
-                    f"{path}: row {line_no}: true_count {fields[1]!r} is not a non-negative integer"
-                )
-            if class_id in counts:
-                raise DataValidationError(f"{path}: row {line_no}: duplicate class_id {class_id}")
-            counts[class_id] = count
+    for line_no, fields in read_rows(path, delimiter, GROUND_TRUTH_COUNT_COLUMNS):
+        _check_row(path, line_no, fields, GROUND_TRUTH_COUNT_COLUMNS)
+        class_id, text = fields[:2]
+        try:
+            count = int(text)
+        except ValueError:
+            count = -1
+        if count < 0:
+            raise DataValidationError(
+                f"{path}: row {line_no}: true_count {text!r} is not a non-negative integer"
+            )
+        if class_id in counts:
+            raise DataValidationError(f"{path}: row {line_no}: duplicate class_id {class_id}")
+        counts[class_id] = count
     return counts
 
 

@@ -119,8 +119,24 @@ def _check_header(path, header, expected) -> None:
     got = [h.strip() for h in header[: len(expected)]]
     if [g.lower() for g in got] != [e.lower() for e in expected]:
         raise DataValidationError(
-            f"{path}: header mismatch, expected {list(expected)}, found {got}"
+            f"{path}: header mismatch, expected columns {list(expected)}, found {got}"
         )
+
+
+def read_rows(path, delimiter: str, columns):
+    """(line number, fields) of every non-blank data row of a tabular file.
+
+    The header must start with `columns`, compared without surrounding
+    whitespace and case; extra trailing columns are allowed. Every field is
+    stripped, and a row whose fields are all blank is skipped. What a short
+    or malformed row means is left to the caller.
+    """
+    with _open_rows(path, delimiter) as rows:
+        _check_header(path, next(rows, None), columns)
+        for line_no, fields in enumerate(rows, start=2):
+            fields = list(map(str.strip, fields))
+            if any(fields):
+                yield line_no, fields
 
 
 def _check_row(path, line_no: int, fields: list[str], columns) -> None:
@@ -129,7 +145,7 @@ def _check_row(path, line_no: int, fields: list[str], columns) -> None:
         raise DataValidationError(
             f"{path}: line {line_no}: expected {len(columns)} fields, found {len(fields)}"
         )
-    if not fields[0].strip():
+    if not fields[0]:
         raise DataValidationError(f"{path}: line {line_no}: blank class_id")
 
 
@@ -217,86 +233,81 @@ def load_sessions(
     aps: dict[str, int] = {}
     user_col, mac_col, ap_col, start_col, end_col, rssi_col = (array("q") for _ in range(6))
     rows_read = 0
-    with _open_rows(path, delimiter) as rows:
-        header = next(rows, None)
-        _check_header(path, header, SESSION_COLUMNS)
-        for line_no, fields in enumerate(rows, start=2):
-            if not fields or (not fields[0].strip() and all(not f.strip() for f in fields)):
-                continue
-            rows_read += 1
-            if len(fields) < n_columns:
-                reject(line_no, f"expected {n_columns} columns, found {len(fields)}")
-                continue
-            (user_id, mac, assoc_text, disassoc_text, logged_text, ap_name,
-             bytes_tx, bytes_rcvd, snr, rssi_text, status_text) = map(str.strip, fields[:n_columns])
-            if not user_id or not mac:
-                reject(line_no, "missing user id or MAC address")
-                continue
-            assoc = stamps[assoc_text]
-            if assoc is None:
-                reject(line_no, f"bad association time {assoc_text!r}")
+    for line_no, fields in read_rows(path, delimiter, SESSION_COLUMNS):
+        rows_read += 1
+        if len(fields) < n_columns:
+            reject(line_no, f"expected {n_columns} columns, found {len(fields)}")
+            continue
+        (user_id, mac, assoc_text, disassoc_text, logged_text, ap_name,
+         bytes_tx, bytes_rcvd, snr, rssi_text, status_text) = fields[:n_columns]
+        if not user_id or not mac:
+            reject(line_no, "missing user id or MAC address")
+            continue
+        assoc = stamps[assoc_text]
+        if assoc is None:
+            reject(line_no, f"bad association time {assoc_text!r}")
+            continue
+
+        status = status_text.lower()
+        if status in ("disass", "disassociated"):
+            ongoing = False
+        elif status in ("ass", "associated"):
+            ongoing = True
+        else:
+            reject(line_no, f"unknown status {status_text!r}")
+            continue
+
+        disassoc = None
+        if disassoc_text not in ("", "-"):
+            disassoc = stamps[disassoc_text]
+            if disassoc is None:
+                reject(line_no, f"bad disassociation time {disassoc_text!r}")
                 continue
 
-            status = status_text.lower()
-            if status in ("disass", "disassociated"):
-                ongoing = False
-            elif status in ("ass", "associated"):
-                ongoing = True
+        if not ongoing:
+            if disassoc is None:
+                reject(line_no, "disassociated session without disassociation time")
+                continue
+            if disassoc < assoc:
+                reject(line_no, "disassociation time precedes association time")
+                continue
+            end = disassoc
+        else:
+            if disassoc is not None:
+                reject(line_no, "ongoing session carries a disassociation time")
+                continue
+            if report_end is None:
+                end = assoc - assoc % 1440 + DEFAULT_REPORT_HOUR * 60
             else:
-                reject(line_no, f"unknown status {status_text!r}")
+                end = report_end
+            if end < assoc:
+                reject(line_no, "ongoing session starts after report generation time")
                 continue
 
-            disassoc = None
-            if disassoc_text not in ("", "-"):
-                disassoc = stamps[disassoc_text]
-                if disassoc is None:
-                    reject(line_no, f"bad disassociation time {disassoc_text!r}")
-                    continue
+        rssi = rssi_values[rssi_text]  # None when malformed
+        try:  # bytes and SNR are validated, not kept
+            int(bytes_tx)
+            int(bytes_rcvd)
+            if snr not in ("", "-"):
+                int(snr)
+        except ValueError:
+            rssi = None
+        if rssi is None:
+            reject(line_no, "bad numeric field")
+            continue
 
-            if not ongoing:
-                if disassoc is None:
-                    reject(line_no, "disassociated session without disassociation time")
-                    continue
-                if disassoc < assoc:
-                    reject(line_no, "disassociation time precedes association time")
-                    continue
-                end = disassoc
-            else:
-                if disassoc is not None:
-                    reject(line_no, "ongoing session carries a disassociation time")
-                    continue
-                if report_end is None:
-                    end = assoc - assoc % 1440 + DEFAULT_REPORT_HOUR * 60
-                else:
-                    end = report_end
-                if end < assoc:
-                    reject(line_no, "ongoing session starts after report generation time")
-                    continue
+        logged = durations[logged_text]
+        if logged is not None and logged[1] != end - assoc:
+            report.warn(
+                line_no, f"logged duration {logged[0]} min != recomputed {end - assoc} min"
+            )
 
-            rssi = rssi_values[rssi_text]  # None when malformed
-            try:  # bytes and SNR are validated, not kept
-                int(bytes_tx)
-                int(bytes_rcvd)
-                if snr not in ("", "-"):
-                    int(snr)
-            except ValueError:
-                rssi = None
-            if rssi is None:
-                reject(line_no, "bad numeric field")
-                continue
-
-            logged = durations[logged_text]
-            if logged is not None and logged[1] != end - assoc:
-                report.warn(
-                    line_no, f"logged duration {logged[0]} min != recomputed {end - assoc} min"
-                )
-
-            user_col.append(users.setdefault(user_id, len(users)))
-            mac_col.append(macs.setdefault(mac, len(macs)))
-            ap_col.append(aps.setdefault(ap_name, len(aps)))
-            start_col.append(assoc)
-            end_col.append(end)
-            rssi_col.append(rssi)
+        user_col.append(users.setdefault(user_id, len(users)))
+        mac_col.append(macs.setdefault(mac, len(macs)))
+        ap_col.append(aps.setdefault(ap_name, len(aps)))
+        start_col.append(assoc)
+        end_col.append(end)
+        rssi_col.append(rssi)
     report.rows_read = rows_read
     _maybe_fatal_rejects(path, report)
     user_codes, user_names = _sorted_codes(user_col, users)
@@ -320,35 +331,30 @@ def load_timetable(path, delimiter: str = ",") -> tuple[list[ClassEvent], LoadRe
     report = LoadReport()
     events: list[ClassEvent] = []
     seen_ids: set[str] = set()
-    with _open_rows(path, delimiter) as rows:
-        header = next(rows, None)
-        _check_header(path, header, TIMETABLE_COLUMNS)
-        for line_no, fields in enumerate(rows, start=2):
-            if not fields or all(not f.strip() for f in fields):
-                continue
-            report.rows_read += 1
-            if len(fields) < 5:
-                report.reject(line_no, "expected 5 columns")
-                continue
-            class_id, room_id, date, start, end = (f.strip() for f in fields[:5])
-            try:
-                start_dt = parse_stamp(f"{date} {start}")
-                end_dt = parse_stamp(f"{date} {end}")
-            except (ValueError, OverflowError):
-                report.reject(line_no, "bad date or time")
-                continue
-            if end_dt <= start_dt:
-                report.reject(line_no, "class end not after start")
-                continue
-            minutes = to_minutes(end_dt) - to_minutes(start_dt)
-            if minutes not in ALLOWED_CLASS_MINUTES:
-                report.reject(line_no, f"class duration {minutes} min not in allowed set")
-                continue
-            if class_id in seen_ids:
-                report.reject(line_no, f"duplicate class_id {class_id}")
-                continue
-            seen_ids.add(class_id)
-            events.append(ClassEvent(class_id, room_id, start_dt, end_dt))
+    for line_no, fields in read_rows(path, delimiter, TIMETABLE_COLUMNS):
+        report.rows_read += 1
+        if len(fields) < 5:
+            report.reject(line_no, "expected 5 columns")
+            continue
+        class_id, room_id, date, start, end = fields[:5]
+        try:
+            start_dt = parse_stamp(f"{date} {start}")
+            end_dt = parse_stamp(f"{date} {end}")
+        except (ValueError, OverflowError):
+            report.reject(line_no, "bad date or time")
+            continue
+        if end_dt <= start_dt:
+            report.reject(line_no, "class end not after start")
+            continue
+        minutes = to_minutes(end_dt) - to_minutes(start_dt)
+        if minutes not in ALLOWED_CLASS_MINUTES:
+            report.reject(line_no, f"class duration {minutes} min not in allowed set")
+            continue
+        if class_id in seen_ids:
+            report.reject(line_no, f"duplicate class_id {class_id}")
+            continue
+        seen_ids.add(class_id)
+        events.append(ClassEvent(class_id, room_id, start_dt, end_dt))
     _maybe_fatal_rejects(path, report)
     return events, report
 
@@ -356,21 +362,16 @@ def load_timetable(path, delimiter: str = ",") -> tuple[list[ClassEvent], LoadRe
 def load_rosters(path, delimiter: str = ",") -> tuple[dict[str, frozenset[str]], LoadReport]:
     report = LoadReport()
     enrolled: dict[str, set[str]] = {}
-    with _open_rows(path, delimiter) as rows:
-        header = next(rows, None)
-        _check_header(path, header, ROSTER_COLUMNS)
-        for line_no, fields in enumerate(rows, start=2):
-            if not fields or all(not f.strip() for f in fields):
-                continue
-            report.rows_read += 1
-            if len(fields) < 2 or not fields[0].strip() or not fields[1].strip():
-                report.reject(line_no, "expected class_id,user_id")
-                continue
-            class_id, user_id = fields[0].strip(), fields[1].strip()
-            members = enrolled.setdefault(class_id, set())
-            if user_id in members:
-                report.warn(line_no, f"duplicate enrolment {user_id} in {class_id}")
-            members.add(user_id)
+    for line_no, fields in read_rows(path, delimiter, ROSTER_COLUMNS):
+        report.rows_read += 1
+        if len(fields) < 2 or not fields[0] or not fields[1]:
+            report.reject(line_no, "expected class_id,user_id")
+            continue
+        class_id, user_id = fields[:2]
+        members = enrolled.setdefault(class_id, set())
+        if user_id in members:
+            report.warn(line_no, f"duplicate enrolment {user_id} in {class_id}")
+        members.add(user_id)
     _maybe_fatal_rejects(path, report)
     return {cid: frozenset(m) for cid, m in enrolled.items()}, report
 
@@ -378,27 +379,22 @@ def load_rosters(path, delimiter: str = ",") -> tuple[dict[str, frozenset[str]],
 def load_inventory(path, delimiter: str = ",") -> tuple[ApInventory, LoadReport]:
     report = LoadReport()
     locations: dict[str, ApLocation] = {}
-    with _open_rows(path, delimiter) as rows:
-        header = next(rows, None)
-        _check_header(path, header, INVENTORY_COLUMNS)
-        for line_no, fields in enumerate(rows, start=2):
-            if not fields or all(not f.strip() for f in fields):
-                continue
-            report.rows_read += 1
-            if len(fields) < 4:
-                report.reject(line_no, "expected 4 columns")
-                continue
-            ap, room, building, floor = (f.strip() for f in fields[:4])
-            if ap in locations:
-                report.reject(line_no, f"duplicate ap_name {ap}")
-                continue
-            try:
-                floor_no = int(floor)
-            except ValueError:
-                report.reject(line_no, f"bad floor {floor!r}")
-                continue
-            room_id = None if room.lower() in CORRIDOR_MARKERS else room
-            locations[ap] = ApLocation(room_id, building, floor_no)
+    for line_no, fields in read_rows(path, delimiter, INVENTORY_COLUMNS):
+        report.rows_read += 1
+        if len(fields) < 4:
+            report.reject(line_no, "expected 4 columns")
+            continue
+        ap, room, building, floor = fields[:4]
+        if ap in locations:
+            report.reject(line_no, f"duplicate ap_name {ap}")
+            continue
+        try:
+            floor_no = int(floor)
+        except ValueError:
+            report.reject(line_no, f"bad floor {floor!r}")
+            continue
+        room_id = None if room.lower() in CORRIDOR_MARKERS else room
+        locations[ap] = ApLocation(room_id, building, floor_no)
     _maybe_fatal_rejects(path, report)
     return ApInventory(locations), report
 

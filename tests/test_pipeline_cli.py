@@ -132,6 +132,25 @@ class TestStageComposability:
         del full[dropped]
         assert staged == full
 
+    def test_semicolon_corpus_through_run_delimiter(self, small_run, tmp_path):
+        """`run --delimiter ';'` on a `;` copy of the corpus writes the same reports."""
+        corpus_dir, _, run_paths = small_run
+        semi = tmp_path / "semi"
+        semi.mkdir()
+        for name in ("sessions.csv", "timetable.csv", "roster.csv", "inventory.csv",
+                     "ground_truth_counts.csv"):
+            with open(f"{corpus_dir}/{name}", newline="") as src, \
+                    open(semi / name, "w", newline="") as dst:
+                csv.writer(dst, delimiter=";").writerows(csv.reader(src))
+        assert ";" in (semi / "sessions.csv").read_text()
+        out = tmp_path / "out"
+        assert main(
+            ["run", *_corpus_args(semi), "--inventory", str(semi / "inventory.csv"),
+             "--delimiter", ";", "--seed", "7", "--output-dir", str(out)]
+        ) == 0
+        for name, path in run_paths.items():
+            assert filecmp.cmp(out / Path(path).name, path, shallow=False), name
+
     def test_mapping_round_trip(self, small_run):
         _, _, paths = small_run
         results = read_mapping_csv(paths["mapping"])
@@ -248,6 +267,21 @@ class TestCli:
         # without an inventory the report carries no accuracy section
         report = json.loads((tmp_path / "mapping_report.json").read_text())
         assert "tp_rate" not in report
+
+    def test_inventory_without_a_timetabled_room(self, small_corpus_dir, tmp_path):
+        """A room with none of its APs in the inventory has no positive AP in either mode."""
+        lines = Path(f"{small_corpus_dir}/inventory.csv").read_text().splitlines()
+        inventory = tmp_path / "inventory.csv"
+        inventory.write_text("\n".join(x for x in lines if not x.startswith("room1-")) + "\n")
+        assert len(inventory.read_text().splitlines()) < len(lines)
+        for flags in ([], ["--no-adjacency"]):
+            out = tmp_path / f"out{len(flags)}"
+            assert main(
+                ["map-aps", *_corpus_args(small_corpus_dir), "--inventory", str(inventory),
+                 *flags, "--seed", "7", "--out", str(out)]
+            ) == 0
+            room = json.loads((out / "mapping_report.json").read_text())["per_room"]["room1"]
+            assert room["tp"] == room["fn"] == 0 and room["tn"] > 0
 
     def test_unknown_config_key_is_usage_error(self, tmp_path, capsys):
         config_file = tmp_path / "bad.cfg"
@@ -454,6 +488,10 @@ class TestMalformedInputs:
             "config-jobs",
             "unknown-flag",
             "bad-flag-value",
+            "model-nan",
+            "config-algorithm",
+            "negative-seed",
+            "huge-resample-len",
         ],
     )
     def test_error_line_and_exit_code(self, small_run, tmp_path, capsys, case):
@@ -506,6 +544,25 @@ class TestMalformedInputs:
             argv, code, fragment = ["run", "--config", str(config)], 1, "'jobs'"
         elif case == "unknown-flag":
             argv, code, fragment = ["run", "--bogus"], 1, "--bogus"
+        elif case == "model-nan":
+            bad, line = self._edited(paths["model"], tmp_path / "model.txt", "slope =", "slope = nan")
+            argv = ["estimate", *corpus, "--mapping", paths["mapping"], "--model", bad]
+            fragment = "slope is not finite"
+        elif case == "config-algorithm":
+            config = tmp_path / "run.cfg"
+            config.write_text(
+                "".join(f"{key} = {corpus_dir}/{name}\n" for key, name in (
+                    ("sessions", "sessions.csv"), ("timetable", "timetable.csv"),
+                    ("rosters", "roster.csv"), ("ground_truth_counts", "ground_truth_counts.csv"),
+                ))
+                + f"output_dir = {tmp_path / 'out'}\nalgorithm = bogus\n"
+            )
+            argv, code, fragment = ["run", "--config", str(config)], 1, "'bogus'"
+        elif case == "negative-seed":
+            argv, code, fragment = ["map-aps", *corpus, "--seed", "-1"], 1, "seed -1"
+        elif case == "huge-resample-len":
+            argv, code = ["map-aps", *corpus, "--resample-len", "99999999999999999999"], 1
+            fragment = "resample_len 99999999999999999999 exceeds"
         else:
             argv, code, fragment = ["map-aps", *corpus, "--resolution", "x"], 1, "'x'"
         if argv[0] != "run" and "--out" not in argv:

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 import session_oracle
 
-from roomsense.records import DataValidationError, parse_stamp, to_minutes
+from roomsense.pipeline import read_estimates_csv, read_mapping_csv
+from roomsense.records import ROSTER_COLUMNS, DataValidationError, parse_stamp, to_minutes
+from roomsense.simulate import load_ground_truth_counts
 from roomsense.store import (
     RSSI_MISSING,
     grouped_running_max,
@@ -18,6 +20,7 @@ from roomsense.store import (
     load_rosters,
     load_sessions,
     load_timetable,
+    read_rows,
 )
 
 from conftest import DAY, make_session, record_store, small_logs
@@ -526,3 +529,111 @@ class TestOtherLoaders:
         inventory, report = load_inventory(path)
         assert inventory.location("ap1").room_id == "room1"  # first row wins
         assert len(report.rejects) == 1
+    def test_inventory_room_without_aps_has_no_positives(self, tmp_path):
+        path = write(
+            tmp_path,
+            "i.csv",
+            ["ap_name,room_id,building,floor", "ap1,room1,bldA,2", "ap2,corridor,bldA,2"],
+        )
+        inventory, _ = load_inventory(path)
+        assert inventory.positives_for_room("room2", adjacency=True) == frozenset()
+        assert inventory.positives_for_room("room2", adjacency=False) == frozenset()
+
+
+# One small clean file per tabular reader, and a function turning what the
+# reader returns into a value that compares equal for equal content.
+CLEAN_FILES = {
+    "sessions": (
+        SESSIONS_HEADER,
+        "u1,m1,03/03/2025 09:00,03/03/2025 09:40,40 min,ap1,10,20,30,-60,Disass",
+        "u2,m2,03/03/2025 09:05,-,0 min,ap2,10,20,-,-,Ass",
+        "u1,m3,03/03/2025 10:00,03/03/2025 10:10,12 min,ap2,10,20,30,-71,Disass",
+    ),
+    "timetable": (
+        "class_id,room_id,date,start,end",
+        "c1,room1,03/03/2025,09:00,10:00",
+        "c2,room2,03/03/2025,10:00,12:00",
+    ),
+    "rosters": ("class_id,user_id", "c1,u1", "c1,u2", "c2,u1"),
+    "inventory": (
+        "ap_name,room_id,building,floor",
+        "ap1,room1,bldA,1",
+        "ap2,corridor,bldA,1",
+        "ap3,room2,bldB,2",
+    ),
+    "ground_truth_counts": ("class_id,true_count", "c1,30", "c2,0"),
+    "mapping": ("class_id,ap_name,mapped,score", "c1,ap1,1,0.5", "c1,ap2,0,-1.25", "c2,ap3,1,2.0"),
+    "estimates": (
+        "class_id,room_id,wifi_count,enrolled_wifi_count,lda_count,calibrated_count,ground_truth",
+        "c1,room1,40,30,28,31,30",
+        "c2,room2,5,3,2,1,",
+    ),
+}
+
+
+def _read(kind, path):
+    if kind == "sessions":
+        table, report = load_sessions(path)
+        return _table_rows(table), report.rows_read, [message for _, message in report.warnings]
+    if kind == "timetable":
+        events, report = load_timetable(path)
+        return events, report.rows_read
+    if kind == "rosters":
+        rosters, report = load_rosters(path)
+        return rosters, report.rows_read
+    if kind == "inventory":
+        inventory, report = load_inventory(path)
+        return {ap: inventory.location(ap) for ap in inventory}, report.rows_read
+    if kind == "ground_truth_counts":
+        return load_ground_truth_counts(path)
+    if kind == "mapping":
+        return read_mapping_csv(path)
+    return read_estimates_csv(path)
+
+
+def _padded(lines):
+    """Every field padded with spaces, the header upper-cased, blank rows between rows."""
+    out = []
+    for i, line in enumerate(lines):
+        out.append(",".join(f"  {field} " for field in line.split(",")))
+        out.append("" if i % 2 else " , ,\t")
+    out[0] = out[0].upper()
+    return out
+
+
+class TestReadRows:
+    @pytest.mark.parametrize("kind", sorted(CLEAN_FILES))
+    def test_padding_blank_rows_and_header_case_change_nothing(self, tmp_path, kind):
+        clean = write(tmp_path, "clean.csv", CLEAN_FILES[kind])
+        padded = write(tmp_path, "padded.csv", _padded(CLEAN_FILES[kind]))
+        assert _read(kind, padded) == _read(kind, clean)
+
+    def test_mapping_keys_are_stripped(self, tmp_path):
+        padded = write(
+            tmp_path,
+            "mapping.csv",
+            ["class_id,ap_name,mapped,score", " c1,ap1 ,1,0.5", "c2 , ap2,0,-0.5"],
+        )
+        clean = write(
+            tmp_path, "clean.csv", ["class_id,ap_name,mapped,score", "c1,ap1,1,0.5", "c2,ap2,0,-0.5"]
+        )
+        results = read_mapping_csv(padded)
+        assert sorted(results) == ["c1", "c2"]
+        assert results["c1"].mapped == {"ap1"} and results["c2"].not_mapped == {"ap2"}
+        assert results == read_mapping_csv(clean)
+
+    def test_yields_stripped_fields_with_line_numbers(self, tmp_path):
+        path = write(tmp_path, "r.csv", ["Class_ID , User_ID,extra", "", " c1 ,u1", "  ,  ", "c2"])
+        assert list(read_rows(path, ",", ROSTER_COLUMNS)) == [(3, ["c1", "u1"]), (5, ["c2"])]
+
+    def test_report_header_may_carry_extra_columns(self, tmp_path):
+        path = write(
+            tmp_path, "mapping.csv", ["CLASS_ID,ap_name,mapped,score,note", "c1,ap1,1,0.5,x"]
+        )
+        assert read_mapping_csv(path)["c1"].mapped == {"ap1"}
+
+    @pytest.mark.parametrize("kind", sorted(CLEAN_FILES))
+    def test_wrong_header_names_both_expectation_and_finding(self, tmp_path, kind):
+        path = write(tmp_path, "bad.csv", ["wrong,columns", "1,2"])
+        with pytest.raises(DataValidationError, match="header mismatch, expected columns"):
+            _read(kind, path)
