@@ -127,10 +127,6 @@ class ClassEvent:
     def date(self) -> datetime:
         return day_start(self.start)
 
-    def week_index(self, origin: datetime) -> int:
-        """Week of semester relative to an origin date (week 0 contains origin)."""
-        return (self.date - day_start(origin)).days // 7
-
 
 @dataclass(frozen=True)
 class ApLocation:

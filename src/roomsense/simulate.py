@@ -14,10 +14,11 @@ import csv
 import math
 import os
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timedelta
 
 from .records import (
+    ALLOWED_CLASS_MINUTES,
     GROUND_TRUTH_COUNT_COLUMNS,
     INVENTORY_COLUMNS,
     ROSTER_COLUMNS,
@@ -104,6 +105,31 @@ class SimConfig:
             raise ConfigError("duration weights must sum to 1")
         if abs(sum(self.device_count_weights.values()) - 1.0) > 1e-9:
             raise ConfigError("device count weights must sum to 1")
+        for f in fields(self):
+            values = getattr(self, f.name)
+            values = list(values.values()) if isinstance(values, dict) else values
+            if not isinstance(values, (list, tuple)):
+                values = [values]
+            if any(isinstance(v, float) and not math.isfinite(v) for v in values):
+                raise ConfigError(f"{f.name} must be finite")
+        if not set(self.duration_weights) <= ALLOWED_CLASS_MINUTES:
+            raise ConfigError(f"class lengths must be among {sorted(ALLOWED_CLASS_MINUTES)} minutes")
+        if min(self.room_capacities) < 1:
+            raise ConfigError("room capacities must be positive")
+        if self.room_ap_counts is not None and (
+            len(self.room_ap_counts) != len(self.room_capacities) or min(self.room_ap_counts) < 1
+        ):
+            raise ConfigError("room_ap_counts needs one count of at least 1 per room")
+        if self.corridor_aps_per_room < 1 or self.walkway_ap_count < 1:
+            raise ConfigError("every room needs a corridor AP, and the campus a walkway AP")
+        for name in ("churn_gap_minutes", "enrollment_ratio", "attendance_ratio"):
+            bounds = getattr(self, name)
+            if len(bounds) != 2 or not 0 <= bounds[0] <= bounds[1]:
+                raise ConfigError(f"{name} must be two values low,high with 0 <= low <= high")
+        if self.attendance_ratio[1] > 1:
+            raise ConfigError("attendance_ratio is a share of the roster and cannot exceed 1")
+        if self.bystander_dwell_mean <= 0 or self.corner_ap_weight <= 0:
+            raise ConfigError("bystander_dwell_mean and corner_ap_weight must be positive")
 
 
 @dataclass

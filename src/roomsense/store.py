@@ -5,7 +5,10 @@ columns. `SessionStore` indexes the table once; every query is read-only.
 """
 from __future__ import annotations
 
+import codecs
 import csv
+import os
+import stat
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -212,6 +215,276 @@ def _sorted_codes(codes: array, names: dict[str, int]) -> tuple[np.ndarray, list
     return rank[np.frombuffer(codes, dtype=np.int64)], [seen[i] for i in order]
 
 
+# Status words, compared in lower case, and whether each marks an ongoing session.
+_STATUS_ONGOING = {"ass": True, "associated": True, "disass": False, "disassociated": False}
+
+# The numpy path of `load_sessions`; see `_load_canonical`.
+_BLOCK_BYTES = 1 << 21  # read size; each block is cut at its last line end
+_MAX_LINE_BYTES = 1 << 22  # a longer line sends the file to the row loop
+_TEXT_BYTES = 64  # widest name, status, RSSI or duration field taken by numpy
+_MIN_LINE_BYTES = 33  # shortest canonical line: a stamp, four 1-byte fields, `Ass`, 10 delimiters
+_CANONICAL_DELIMITERS = frozenset(",;\t|")
+_STAMP_DIGITS = [0, 1, 3, 4, 6, 7, 8, 9, 11, 12, 14, 15]  # in `dd/mm/yyyy HH:MM`
+_STAMP_MARKS = [2, 5, 10, 13]
+_STAMP_MARK_BYTES = np.frombuffer(b"// :", dtype=np.uint8)
+_WORD = np.dtype("<u8")
+_KEEP_BYTES = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=_WORD)  # a word's first n bytes
+
+
+def _load_canonical(path, report_end: int | None, delimiter: str) -> SessionTable | None:
+    """The `SessionTable` of a session log in canonical form, or None for any other file.
+
+    Canonical form is printable ASCII without `"`, plus the delimiter (one of
+    `,;|` or tab) and one kind of line end, LF or CRLF. The header passes
+    `_check_header`; every other line is a data line with as many fields as
+    the header, none with surrounding spaces or as long as the csv field
+    limit; and the row loop would take every row without a reject or a
+    warning (`_CanonicalBlocks.add`). The csv module splits such a file at
+    every delimiter and line end, so both paths build the same table. The
+    file is read in blocks of about `_BLOCK_BYTES`, each cut at a line end.
+    """
+    if delimiter not in _CANONICAL_DELIMITERS:
+        return None
+    try:
+        with open(path, "r", newline="") as handle:  # as the row loop opens it
+            file_stat = os.fstat(handle.fileno())
+            if not stat.S_ISREG(file_stat.st_mode):
+                return None  # the row loop could not read a pipe again
+            if codecs.lookup(handle.encoding).name not in ("utf-8", "ascii"):
+                return None
+            parser, pending = None, b""
+            while True:
+                block = handle.buffer.read(_BLOCK_BYTES)
+                data = pending + block
+                cut = data.rfind(b"\n") + 1 if block else len(data)
+                if block and not cut:
+                    if len(data) > _MAX_LINE_BYTES:
+                        return None
+                    pending = data
+                    continue
+                lines, pending = data[:cut], data[cut:]
+                if parser is None:
+                    header, _, lines = lines.partition(b"\n")
+                    parser = _CanonicalBlocks.start(path, header, delimiter, report_end, file_stat.st_size)
+                    if parser is None:
+                        return None
+                if lines and not parser.add(lines):
+                    return None
+                if not block:
+                    return parser.table()
+    except OSError:
+        return None
+
+
+def _day_minutes(key: int) -> int | None:
+    """Minutes since epoch of the midnight starting date key `yyyymmdd`, or None."""
+    return _stamp_minutes(f"{key % 100:02d}/{key // 100 % 100:02d}/{key // 10000:04d} 00:00")
+
+
+def _field_words(buf: np.ndarray, starts: np.ndarray, lens: np.ndarray, n_words: int) -> np.ndarray:
+    """(row, n_words) little-endian uint64 matrix of the fields starting at `starts`.
+
+    Viewed as bytes, each row is its field zero-padded to 8 * n_words bytes.
+    `buf` needs 8 * n_words readable bytes past the last start.
+    """
+    at = np.ndarray((buf.size - 7,), dtype=_WORD, buffer=buf, strides=(1,))  # the word at each byte
+    words = np.empty((len(starts), n_words), dtype=_WORD)
+    for i in range(n_words):
+        words[:, i] = at[starts + 8 * i] & _KEEP_BYTES[np.clip(lens - 8 * i, 0, 8)]
+    return words
+
+
+def _distinct(buf, starts, lens) -> tuple[list[str], np.ndarray] | None:
+    """(distinct texts, each row's index into them) of one column's fields.
+
+    Fields are grouped as zero-padded 8-byte words; None when a field is
+    wider than `_TEXT_BYTES`.
+    """
+    n_words = max(1, -(-int(lens.max()) // 8))
+    if 8 * n_words > _TEXT_BYTES:
+        return None
+    words = _field_words(buf, starts, lens, n_words)
+    order = np.lexsort(words.T) if n_words > 1 else np.argsort(words[:, 0])
+    words = words[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (words[1:] != words[:-1]).any(axis=1)
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(first) - 1
+    return words[first].view(f"S{8 * n_words}").ravel().astype(str).tolist(), inverse
+
+
+def _digits(buf, starts, lens) -> np.ndarray:
+    """Per field: 1 to 18 ASCII digits."""
+    digits = _field_words(buf, starts, lens, 3).view(np.uint8) - 48  # other bytes wrap above 9
+    return (lens >= 1) & (lens <= 18) & ((digits <= 9).sum(axis=1) == lens)
+
+
+def _blank(buf, starts, lens) -> np.ndarray:
+    """Per field: empty or `-`."""
+    return (lens == 0) | ((lens == 1) & (buf[starts] == ord("-")))
+
+
+class _CanonicalBlocks:
+    """The data lines of a canonical session log, parsed with numpy block by block."""
+
+    def __init__(self, delimiter: str, n_fields: int, crlf: bool, report_end: int | None, file_bytes: int):
+        self.delimiter = ord(delimiter)
+        self.n_fields = n_fields
+        self.crlf = crlf
+        self.report_end = report_end
+        self.field_limit = csv.field_size_limit()
+        self.names: tuple[dict[str, int], ...] = ({}, {}, {})  # user, MAC, AP: first-seen codes
+        self.days = _Memo(_day_minutes)
+        self.statuses = _Memo(lambda text: _STATUS_ONGOING.get(text.lower()))
+        self.rssi_values = _Memo(_rssi_value)
+        self.durations = _Memo(_logged_minutes)
+        # The table's columns, allocated once for as many rows as the file can
+        # hold; only the pages that rows are written to take memory.
+        capacity = (file_bytes + 1) // _MIN_LINE_BYTES
+        self.columns = [np.empty(capacity, dtype=np.int64) for _ in range(6)]
+        self.n_rows = 0
+
+    @classmethod
+    def start(cls, path, header: bytes, delimiter: str, report_end: int | None, file_bytes: int):
+        """A parser for the lines after `header`, or None when the header is not canonical."""
+        crlf = header.endswith(b"\r")
+        header = header[:-1] if crlf else header
+        fields = header.decode("latin-1").split(delimiter)
+        parser = cls(delimiter, len(fields), crlf, report_end, file_bytes)
+        if not header.isascii() or not all(f.isprintable() and '"' not in f for f in fields):
+            return None
+        if max(map(len, fields)) >= parser.field_limit:
+            return None
+        try:
+            _check_header(path, fields, SESSION_COLUMNS)
+        except DataValidationError:
+            return None
+        return parser
+
+    def _stamps(self, buf, starts) -> np.ndarray | None:
+        """Minutes since epoch of 16-byte `dd/mm/yyyy HH:MM` fields, or None if one is not."""
+        rows = _field_words(buf, starts, np.full_like(starts, 16), 2).view(np.uint8)
+        digits = rows[:, _STAMP_DIGITS] - 48  # uint8: any other byte wraps above 9
+        if (digits > 9).any() or (rows[:, _STAMP_MARKS] != _STAMP_MARK_BYTES).any():
+            return None
+        d = digits.astype(np.int64).T
+        hour, minute = d[8] * 10 + d[9], d[10] * 10 + d[11]
+        if (hour > 23).any() or (minute > 59).any():
+            return None
+        year = d[4] * 1000 + d[5] * 100 + d[6] * 10 + d[7]
+        keys = year * 10000 + (d[2] * 10 + d[3]) * 100 + d[0] * 10 + d[1]  # yyyymmdd
+        keys, inverse = np.unique(keys, return_inverse=True)
+        days = [self.days[key] for key in keys.tolist()]
+        if None in days:
+            return None
+        return np.array(days, dtype=np.int64)[inverse] + hour * 60 + minute
+
+    def _resolved(self, buf, starts, lens, memo) -> tuple[list, np.ndarray] | None:
+        """(memo value of each distinct text, each row's index into them) of one column."""
+        found = _distinct(buf, starts, lens)
+        return None if found is None else ([memo[text] for text in found[0]], found[1])
+
+    def add(self, lines: bytes) -> bool:
+        """Parse whole lines into the table; False if one is not canonical.
+
+        False also for a row the row loop would reject or warn about, so the
+        caller can hand the whole file to the row loop.
+        """
+        if not lines.endswith(b"\n"):  # the last line of a file without a final line end
+            lines += b"\r\n" if self.crlf else b"\n"
+        buf = np.zeros(len(lines) + _TEXT_BYTES, dtype=np.uint8)  # zero tail for `_field_words`
+        text = buf[: len(lines)]
+        text[:] = np.frombuffer(lines, dtype=np.uint8)
+        line_ends, delimiters = text == ord("\n"), text == self.delimiter
+        n_lines, n_delimiters = np.count_nonzero(line_ends), np.count_nonzero(delimiters)
+        n_returns = np.count_nonzero(text == ord("\r"))
+        if n_delimiters != n_lines * (self.n_fields - 1) or n_returns != n_lines * self.crlf:
+            return False
+        # beyond these, only printable ASCII other than `"`
+        n_controls = n_lines + n_returns + n_delimiters * (self.delimiter < 0x20)
+        if np.count_nonzero(text < 0x20) != n_controls or (text > 0x7E).any() or (text == ord('"')).any():
+            return False
+        ends = np.flatnonzero(line_ends | delimiters)
+        ends = ends.reshape(n_lines, self.n_fields)
+        if (text[ends[:, -1]] != ord("\n")).any():
+            return False
+        starts = np.empty_like(ends)
+        flat = starts.reshape(-1)
+        flat[0] = 0
+        np.add(ends.reshape(-1)[:-1], 1, out=flat[1:])
+        if self.crlf:
+            ends[:, -1] -= 1
+            if (text[ends[:, -1]] != ord("\r")).any():
+                return False
+        lens = ends - starts
+        filled = lens > 0
+        if lens.max() >= self.field_limit or not filled[:, :2].all():  # user ID and MAC
+            return False
+        if (text[starts[filled]] == ord(" ")).any() or (text[ends[filled] - 1] == ord(" ")).any():
+            return False
+
+        if not (lens[:, 2] == 16).all():
+            return False
+        assoc = self._stamps(buf, starts[:, 2])
+        closed = lens[:, 3] == 16
+        if assoc is None or not (closed | _blank(buf, starts[:, 3], lens[:, 3])).all():
+            return False
+        disassoc = self._stamps(buf, starts[closed, 3])
+        status = self._resolved(buf, starts[:, 10], lens[:, 10], self.statuses)
+        if disassoc is None or status is None or None in status[0]:
+            return False
+        ongoing = np.array(status[0], dtype=bool)[status[1]]
+        if (ongoing == closed).any():  # the status and the disassociation time disagree
+            return False
+        if self.report_end is None:
+            end = assoc - assoc % 1440 + DEFAULT_REPORT_HOUR * 60
+        else:
+            end = np.full_like(assoc, self.report_end)
+        end[closed] = disassoc
+        if (end < assoc).any():
+            return False
+
+        rssi = self._resolved(buf, starts[:, 9], lens[:, 9], self.rssi_values)
+        if rssi is None or None in rssi[0]:
+            return False
+        numbers = _digits(buf, starts[:, 6], lens[:, 6]) & _digits(buf, starts[:, 7], lens[:, 7])
+        numbers &= _blank(buf, starts[:, 8], lens[:, 8]) | _digits(buf, starts[:, 8], lens[:, 8])
+        if not numbers.all():  # bytes Tx and Rcvd, SNR
+            return False
+        logged = self._resolved(buf, starts[:, 4], lens[:, 4], self.durations)
+        if logged is None or any(v is not None and not 0 <= v[1] < 2**62 for v in logged[0]):
+            return False  # a negative logged duration never matches, so the row loop warns
+        expected = np.array([-1 if v is None else v[1] for v in logged[0]], dtype=np.int64)[logged[1]]
+        if ((expected >= 0) & (expected != end - assoc)).any():
+            return False
+
+        codes = []
+        for column, names in zip((0, 1, 5), self.names):
+            found = _distinct(buf, starts[:, column], lens[:, column])
+            if found is None:
+                return False
+            texts, inverse = found
+            codes.append(np.array([names.setdefault(t, len(names)) for t in texts], dtype=np.int64)[inverse])
+        rssi = np.array(rssi[0], dtype=np.int64)[rssi[1]]
+        rows = slice(self.n_rows, self.n_rows + n_lines)
+        if rows.stop > len(self.columns[0]):  # the file grew while it was read
+            return False
+        for full, column in zip(self.columns, (*codes, assoc, end, rssi)):
+            full[rows] = column
+        self.n_rows = rows.stop
+        return True
+
+    def table(self) -> SessionTable:
+        """The parsed rows; each full-capacity column is released once copied."""
+        n, full = self.n_rows, self.columns
+        self.columns = []
+        (user, user_names), (mac, mac_names), (ap, ap_names) = (
+            _sorted_codes(full.pop(0)[:n], names) for names in self.names
+        )
+        start, end, rssi = (full.pop(0)[:n].copy() for _ in range(3))
+        return SessionTable(user_names, mac_names, ap_names, user, mac, ap, start, end, rssi)
+
+
 def load_sessions(
     path, report_time: datetime | None = None, delimiter: str = ","
 ) -> tuple[SessionTable, LoadReport]:
@@ -220,10 +493,22 @@ def load_sessions(
     Ongoing (`Ass`) sessions get their effective end from `report_time`; when
     it is None, the default 9pm report time on the row's own date applies.
     Bytes, SNR and Retries are validated but not kept.
+
+    A log in canonical form is parsed with numpy, block by block; any other
+    file is read from its first line by the row loop, which alone rejects
+    rows and warns.
     """
+    report_end = None if report_time is None else to_minutes(report_time)
+    table = _load_canonical(path, report_end, delimiter)
+    if table is not None:
+        return table, LoadReport(rows_read=len(table))
+    return _load_rows(path, report_end, delimiter)
+
+
+def _load_rows(path, report_end: int | None, delimiter: str) -> tuple[SessionTable, LoadReport]:
+    """The row loop of `load_sessions`: every rule, reject and warning, row by row."""
     report = LoadReport()
     reject = report.reject
-    report_end = None if report_time is None else to_minutes(report_time)
     n_columns = len(SESSION_COLUMNS)
     stamps = _Memo(_stamp_minutes)
     rssi_values = _Memo(_rssi_value)
@@ -248,12 +533,8 @@ def load_sessions(
             reject(line_no, f"bad association time {assoc_text!r}")
             continue
 
-        status = status_text.lower()
-        if status in ("disass", "disassociated"):
-            ongoing = False
-        elif status in ("ass", "associated"):
-            ongoing = True
-        else:
+        ongoing = _STATUS_ONGOING.get(status_text.lower())
+        if ongoing is None:
             reject(line_no, f"unknown status {status_text!r}")
             continue
 

@@ -17,7 +17,7 @@ from roomsense.mapping import resolution_sweep
 from roomsense.metrics import smape
 from roomsense.model import fit_calibration, predict_lda, train_lda
 from roomsense.pipeline import run_pipeline
-from roomsense.records import BYSTANDER, OCCUPANT, ClassEvent, parse_stamp
+from roomsense.records import BYSTANDER, OCCUPANT, ClassEvent, day_start, parse_stamp
 from roomsense.userfeatures import ClassFeatures
 
 from conftest import DAY, pipeline_config
@@ -209,12 +209,17 @@ def test_criterion_09_run_determinism(corpus42_dir, pipeline42, tmp_path):
     check(9, "repeat end-to-end run byte-identical estimates/mapping", ok, time.time() - start, 600.0)
 
 
+def week_index(event: ClassEvent, origin) -> int:
+    """Week of semester of a class relative to an origin date (week 0 contains origin)."""
+    return (event.date - day_start(origin)).days // 7
+
+
 def test_criterion_10_consistency_metric(pipeline42, corpus42):
     start = time.time()
     report = json.loads(open(pipeline42["mapping_report"]).read())
     ccdf = [f for _, f in report["consistency_ccdf"]]
     monotone = all(x >= y for x, y in zip(ccdf, ccdf[1:]))
-    weeks = {e.week_index(corpus42.events[0].start) for e in corpus42.events}
+    weeks = {week_index(e, corpus42.events[0].start) for e in corpus42.events}
     in_room_aps = {
         ap
         for ap in corpus42.inventory

@@ -1,9 +1,9 @@
 """The exit-code contract under hostile input.
 
-Whatever one line of one input file, report or `run --config` file holds,
-`roomsense` returns 0 (success), 1 (usage or config), 2 (data) or 3
-(numerical); a failure prints one `error:` line, and no exception escapes
-`main`.
+Whatever one line of one input file, report, `run --config` file or
+`simulate --config` file holds, `roomsense` returns 0 (success), 1 (usage or
+config), 2 (data) or 3 (numerical); a failure prints one `error:` line, and
+no exception escapes `main`.
 """
 import contextlib
 import io
@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from roomsense.cli import main
+from roomsense.config import echo_config
 from roomsense.simulate import SimConfig, simulate_corpus
 
 # Two rooms, four classes: a whole `run` takes a few tens of milliseconds.
@@ -118,3 +119,55 @@ def test_one_bad_line_keeps_the_exit_code_contract(tiny, data):
     assert "Traceback" not in err.getvalue()
     if code:
         assert err.getvalue().startswith("error: ")
+
+
+# Simulator settings that scale the corpus (its length, rooms, APs, devices,
+# traffic rates and presence times) draw from these small values only, so
+# that no example builds a large corpus.
+SIZE_KEYS = frozenset({
+    "weeks", "days_per_week", "room_capacities", "room_ap_counts", "corridor_aps_per_room",
+    "walkway_ap_count", "classes_per_room_per_week", "enrollment_ratio", "device_count_weights",
+    "churn_prob_per_10min", "arrival_mean", "arrival_sd", "early_arrival_limit", "depart_sd",
+    "bystander_rate_per_hour", "walkway_bystander_rate_per_hour", "bystander_dwell_mean",
+    "ambient_per_corridor_ap", "ambient_per_walkway_ap", "idle_room_users_per_ap",
+})
+SMALL = st.sampled_from(
+    ["", "x", "-1", "0", "1", "2", "3", "0.5", "nan", "inf", "-inf", "1e400", "1,2", "2,1", "0,3",
+     "1,2,3", "-10,-6", "5,1", "1:1", "1:0.5,2:0.5", "0:1", "-1:1", "60:1", "1:nan"]
+)
+
+
+def _simulate(lines: list[str], scratch: str) -> tuple[int, str]:
+    """(exit code, stderr) of `simulate --config` on a file of `lines`."""
+    config = Path(scratch) / "sim.cfg"
+    config.write_text("\n".join(lines) + "\n")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["simulate", "--config", str(config), "--out", str(Path(scratch) / "out")])
+    return code, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def sim_config(tmp_path_factory) -> list[str]:
+    """The `key = value` lines of the tiny simulator config; it simulates."""
+    root = tmp_path_factory.mktemp("sim")
+    echo_config(root / "echo.cfg", TINY)
+    lines = [line for line in (root / "echo.cfg").read_text().splitlines() if not line.endswith("= None")]
+    assert _simulate(lines, str(root)) == (0, "")
+    return lines
+
+
+@settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_one_bad_simulator_setting_keeps_the_exit_code_contract(sim_config, data):
+    at = data.draw(st.integers(0, len(sim_config) - 1), label="line")
+    key = sim_config[at].split(" = ")[0]
+    value = data.draw(SMALL if key in SIZE_KEYS else FIELD | SMALL, label=key)
+    lines = list(sim_config)
+    lines[at] = f"{key} = {value}"
+    with tempfile.TemporaryDirectory() as scratch:
+        code, err = _simulate(lines, scratch)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+    if code:
+        assert err.startswith("error: ")

@@ -127,6 +127,22 @@ class TestGenerateCampus:
         with pytest.raises(ConfigError):
             SimConfig(seed=0, non_connect_prob=1.5).validate()
 
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            {"churn_gap_minutes": (5, 1)},  # an empty randint range
+            {"churn_gap_minutes": (-10, -6)},  # stepped time backwards for ever
+            {"bystander_dwell_mean": 0.0},  # divided by zero
+            {"room_ap_counts": (3,)},  # one count for two rooms
+            {"room_ap_counts": (0, 3)},  # a room without an AP
+            {"corridor_aps_per_room": 0},
+            {"walkway_ap_count": 0},
+        ],
+    )
+    def test_settings_that_crashed_the_simulator_rejected(self, setting):
+        with pytest.raises(ConfigError):
+            SimConfig(seed=0, weeks=1, room_capacities=(42, 60), **setting).validate()
+
 
 class TestSimulateSessions:
     def test_determinism_byte_identical(self, tmp_path):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import session_oracle
 
+from roomsense import store
 from roomsense.pipeline import read_estimates_csv, read_mapping_csv
 from roomsense.records import ROSTER_COLUMNS, DataValidationError, parse_stamp, to_minutes
 from roomsense.simulate import load_ground_truth_counts
@@ -215,12 +216,12 @@ def session_lines(draw):
     return ",".join(pad + f for f in fields)
 
 
-def _load_both(path, report_time):
+def _load_both(path, report_time, delimiter=","):
     """(columnar outcome, oracle outcome); a fatal load becomes its message."""
     outcomes = []
     for loader in (load_sessions, session_oracle.load_sessions):
         try:
-            outcomes.append(loader(path, report_time=report_time))
+            outcomes.append(loader(path, report_time=report_time, delimiter=delimiter))
         except DataValidationError as exc:
             outcomes.append(str(exc))
     return outcomes
@@ -254,8 +255,8 @@ def _record_rows(records):
     ]
 
 
-def assert_matches_oracle(path, report_time=None):
-    columnar, oracle = _load_both(path, report_time)
+def assert_matches_oracle(path, report_time=None, delimiter=","):
+    columnar, oracle = _load_both(path, report_time, delimiter)
     if isinstance(oracle, str) or isinstance(columnar, str):
         assert columnar == oracle
         return
@@ -286,6 +287,139 @@ class TestLoaderMatchesOracle:
 
     def test_seed42_corpus(self, corpus42_dir):
         assert_matches_oracle(os.path.join(corpus42_dir, "sessions.csv"))
+
+
+def _closed_or_ongoing(draw, assoc: datetime, report_time) -> tuple[str, str, str]:
+    """(disassociation time, logged duration, status) of a row the numpy path takes."""
+    if draw(st.booleans()):
+        end = report_time or assoc.replace(hour=21, minute=0)
+        disassoc = draw(st.sampled_from(["-", ""]))
+        status = draw(st.sampled_from(["Ass", "associated", "ASSOCIATED"]))
+    else:
+        end = assoc + timedelta(minutes=draw(st.integers(0, 300)))
+        disassoc = _stamp(end, True)
+        status = draw(st.sampled_from(["Disass", "Disassociated", "DISASS"]))
+    minutes = (end - assoc) // timedelta(minutes=1)
+    logged = draw(st.sampled_from([f"{minutes} min", str(minutes), "", "-", "n/a"]))
+    return disassoc, logged, status
+
+
+def _canonical_fields(draw, report_time, retries: bool) -> list[str]:
+    assoc = datetime(2025, 3, 3) + timedelta(minutes=draw(st.integers(7 * 60, 21 * 60 - 1)))
+    disassoc, logged, status = _closed_or_ongoing(draw, assoc, report_time)
+    fields = [
+        draw(st.sampled_from(["u1", "u2", "u10", "u00042", "user-" + "x" * 40])),
+        draw(st.sampled_from(["02:00:00:00:1a:00", "m1", "aa:bb"])),
+        _stamp(assoc, True),
+        disassoc,
+        logged,
+        draw(st.sampled_from(["room1-ap01", "bldC-f1-cor1", "ap2", ""])),
+        str(draw(st.integers(0, 10**18 - 1))),
+        draw(st.sampled_from(["0", "007", "2000"])),
+        draw(st.sampled_from(["30", "-", "", "007"])),
+        draw(st.sampled_from(["-60", "-45", "-", "", "0", "+3"])),
+        status,
+    ]
+    return fields + [draw(st.sampled_from(["142", "-", "x", ""]))] * retries
+
+
+def _set(index, value):
+    def mutate(fields):
+        fields[index] = value(fields[index]) if callable(value) else value
+    return mutate
+
+
+# One-line changes that make a canonical log just miss canonical form, or
+# make the row loop reject or warn. Each is (name, change to the fields).
+NEAR_MISSES = [
+    ("31/02", _set(2, "31/02/2025 10:00")),
+    ("24:00", _set(2, lambda v: v[:11] + "24:00")),
+    ("year 0000", _set(2, lambda v: v[:6] + "0000" + v[10:])),
+    ("unpadded day", _set(2, lambda v: v.replace("03/03/", "3/03/", 1))),
+    ("unpadded hour", _set(2, lambda v: v[:11] + str(int(v[11:13])) + v[13:])),
+    ("trailing space", _set(5, lambda v: v + " ")),
+    ("leading space", _set(1, lambda v: " " + v)),
+    ("NUL", _set(0, lambda v: v + "\0")),
+    ("non-ASCII name", _set(0, "ü1")),
+    ("quoted field", _set(5, lambda v: f'"{v}"')),
+    ("bare CR", _set(5, lambda v: v + "\r")),
+    ("plus sign", _set(6, "+5")),
+    ("minus sign", _set(7, "-5")),
+    ("19 digits", _set(6, "1" * 19)),
+    ("ongoing with stamp", _set(10, "Ass")),
+    ("duration mismatch", _set(4, "99999 min")),
+    ("ten fields", lambda fields: fields.pop()),
+    ("one more field", lambda fields: fields.append("7")),
+]
+
+
+@st.composite
+def canonical_logs(draw):
+    """(file bytes, delimiter, report time, mutated): a canonical log with at most one near miss."""
+    delimiter = draw(st.sampled_from([",", ";", "\t", "|"]))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    retries = draw(st.booleans())
+    report_time = draw(st.none() | st.datetimes(datetime(2025, 3, 3, 21), datetime(2025, 3, 4, 2)))
+    rows = [_canonical_fields(draw, report_time, retries) for _ in range(draw(st.integers(0, 12)))]
+    header = SESSIONS_HEADER.split(",") + ["Retries"] * retries
+    lines = [delimiter.join(header), *(delimiter.join(fields) for fields in rows)]
+    endings = [newline] * len(lines)
+    if not draw(st.booleans()):
+        endings[-1] = ""
+    kind = draw(st.sampled_from(["none", "fields", "fields", "fields", "blank line", "mixed line ends"]))
+    if kind == "fields" and rows:
+        at = draw(st.integers(0, len(rows) - 1))
+        _, mutate = draw(st.sampled_from(NEAR_MISSES))
+        mutate(rows[at])
+        lines[at + 1] = delimiter.join(rows[at])
+    elif kind == "blank line":
+        at = draw(st.integers(1, len(lines)))
+        lines.insert(at, "")
+        endings.insert(at, newline)
+    elif kind == "mixed line ends" and len(lines) > 1:
+        at = draw(st.integers(0, len(lines) - 2))
+        endings[at] = "\r\n" if newline == "\n" else "\n"
+    text = "".join(line + ending for line, ending in zip(lines, endings))
+    return text.encode("utf-8"), delimiter, report_time, kind != "none"
+
+
+class TestCanonicalPath:
+    """The numpy path of `load_sessions` against the record-building oracle."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(log=canonical_logs())
+    def test_canonical_logs_with_one_near_miss(self, log):
+        data, delimiter, report_time, mutated = log
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "sessions.csv")
+            with open(path, "wb") as handle:
+                handle.write(data)
+            if not mutated:
+                report_end = None if report_time is None else to_minutes(report_time)
+                assert store._load_canonical(path, report_end, delimiter) is not None
+            assert_matches_oracle(path, report_time, delimiter)
+
+    def test_seed42_corpus_takes_the_numpy_path(self, corpus42_dir, monkeypatch):
+        def row_loop(*args):
+            raise AssertionError("a canonical log reached the row loop")
+
+        monkeypatch.setattr(store, "_load_rows", row_loop)
+        table, report = load_sessions(os.path.join(corpus42_dir, "sessions.csv"))
+        assert len(table) == report.rows_read > 0
+        assert not report.rejects and not report.warnings
+
+    @pytest.mark.parametrize("final_line_end", [True, False])
+    def test_tiny_blocks_change_nothing(self, small_corpus_dir, tmp_path, monkeypatch, final_line_end):
+        with open(os.path.join(small_corpus_dir, "sessions.csv"), "rb") as handle:
+            data = b"".join(handle.readlines()[:300])
+        path = tmp_path / "sessions.csv"
+        path.write_bytes(data if final_line_end else data.rstrip(b"\r\n"))
+        expected = load_sessions(path)
+        monkeypatch.setattr(store, "_BLOCK_BYTES", 37)
+        monkeypatch.setattr(store, "_load_rows", None)  # the numpy path must take this log
+        table, report = load_sessions(path)
+        assert _table_rows(table) == _table_rows(expected[0]) and len(table) == 299
+        assert report == expected[1]
 
 
 class TestMergeIntervals:
