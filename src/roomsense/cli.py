@@ -107,20 +107,14 @@ def cmd_map_aps(args) -> int:
         raise ConfigError("--sweep requires --inventory for accuracy scoring")
     corpus = pipeline.load_corpus(config)
     if args.classes:
-        wanted = set(args.classes.split(","))
+        wanted = {part.strip() for part in args.classes.split(",")}
+        unknown = sorted(wanted - {e.class_id for e in corpus.events})
+        if unknown:
+            raise ConfigError(f"--classes: not in the timetable: {', '.join(map(repr, unknown))}")
         corpus.events = [e for e in corpus.events if e.class_id in wanted]
-        if not corpus.events:
-            raise ConfigError(f"no timetable entries match --classes {args.classes}")
     os.makedirs(config.output_dir, exist_ok=True)
     results, clustered = pipeline.map_stage(corpus, config)
-    pipeline.write_mapping_csv(os.path.join(config.output_dir, "mapping.csv"), results)
-    pipeline.write_pca_csv(
-        os.path.join(config.output_dir, "pca.csv"), corpus, results, clustered, config
-    )
-    pipeline.write_json(
-        os.path.join(config.output_dir, "mapping_report.json"),
-        pipeline.mapping_report(corpus, results, config),
-    )
+    pipeline.write_map_reports(corpus, results, clustered, config)
     if resolutions:
         rows = mapping.resolution_sweep(
             corpus.store,

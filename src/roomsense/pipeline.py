@@ -6,7 +6,6 @@ results to one in-process `run_pipeline` call with the same config and seed.
 """
 from __future__ import annotations
 
-import csv
 import json
 import os
 from dataclasses import dataclass
@@ -26,6 +25,7 @@ from .store import (
     load_sessions,
     load_timetable,
     read_rows,
+    write_rows,
 )
 
 ESTIMATE_COLUMNS = (
@@ -39,6 +39,9 @@ ESTIMATE_COLUMNS = (
 )
 MAPPING_COLUMNS = ("class_id", "ap_name", "mapped", "score")
 PCA_COLUMNS = ("class_id", "ap_name", "pc1", "pc2", "mapped", "ground_truth")
+SWEEP_COLUMNS = ("resolution", "skipped", "classes", "tp_rate", "tn_rate")
+# File name of each report the map stage writes, by the name `run` prints.
+MAP_REPORTS = {"mapping": "mapping.csv", "pca": "pca.csv", "mapping_report": "mapping_report.json"}
 
 
 @dataclass
@@ -177,15 +180,12 @@ def estimate_stage(
 
 
 def write_mapping_csv(path, results: dict[str, mapping.MappingResult]) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(MAPPING_COLUMNS)
-        for class_id in sorted(results):
-            result = results[class_id]
-            for ap in sorted(result.featured):
-                writer.writerow(
-                    [class_id, ap, 1 if ap in result.mapped else 0, f"{result.scores.get(ap, 0.0):.6f}"]
-                )
+    lines = (
+        (class_id, ap, int(ap in result.mapped), f"{result.scores.get(ap, 0.0):.6f}")
+        for class_id, result in sorted(results.items())
+        for ap in sorted(result.featured)
+    )
+    write_rows(path, MAPPING_COLUMNS, lines)
 
 
 def read_mapping_csv(path) -> dict[str, mapping.MappingResult]:
@@ -218,14 +218,13 @@ def write_pca_csv(
     config: PipelineConfig,
 ) -> None:
     """2-D projections of each class's clustered AP features, for plotting only."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(PCA_COLUMNS)
+
+    def rows():
         for event in sorted(corpus.events, key=lambda e: e.class_id):
             matrix, ap_names = features_by_class.get(event.class_id, (None, []))
             if len(ap_names) < 2:
                 continue
-            result = results[event.class_id]
+            mapped = results[event.class_id].mapped
             coords, _ = pca_project(matrix, components=2)
             positives = None
             if corpus.inventory is not None:
@@ -233,17 +232,10 @@ def write_pca_csv(
                     event.room_id, adjacency=config.adjacency
                 )
             for ap, (x, y) in zip(ap_names, coords):
-                truth_flag = "" if positives is None else (1 if ap in positives else 0)
-                writer.writerow(
-                    [
-                        event.class_id,
-                        ap,
-                        f"{x:.6f}",
-                        f"{y:.6f}",
-                        1 if ap in result.mapped else 0,
-                        truth_flag,
-                    ]
-                )
+                truth_flag = None if positives is None else int(ap in positives)
+                yield event.class_id, ap, f"{x:.6f}", f"{y:.6f}", int(ap in mapped), truth_flag
+
+    write_rows(path, PCA_COLUMNS, rows())
 
 
 def mapping_report(
@@ -276,40 +268,22 @@ def mapping_report(
 
 
 def write_sweep_csv(path, rows: list[dict]) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["resolution", "skipped", "classes", "tp_rate", "tn_rate"])
-        for row in rows:
-            if row.get("skipped"):
-                writer.writerow([row["resolution"], 1, 0, "", ""])
-            else:
-                writer.writerow(
-                    [
-                        row["resolution"],
-                        0,
-                        row["classes"],
-                        f"{row['tp_rate']:.6f}",
-                        f"{row['tn_rate']:.6f}",
-                    ]
-                )
+    lines = (
+        (row["resolution"], 1, 0, None, None)
+        if row.get("skipped")
+        else (row["resolution"], 0, row["classes"], f"{row['tp_rate']:.6f}", f"{row['tn_rate']:.6f}")
+        for row in rows
+    )
+    write_rows(path, SWEEP_COLUMNS, lines)
 
 
 def write_estimates_csv(path, estimates: list[estimation.OccupancyEstimate]) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(ESTIMATE_COLUMNS)
-        for e in sorted(estimates, key=lambda x: x.class_id):
-            writer.writerow(
-                [
-                    e.class_id,
-                    e.room_id,
-                    e.wifi_count,
-                    e.enrolled_wifi_count,
-                    e.lda_count,
-                    e.calibrated_count,
-                    "" if e.ground_truth is None else e.ground_truth,
-                ]
-            )
+    lines = (
+        (e.class_id, e.room_id, e.wifi_count, e.enrolled_wifi_count, e.lda_count,
+         e.calibrated_count, e.ground_truth)
+        for e in sorted(estimates, key=lambda x: x.class_id)
+    )
+    write_rows(path, ESTIMATE_COLUMNS, lines)
 
 
 def read_estimates_csv(path) -> list[estimation.OccupancyEstimate]:
@@ -354,6 +328,20 @@ def evaluate_estimates(estimates, seed: int, train_ratio: float) -> dict:
     return report
 
 
+def write_map_reports(
+    corpus: LoadedCorpus,
+    results: dict[str, mapping.MappingResult],
+    clustered: dict[str, tuple[np.ndarray, list[str]]],
+    config: PipelineConfig,
+) -> dict[str, str]:
+    """Write the map stage's reports into the output directory; returns their paths by name."""
+    paths = {name: os.path.join(config.output_dir, file) for name, file in MAP_REPORTS.items()}
+    write_mapping_csv(paths["mapping"], results)
+    write_pca_csv(paths["pca"], corpus, results, clustered, config)
+    write_json(paths["mapping_report"], mapping_report(corpus, results, config))
+    return paths
+
+
 def write_json(path, payload: dict) -> None:
     with open(path, "w") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
@@ -378,17 +366,12 @@ def run_pipeline(config: PipelineConfig) -> dict[str, str]:
     estimates = estimate_stage(corpus, features, lda, calibration)
     evaluation = evaluate_estimates(estimates, config.seed, config.train_ratio)
 
-    paths = {
-        "mapping": os.path.join(config.output_dir, "mapping.csv"),
-        "pca": os.path.join(config.output_dir, "pca.csv"),
-        "mapping_report": os.path.join(config.output_dir, "mapping_report.json"),
-        "model": os.path.join(config.output_dir, "model.txt"),
-        "estimates": os.path.join(config.output_dir, "estimates.csv"),
-        "evaluation": os.path.join(config.output_dir, "evaluation.json"),
-    }
-    write_mapping_csv(paths["mapping"], results)
-    write_pca_csv(paths["pca"], corpus, results, clustered, config)
-    write_json(paths["mapping_report"], mapping_report(corpus, results, config))
+    paths = write_map_reports(corpus, results, clustered, config)
+    paths.update(
+        model=os.path.join(config.output_dir, "model.txt"),
+        estimates=os.path.join(config.output_dir, "estimates.csv"),
+        evaluation=os.path.join(config.output_dir, "evaluation.json"),
+    )
     model_mod.save_model(paths["model"], lda, calibration)
     write_estimates_csv(paths["estimates"], estimates)
     write_json(paths["evaluation"], evaluation)

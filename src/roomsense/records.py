@@ -1,4 +1,4 @@
-"""Domain records: class events and the AP inventory, the input file columns,
+"""Domain records: class events and the AP inventory, the corpus file columns,
 the error classes and the minute-precision time helpers.
 
 All timestamps are naive local time at minute precision. Sessions are treated
@@ -42,6 +42,7 @@ TIMETABLE_COLUMNS = ("class_id", "room_id", "date", "start", "end")
 ROSTER_COLUMNS = ("class_id", "user_id")
 INVENTORY_COLUMNS = ("ap_name", "room_id", "building", "floor")
 GROUND_TRUTH_COUNT_COLUMNS = ("class_id", "true_count")
+GROUND_TRUTH_USER_COLUMNS = ("class_id", "user_id", "occupant")
 
 ALLOWED_CLASS_MINUTES = frozenset({30, 60, 90, 120, 150, 180, 240})
 

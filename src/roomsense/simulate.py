@@ -10,7 +10,6 @@ and occupants who never touch WiFi.
 """
 from __future__ import annotations
 
-import csv
 import math
 import os
 import random
@@ -19,7 +18,10 @@ from datetime import datetime, timedelta
 
 from .records import (
     ALLOWED_CLASS_MINUTES,
+    CLOCK_FMT,
+    DATE_FMT,
     GROUND_TRUTH_COUNT_COLUMNS,
+    GROUND_TRUTH_USER_COLUMNS,
     INVENTORY_COLUMNS,
     ROSTER_COLUMNS,
     SESSION_COLUMNS,
@@ -32,11 +34,26 @@ from .records import (
     format_minutes,
     to_minutes,
 )
-from .store import _Memo, _check_row, read_rows
+from .store import _Memo, _check_row, read_rows, write_rows
 
 SEMESTER_START = datetime(2025, 3, 3)  # a Monday
 DAY_START_MIN = 9 * 60
 DAY_END_MIN = 21 * 60
+
+# (lowest, highest) of each setting that sizes the campus or scales the
+# simulator's work or time span; a tuple or dict setting bounds each of its
+# values or keys.
+SIM_BOUNDS = {
+    "weeks": (1, 52),
+    "days_per_week": (1, 7),
+    "room_capacities": (1, 1000),
+    "room_ap_counts": (1, 64),
+    "corridor_aps_per_room": (1, 64),
+    "walkway_ap_count": (1, 64),
+    "device_count_weights": (1, 8),
+    "early_arrival_limit": (0, 240),  # minutes
+    "depart_sd": (0, 240),  # minutes
+}
 
 
 @dataclass
@@ -86,8 +103,8 @@ class SimConfig:
     def validate(self) -> None:
         if not self.room_capacities:
             raise ConfigError("at least one room is required")
-        if self.weeks < 1 or self.days_per_week < 1 or self.classes_per_room_per_week < 1:
-            raise ConfigError("weeks, days and classes per room must be positive")
+        if self.classes_per_room_per_week < 1:
+            raise ConfigError("classes_per_room_per_week must be positive")
         probs = (
             self.non_connect_prob,
             self.cross_room_attach_prob,
@@ -114,14 +131,16 @@ class SimConfig:
                 raise ConfigError(f"{f.name} must be finite")
         if not set(self.duration_weights) <= ALLOWED_CLASS_MINUTES:
             raise ConfigError(f"class lengths must be among {sorted(ALLOWED_CLASS_MINUTES)} minutes")
-        if min(self.room_capacities) < 1:
-            raise ConfigError("room capacities must be positive")
-        if self.room_ap_counts is not None and (
-            len(self.room_ap_counts) != len(self.room_capacities) or min(self.room_ap_counts) < 1
-        ):
-            raise ConfigError("room_ap_counts needs one count of at least 1 per room")
-        if self.corridor_aps_per_room < 1 or self.walkway_ap_count < 1:
-            raise ConfigError("every room needs a corridor AP, and the campus a walkway AP")
+        if self.room_ap_counts is not None and len(self.room_ap_counts) != len(self.room_capacities):
+            raise ConfigError("room_ap_counts needs one count per room")
+        for name, (low, high) in SIM_BOUNDS.items():
+            values = getattr(self, name)
+            if values is None:  # room_ap_counts unset: derived from capacity
+                continue
+            if not isinstance(values, (tuple, list, dict)):
+                values = [values]
+            if not all(low <= v <= high for v in values):
+                raise ConfigError(f"{name} must lie in {low}..{high}")
         for name in ("churn_gap_minutes", "enrollment_ratio", "attendance_ratio"):
             bounds = getattr(self, name)
             if len(bounds) != 2 or not 0 <= bounds[0] <= bounds[1]:
@@ -503,74 +522,44 @@ def write_sessions_csv(path, rows, delimiter: str = ",") -> None:
     stamps = _Memo(format_minutes)
     macs = _Memo(lambda pair: _device_mac(*pair))
     lengths = _Memo("{} min".format)
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, delimiter=delimiter)
-        writer.writerow(SESSION_COLUMNS)
-        writer.writerows(
-            (
-                user,
-                macs[user, device],
-                stamps[start],
-                "-" if ongoing else stamps[end],
-                lengths[end - start],
-                ap,
-                tx,
-                rcvd,
-                snr,
-                rssi,
-                "Ass" if ongoing else "Disass",
-            )
-            for start, user, device, ap, end, ongoing, rssi, snr, tx, rcvd in rows
-        )
+    lines = (
+        (user, macs[user, device], stamps[start], "-" if ongoing else stamps[end],
+         lengths[end - start], ap, tx, rcvd, snr, rssi, "Ass" if ongoing else "Disass")
+        for start, user, device, ap, end, ongoing, rssi, snr, tx, rcvd in rows
+    )
+    write_rows(path, SESSION_COLUMNS, lines, delimiter)
 
 
-def write_timetable_csv(path, events: list[ClassEvent], delimiter: str = ",") -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, delimiter=delimiter)
-        writer.writerow(TIMETABLE_COLUMNS)
-        for event in events:
-            writer.writerow(
-                [
-                    event.class_id,
-                    event.room_id,
-                    event.start.strftime("%d/%m/%Y"),
-                    event.start.strftime("%H:%M"),
-                    event.end.strftime("%H:%M"),
-                ]
-            )
+def write_timetable_csv(path, events: list[ClassEvent]) -> None:
+    lines = (
+        (e.class_id, e.room_id, e.start.strftime(DATE_FMT), e.start.strftime(CLOCK_FMT),
+         e.end.strftime(CLOCK_FMT))
+        for e in events
+    )
+    write_rows(path, TIMETABLE_COLUMNS, lines)
 
 
-def write_roster_csv(path, rosters: dict[str, frozenset[str]], delimiter: str = ",") -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, delimiter=delimiter)
-        writer.writerow(ROSTER_COLUMNS)
-        for class_id in sorted(rosters):
-            for user in sorted(rosters[class_id]):
-                writer.writerow([class_id, user])
+def write_roster_csv(path, rosters: dict[str, frozenset[str]]) -> None:
+    lines = ((class_id, user) for class_id in sorted(rosters) for user in sorted(rosters[class_id]))
+    write_rows(path, ROSTER_COLUMNS, lines)
 
 
-def write_inventory_csv(path, inventory: ApInventory, delimiter: str = ",") -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, delimiter=delimiter)
-        writer.writerow(INVENTORY_COLUMNS)
-        for ap in inventory:
-            loc = inventory.location(ap)
-            writer.writerow([ap, loc.room_id or "corridor", loc.building, loc.floor])
+def write_inventory_csv(path, inventory: ApInventory) -> None:
+    locations = ((ap, inventory.location(ap)) for ap in inventory)
+    lines = ((ap, loc.room_id or "corridor", loc.building, loc.floor) for ap, loc in locations)
+    write_rows(path, INVENTORY_COLUMNS, lines)
 
 
-def write_ground_truth(users_path, counts_path, campus: Campus, truth: GroundTruth, delimiter=","):
-    with open(users_path, "w", newline="") as handle:
-        writer = csv.writer(handle, delimiter=delimiter)
-        writer.writerow(["class_id", "user_id", "occupant"])
-        for class_id in sorted(truth.attendees):
-            present = truth.attendees[class_id]
-            for user in sorted(campus.rosters[class_id] | present):
-                writer.writerow([class_id, user, 1 if user in present else 0])
-    with open(counts_path, "w", newline="") as handle:
-        writer = csv.writer(handle, delimiter=delimiter)
-        writer.writerow(GROUND_TRUTH_COUNT_COLUMNS)
-        for class_id in sorted(truth.attendees):
-            writer.writerow([class_id, truth.count(class_id)])
+def write_ground_truth(users_path, counts_path, campus: Campus, truth: GroundTruth) -> None:
+    attendees = sorted(truth.attendees.items())
+    users = (
+        (class_id, user, int(user in present))
+        for class_id, present in attendees
+        for user in sorted(campus.rosters[class_id] | present)
+    )
+    write_rows(users_path, GROUND_TRUTH_USER_COLUMNS, users)
+    counts = ((class_id, len(present)) for class_id, present in attendees)
+    write_rows(counts_path, GROUND_TRUTH_COUNT_COLUMNS, counts)
 
 
 def load_ground_truth_counts(path, delimiter: str = ",") -> dict[str, int]:

@@ -1,6 +1,7 @@
 """Columnar session-log loading and time-window queries.
 
-`load_sessions` parses a session log straight into a `SessionTable` of numpy
+`read_rows` and `write_rows` frame every tabular file the program reads or
+writes. `load_sessions` parses a session log straight into a `SessionTable` of numpy
 columns. `SessionStore` indexes the table once; every query is read-only.
 """
 from __future__ import annotations
@@ -140,6 +141,19 @@ def read_rows(path, delimiter: str, columns):
             fields = list(map(str.strip, fields))
             if any(fields):
                 yield line_no, fields
+
+
+def write_rows(path, columns, rows, delimiter: str = ",") -> None:
+    """Write a tabular file: the `columns` header, then every row of `rows`.
+
+    The csv module frames the fields: CRLF line ends, and quotes around a
+    field only where it must (one holding the delimiter, a quote or a line
+    end). `None` is written as an empty field.
+    """
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle, delimiter=delimiter)
+        writer.writerow(columns)
+        writer.writerows(rows)
 
 
 def _check_row(path, line_no: int, fields: list[str], columns) -> None:

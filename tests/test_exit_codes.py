@@ -121,19 +121,24 @@ def test_one_bad_line_keeps_the_exit_code_contract(tiny, data):
         assert err.getvalue().startswith("error: ")
 
 
-# Simulator settings that scale the corpus (its length, rooms, APs, devices,
-# traffic rates and presence times) draw from these small values only, so
-# that no example builds a large corpus.
+# Simulator settings that scale the corpus (classes, traffic rates, churn and
+# dwell) draw from these small values only, so that no example builds a large
+# corpus.
 SIZE_KEYS = frozenset({
-    "weeks", "days_per_week", "room_capacities", "room_ap_counts", "corridor_aps_per_room",
-    "walkway_ap_count", "classes_per_room_per_week", "enrollment_ratio", "device_count_weights",
-    "churn_prob_per_10min", "arrival_mean", "arrival_sd", "early_arrival_limit", "depart_sd",
+    "classes_per_room_per_week", "enrollment_ratio", "churn_prob_per_10min",
     "bystander_rate_per_hour", "walkway_bystander_rate_per_hour", "bystander_dwell_mean",
     "ambient_per_corridor_ap", "ambient_per_walkway_ap", "idle_room_users_per_ap",
 })
 SMALL = st.sampled_from(
     ["", "x", "-1", "0", "1", "2", "3", "0.5", "nan", "inf", "-inf", "1e400", "1,2", "2,1", "0,3",
      "1,2,3", "-10,-6", "5,1", "1:1", "1:0.5,2:0.5", "0:1", "-1:1", "60:1", "1:nan"]
+)
+# `SimConfig.validate` bounds the length, rooms, APs, devices and presence
+# times; these values sit at and beyond those bounds.
+BOUNDED = st.sampled_from(
+    ["7", "8", "52", "53", "64", "65", "240", "241", "1000", "1001", "1000000", "1000000000",
+     "-1000000000", "1e9", "-1e9", "99999999999999999999", "42,1001", "64,1", "8:1", "9:1",
+     "1000000:1", "1:0.5,1000000:0.5"]
 )
 
 
@@ -162,7 +167,7 @@ def sim_config(tmp_path_factory) -> list[str]:
 def test_one_bad_simulator_setting_keeps_the_exit_code_contract(sim_config, data):
     at = data.draw(st.integers(0, len(sim_config) - 1), label="line")
     key = sim_config[at].split(" = ")[0]
-    value = data.draw(SMALL if key in SIZE_KEYS else FIELD | SMALL, label=key)
+    value = data.draw(SMALL if key in SIZE_KEYS else FIELD | SMALL | BOUNDED, label=key)
     lines = list(sim_config)
     lines[at] = f"{key} = {value}"
     with tempfile.TemporaryDirectory() as scratch:

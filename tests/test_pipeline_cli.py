@@ -250,23 +250,28 @@ class TestCli:
         echoed = (tmp_path / "ovr" / "config.txt").read_text()
         assert "seed = 7" in echoed
 
-    def test_map_aps_class_filter(self, small_corpus_dir, tmp_path):
+    def test_map_aps_class_filter(self, small_corpus_dir, tmp_path, capsys):
         with open(f"{small_corpus_dir}/timetable.csv") as handle:
-            first_class = list(csv.reader(handle))[1][0]
-        code = main(
-            ["map-aps",
-             "--sessions", f"{small_corpus_dir}/sessions.csv",
-             "--timetable", f"{small_corpus_dir}/timetable.csv",
-             "--rosters", f"{small_corpus_dir}/roster.csv",
-             "--classes", first_class, "--seed", "7", "--out", str(tmp_path)]
-        )
-        assert code == 0
-        with open(tmp_path / "mapping.csv") as handle:
+            first, second = [row[0] for row in list(csv.reader(handle))[1:3]]
+
+        def map_aps(classes, out):
+            return main(["map-aps", *_corpus_args(small_corpus_dir), "--classes", classes,
+                         "--seed", "7", "--out", str(tmp_path / out)])
+
+        assert map_aps(first, "one") == 0
+        with open(tmp_path / "one" / "mapping.csv") as handle:
             class_ids = {row[0] for row in list(csv.reader(handle))[1:]}
-        assert class_ids == {first_class}
+        assert class_ids == {first}
         # without an inventory the report carries no accuracy section
-        report = json.loads((tmp_path / "mapping_report.json").read_text())
+        report = json.loads((tmp_path / "one" / "mapping_report.json").read_text())
         assert "tp_rate" not in report
+        # ids are stripped
+        assert map_aps(f" {first}, {second} ", "two") == 0
+        assert capsys.readouterr().out.splitlines()[-1].startswith("mapped 2 classes")
+        # an id the timetable lacks is a usage error that names it
+        assert map_aps(f"{first}, {second},nosuch", "bad") == 1
+        assert capsys.readouterr().err == "error: --classes: not in the timetable: 'nosuch'\n"
+        assert not (tmp_path / "bad").exists()
 
     def test_inventory_without_a_timetabled_room(self, small_corpus_dir, tmp_path):
         """A room with none of its APs in the inventory has no positive AP in either mode."""

@@ -12,6 +12,7 @@ import sim_oracle
 
 from roomsense.records import ConfigError, to_minutes
 from roomsense.simulate import (
+    SIM_BOUNDS,
     SimConfig,
     generate_campus,
     load_ground_truth_counts,
@@ -137,11 +138,28 @@ class TestGenerateCampus:
             {"room_ap_counts": (0, 3)},  # a room without an AP
             {"corridor_aps_per_room": 0},
             {"walkway_ap_count": 0},
+            {"days_per_week": 1_000_000_000},  # overflowed the class dates
+            {"weeks": 1_000_000},
+            {"device_count_weights": {1_000_000: 1.0}},  # ran for hours
+            {"early_arrival_limit": 1_000_000_000, "arrival_mean": -1e9},
+            {"depart_sd": 1e9},
         ],
     )
     def test_settings_that_crashed_the_simulator_rejected(self, setting):
         with pytest.raises(ConfigError):
-            SimConfig(seed=0, weeks=1, room_capacities=(42, 60), **setting).validate()
+            SimConfig(**{"seed": 0, "weeks": 1, "room_capacities": (42, 60), **setting}).validate()
+
+    @pytest.mark.parametrize("name", sorted(SIM_BOUNDS))
+    @pytest.mark.parametrize("end", [0, 1])
+    def test_each_bound_is_inclusive(self, name, end):
+        """A setting at its bound is accepted, one step beyond it is refused."""
+        value = SIM_BOUNDS[name][end]
+        beyond = value + (1 if end else -1)
+        shape = {"room_capacities": lambda v: (v, 60), "room_ap_counts": lambda v: (v, 3),
+                 "device_count_weights": lambda v: {v: 1.0}}.get(name, lambda v: v)
+        SimConfig(**{**FAST, name: shape(value)}).validate()
+        with pytest.raises(ConfigError, match=f"{name} must lie in"):
+            SimConfig(**{**FAST, name: shape(beyond)}).validate()
 
 
 class TestSimulateSessions:

@@ -11,9 +11,36 @@ from hypothesis import strategies as st
 import session_oracle
 
 from roomsense import store
-from roomsense.pipeline import read_estimates_csv, read_mapping_csv
-from roomsense.records import ROSTER_COLUMNS, DataValidationError, parse_stamp, to_minutes
-from roomsense.simulate import load_ground_truth_counts
+from roomsense.estimation import OccupancyEstimate
+from roomsense.mapping import MappingResult
+from roomsense.pipeline import (
+    read_estimates_csv,
+    read_mapping_csv,
+    write_estimates_csv,
+    write_mapping_csv,
+    write_sweep_csv,
+)
+from roomsense.records import (
+    ALLOWED_CLASS_MINUTES,
+    CORRIDOR_MARKERS,
+    GROUND_TRUTH_USER_COLUMNS,
+    ROSTER_COLUMNS,
+    ApInventory,
+    ApLocation,
+    ClassEvent,
+    DataValidationError,
+    parse_stamp,
+    to_minutes,
+)
+from roomsense.simulate import (
+    Campus,
+    GroundTruth,
+    load_ground_truth_counts,
+    write_ground_truth,
+    write_inventory_csv,
+    write_roster_csv,
+    write_timetable_csv,
+)
 from roomsense.store import (
     RSSI_MISSING,
     grouped_running_max,
@@ -771,3 +798,142 @@ class TestReadRows:
         path = write(tmp_path, "bad.csv", ["wrong,columns", "1,2"])
         with pytest.raises(DataValidationError, match="header mismatch, expected columns"):
             _read(kind, path)
+
+
+# Names that need quoting or are not ASCII. Readers strip every field, so no
+# name carries surrounding whitespace.
+NAMES = st.one_of(
+    st.sampled_from([",", ";", '"', 'a"b', '"a,"', "a,b", "é", "教室 1", "ß x"]),
+    st.text(st.characters(blacklist_categories=("Cs", "Cc")), min_size=1, max_size=8),
+).filter(lambda name: name and name == name.strip())
+ROOMS = NAMES.filter(lambda name: name.lower() not in CORRIDOR_MARKERS)
+COUNTS = st.integers(-(10**9), 10**9)
+
+
+def _round_trip(write, read, *args):
+    """`read(path)` of the file that `write(path, *args)` made."""
+    with tempfile.TemporaryDirectory() as scratch:
+        path = os.path.join(scratch, "file.csv")
+        write(path, *args)
+        return read(path)
+
+
+class TestWriteRows:
+    def test_framing(self, tmp_path):
+        path = tmp_path / "t.csv"
+        store.write_rows(path, ("a", "b"), [("x;y", None), ('q"', 1), ("é", 2.5)], delimiter=";")
+        assert path.read_bytes() == 'a;b\r\n"x;y";\r\n"q""";1\r\né;2.5\r\n'.encode()
+
+    def test_skipped_sweep_row_leaves_the_rates_empty(self, tmp_path):
+        path = tmp_path / "sweep.csv"
+        write_sweep_csv(
+            path,
+            [{"resolution": 1, "skipped": True},
+             {"resolution": 5, "skipped": False, "classes": 3, "tp_rate": 0.5, "tn_rate": 1.0}],
+        )
+        assert path.read_text() == "resolution,skipped,classes,tp_rate,tn_rate\n1,1,0,,\n5,0,3,0.500000,1.000000\n"
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        classes=st.dictionaries(
+            NAMES,
+            st.dictionaries(NAMES, st.tuples(st.booleans(), st.floats(-1e6, 1e6)), max_size=4),
+            max_size=4,
+        )
+    )
+    def test_mapping(self, classes):
+        results = {
+            cid: MappingResult(
+                cid,
+                frozenset(ap for ap, (flag, _) in aps.items() if flag),
+                frozenset(ap for ap, (flag, _) in aps.items() if not flag),
+                "kmeans",
+                {ap: score for ap, (_, score) in aps.items()},
+            )
+            for cid, aps in classes.items()
+        }
+        expected = {
+            cid: MappingResult(
+                cid, r.mapped, r.not_mapped, "file",
+                {ap: float(f"{score:.6f}") for ap, score in r.scores.items()},
+            )
+            for cid, r in results.items()
+            if r.featured
+        }
+        assert _round_trip(write_mapping_csv, read_mapping_csv, results) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        rows=st.dictionaries(
+            NAMES,
+            st.tuples(NAMES, COUNTS, COUNTS, COUNTS, COUNTS, st.none() | COUNTS),
+            max_size=5,
+        )
+    )
+    def test_estimates(self, rows):
+        estimates = [OccupancyEstimate(cid, *fields) for cid, fields in rows.items()]
+        read = _round_trip(write_estimates_csv, read_estimates_csv, estimates)
+        assert read == sorted(estimates, key=lambda e: e.class_id)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        rows=st.dictionaries(
+            NAMES,
+            st.tuples(
+                ROOMS,
+                st.datetimes(datetime(2000, 1, 1), datetime(2099, 12, 31)),
+                st.sampled_from(sorted(ALLOWED_CLASS_MINUTES)),
+            ),
+            max_size=5,
+        )
+    )
+    def test_timetable(self, rows):
+        events = []
+        for cid, (room, day, minutes) in rows.items():
+            start = day.replace(hour=day.hour % 20, second=0, microsecond=0)  # ends the same day
+            events.append(ClassEvent(cid, room, start, start + timedelta(minutes=minutes)))
+        read, report = _round_trip(write_timetable_csv, load_timetable, events)
+        assert (read, report.rejects, report.warnings) == (events, [], [])
+
+    @settings(max_examples=100, deadline=None)
+    @given(rosters=st.dictionaries(NAMES, st.frozensets(NAMES, min_size=1, max_size=4), max_size=4))
+    def test_roster(self, rosters):
+        read, report = _round_trip(write_roster_csv, load_rosters, rosters)
+        assert (read, report.rejects, report.warnings) == (rosters, [], [])
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        locations=st.dictionaries(
+            NAMES,
+            st.builds(ApLocation, st.none() | ROOMS, NAMES, st.integers(-5, 50)),
+            max_size=5,
+        )
+    )
+    def test_inventory(self, locations):
+        read, report = _round_trip(write_inventory_csv, load_inventory, ApInventory(locations))
+        assert {ap: read.location(ap) for ap in read} == locations
+        assert report.rejects == report.warnings == []
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        classes=st.dictionaries(
+            NAMES,
+            st.tuples(st.frozensets(NAMES, max_size=4), st.frozensets(NAMES, max_size=4)),
+            max_size=4,
+        )
+    )
+    def test_ground_truth(self, classes):
+        rosters = {cid: roster for cid, (roster, _) in classes.items()}
+        truth = GroundTruth({cid: present for cid, (_, present) in classes.items()}, {})
+        campus = Campus([], ApInventory({}), [], rosters, [], [])
+        with tempfile.TemporaryDirectory() as scratch:
+            users, counts = os.path.join(scratch, "users.csv"), os.path.join(scratch, "counts.csv")
+            write_ground_truth(users, counts, campus, truth)
+            assert load_ground_truth_counts(counts) == {
+                cid: len(present) for cid, (_, present) in classes.items()
+            }
+            assert [fields for _, fields in read_rows(users, ",", GROUND_TRUTH_USER_COLUMNS)] == [
+                [cid, user, str(int(user in present))]
+                for cid, (roster, present) in sorted(classes.items())
+                for user in sorted(roster | present)
+            ]
