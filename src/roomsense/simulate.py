@@ -15,6 +15,8 @@ import os
 import random
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timedelta
+from math import cos, log, sin, sqrt, tau
+from operator import itemgetter
 
 from .records import (
     ALLOWED_CLASS_MINUTES,
@@ -53,6 +55,11 @@ SIM_BOUNDS = {
     "device_count_weights": (1, 8),
     "early_arrival_limit": (0, 240),  # minutes
     "depart_sd": (0, 240),  # minutes
+    "bystander_rate_per_hour": (0, 1000),
+    "walkway_bystander_rate_per_hour": (0, 1000),
+    "ambient_per_corridor_ap": (0, 100),
+    "ambient_per_walkway_ap": (0, 100),
+    "idle_room_users_per_ap": (0, 100),
 }
 
 
@@ -115,6 +122,7 @@ class SimConfig:
             self.remote_prob,
             self.walkin_prob,
             self.corner_ap_fraction,
+            self.churn_prob_per_10min,
         )
         if any(p < 0 or p > 1 for p in probs):
             raise ConfigError("probabilities must lie in [0, 1]")
@@ -141,6 +149,8 @@ class SimConfig:
                 values = [values]
             if not all(low <= v <= high for v in values):
                 raise ConfigError(f"{name} must lie in {low}..{high}")
+        if not all(isinstance(v, int) for v in (self.days_per_week, *self.churn_gap_minutes)):
+            raise ConfigError("days_per_week and churn_gap_minutes must be whole numbers")
         for name in ("churn_gap_minutes", "enrollment_ratio", "attendance_ratio"):
             bounds = getattr(self, name)
             if len(bounds) != 2 or not 0 <= bounds[0] <= bounds[1]:
@@ -183,24 +193,99 @@ class GroundTruth:
         return len(self.attendees[class_id])
 
 
-def _weighted_choice(rng: random.Random, weights: dict):
-    r = rng.random()
-    acc = 0.0
-    keys = sorted(weights)
-    for key in keys:
+class _Random(random.Random):
+    """`random.Random` with CPython's own draws made in fewer calls.
+
+    `randrange(n)`, `randrange(a, b)`, `randint(a, b)` and `choice(seq)` draw
+    an integer below a width `n` as the stdlib does for integer arguments:
+    `getrandbits(k)`, with `k` the bit length of `n`, repeated until it falls
+    below `n`; each spells the loop out, as a shared helper would add a call
+    to every draw. `gauss_pair` makes two `gauss` draws in one call. Each
+    returns what the stdlib calls return and leaves the generator in the
+    state they would. Every other method is the stdlib's.
+    """
+
+    def randrange(self, start: int, stop: int | None = None) -> int:
+        if stop is None:
+            start, stop = 0, start
+        width = stop - start
+        if width <= 0:
+            raise ValueError(f"empty range for randrange({start}, {stop})")
+        k = width.bit_length()
+        r = self.getrandbits(k)
+        while r >= width:
+            r = self.getrandbits(k)
+        return start + r
+
+    def randint(self, a: int, b: int) -> int:
+        width = b + 1 - a
+        if width <= 0:
+            raise ValueError(f"empty range for randint({a}, {b})")
+        k = width.bit_length()
+        r = self.getrandbits(k)
+        while r >= width:
+            r = self.getrandbits(k)
+        return a + r
+
+    def choice(self, seq):
+        width = len(seq)
+        if not width:
+            raise IndexError("Cannot choose from an empty sequence")
+        k = width.bit_length()
+        r = self.getrandbits(k)
+        while r >= width:
+            r = self.getrandbits(k)
+        return seq[r]
+
+    def gauss_pair(self, mu1: float, sigma1: float, mu2: float, sigma2: float) -> tuple[float, float]:
+        """`(gauss(mu1, sigma1), gauss(mu2, sigma2))`.
+
+        The stdlib's `gauss` returns the value it holds from its last
+        Box-Muller pair, if any, and otherwise draws a new pair, returns one
+        value and holds the other. Two draws in a row therefore take one new
+        pair, and hold its second value only if a value was held before.
+        """
+        held = self.gauss_next
+        x2pi = self.random() * tau
+        g2rad = sqrt(-2.0 * log(1.0 - self.random()))
+        if held is None:
+            return mu1 + cos(x2pi) * g2rad * sigma1, mu2 + sin(x2pi) * g2rad * sigma2
+        self.gauss_next = sin(x2pi) * g2rad
+        return mu1 + held * sigma1, mu2 + cos(x2pi) * g2rad * sigma2
+
+
+def _cumulative(weights: dict) -> list[tuple[float, object]]:
+    """(running total, key) for every key in key order: the table `_weighted_choice` scans."""
+    table, acc = [], 0.0
+    for key in sorted(weights):
         acc += weights[key]
+        table.append((acc, key))
+    return table
+
+
+def _weighted_choice(r: float, table: list[tuple[float, object]]):
+    """The first key whose running total exceeds the uniform draw `r`, else the last key."""
+    for acc, key in table:
         if r < acc:
             return key
-    return keys[-1]
+    return table[-1][1]
+
+
+# A Poisson mean above this is drawn as the sum of two draws of half the mean,
+# since `exp(-mean)` underflows to 0 above about 745.
+POISSON_SPLIT = 500.0
 
 
 def _poisson(rng: random.Random, lam: float) -> int:
     if lam <= 0:
         return 0
+    if lam > POISSON_SPLIT:
+        return _poisson(rng, lam / 2) + _poisson(rng, lam / 2)
     threshold = math.exp(-lam)
+    uniform = rng.random
     k, p = 0, 1.0
     while True:
-        p *= rng.random()
+        p *= uniform()
         if p <= threshold:
             return k
         k += 1
@@ -209,7 +294,8 @@ def _poisson(rng: random.Random, lam: float) -> int:
 def generate_campus(config: SimConfig) -> Campus:
     """Rooms, APs, courses, rosters and a clash-free timetable, all seeded."""
     config.validate()
-    rng = random.Random(config.seed)
+    rng = _Random(config.seed)
+    durations = _cumulative(config.duration_weights)
     buildings = [f"bld{chr(ord('A') + i)}" for i in range((len(config.room_capacities) + 1) // 2)]
 
     rooms: list[Room] = []
@@ -247,7 +333,7 @@ def generate_campus(config: SimConfig) -> Campus:
         for course_no in range(config.classes_per_room_per_week):
             for _ in range(200):
                 weekday = rng.randrange(config.days_per_week)
-                duration = _weighted_choice(rng, config.duration_weights)
+                duration = _weighted_choice(rng.random(), durations)
                 latest = DAY_END_MIN - duration
                 start_min = rng.randrange(DAY_START_MIN // 60, latest // 60 + 1) * 60
                 end_min = start_min + duration
@@ -274,31 +360,46 @@ def generate_campus(config: SimConfig) -> Campus:
     return Campus(rooms, ApInventory(locations), events, rosters, population, walkways)
 
 
-class _Emitter:
-    """Collects raw sessions and cuts them at the daily report time."""
+def _emitter(config: SimConfig, rng: random.Random):
+    """(rows, emit): `emit(user, device, ap, start, end, in_room)` appends one session row.
 
-    def __init__(self, config: SimConfig, rng: random.Random):
-        self.config = config
-        self.rng = rng
-        self.rows: list[tuple] = []
+    A session is cut at its day's report time: one that starts at or after
+    it is dropped, one that runs past it ends there and is marked ongoing.
+    """
+    rows: list[tuple] = []
+    append, gauss_pair, getrandbits = rows.append, rng.gauss_pair, rng.getrandbits
+    report_minute = config.report_hour * 60
+    rssi_in = (config.rssi_in_mean, config.rssi_in_sd)
+    rssi_out = (config.rssi_out_mean, config.rssi_out_sd)
 
-    def emit(self, user: str, device: int, ap: str, start: int, end: int, in_room: bool):
-        report = (start // 1440) * 1440 + self.config.report_hour * 60
+    def emit(user: str, device: int, ap: str, start: int, end: int, in_room: bool) -> None:
+        report = start - start % 1440 + report_minute
         if start >= report:
             return
         ongoing = end > report
-        end = min(end, report)
+        if ongoing:
+            end = report
         if end <= start:
             return
-        cfg = self.config
-        mean = cfg.rssi_in_mean if in_room else cfg.rssi_out_mean
-        sd = cfg.rssi_in_sd if in_room else cfg.rssi_out_sd
-        rssi = -round(min(95.0, max(30.0, self.rng.gauss(mean, sd))))
-        snr = round(min(60.0, max(5.0, self.rng.gauss(32.0, 6.0))))
+        mean, sd = rssi_in if in_room else rssi_out
+        rssi, snr = gauss_pair(mean, sd, 32.0, 6.0)
+        # randint(1000, 5000) and randint(2000, 9000), drawn inline as `_Random.randint` draws them
+        tx = getrandbits(12)
+        while tx >= 4001:
+            tx = getrandbits(12)
+        rcvd = getrandbits(13)
+        while rcvd >= 7001:
+            rcvd = getrandbits(13)
         minutes = end - start
-        bytes_tx = self.rng.randint(1000, 5000) * max(1, minutes)
-        bytes_rcvd = self.rng.randint(2000, 9000) * max(1, minutes)
-        self.rows.append((start, user, device, ap, end, ongoing, rssi, snr, bytes_tx, bytes_rcvd))
+        append((
+            start, user, device, ap, end, ongoing,
+            -round(95.0 if rssi > 95.0 else 30.0 if rssi < 30.0 else rssi),
+            round(60.0 if snr > 60.0 else 5.0 if snr < 5.0 else snr),
+            (1000 + tx) * minutes,
+            (2000 + rcvd) * minutes,
+        ))
+
+    return rows, emit
 
 
 def _device_mac(user: str, device: int) -> str:
@@ -306,63 +407,72 @@ def _device_mac(user: str, device: int) -> str:
     return f"02:00:{(idx >> 16) & 0xFF:02x}:{(idx >> 8) & 0xFF:02x}:{idx & 0xFF:02x}:{device:02x}"
 
 
-def _presence_sessions(rng, config, t0: int, t1: int) -> list[tuple[int, int]]:
-    """Churned connection segments covering a presence interval."""
-    if t1 - t0 < 1:
-        return []
-    segments = []
-    t = t0
-    while t < t1:
-        if config.churn_prob_per_10min <= 0:
-            segments.append((t, t1))
-            break
-        mean_len = 10.0 / config.churn_prob_per_10min
-        length = max(3, round(rng.expovariate(1.0 / mean_len)))
-        end = min(t1, t + length)
-        if end > t:
-            segments.append((t, end))
-        t = end + rng.randint(*config.churn_gap_minutes)
+def _presence(config: SimConfig, rng: random.Random):
+    """`segments(t0, t1)`: the churned connection segments covering a presence interval."""
+    churn = config.churn_prob_per_10min
+    lambd = 1.0 / (10.0 / churn) if churn > 0 else 0.0
+    gap_low, gap_high = config.churn_gap_minutes
+    expovariate, randint = rng.expovariate, rng.randint
+
+    def segments(t0: int, t1: int) -> list[tuple[int, int]]:
+        if t1 - t0 < 1:
+            return []
+        if churn <= 0:
+            return [(t0, t1)]
+        out = []
+        t = t0
+        while t < t1:
+            end = min(t1, t + max(3, round(expovariate(lambd))))
+            out.append((t, end))
+            t = end + randint(gap_low, gap_high)
+        return out
+
     return segments
 
 
-def _pick_attendee_ap(rng, config, room: Room, rooms: list[Room], prev: str | None) -> str:
-    if prev is not None and rng.random() < config.sticky_ap_prob:
-        return prev
-    r = rng.random()
-    if r < config.cross_room_attach_prob and len(rooms) > 1:
-        neighbours = [x for x in rooms if x.building == room.building and x.room_id != room.room_id]
-        if not neighbours:
-            neighbours = [x for x in rooms if x.room_id != room.room_id]
-        other = neighbours[rng.randrange(len(neighbours))]
-        return other.aps[rng.randrange(len(other.aps))]
-    if r < config.cross_room_attach_prob + config.near_room_attach_prob:
-        return room.corridor_aps[rng.randrange(len(room.corridor_aps))]
-    weights = {ap: (config.corner_ap_weight if ap in room.corner_aps else 1.0) for ap in room.aps}
-    total = sum(weights.values())
-    return _weighted_choice(rng, {ap: w / total for ap, w in weights.items()})
+def _attendee_picker(config: SimConfig, rng: random.Random, campus: Campus):
+    """`pick(room, prev)`: the AP an attendee's next segment in `room` attaches to.
 
-
-def _free_user(rng, population, today_windows, t0: int, t1: int) -> str:
-    """A user not enrolled in any class running during [t0, t1).
-
-    Keeps background traffic physically consistent: someone attending (or due
-    to attend) a class cannot simultaneously idle elsewhere on campus.
+    Each room's neighbours and AP weight table are built once.
     """
-    user = population[rng.randrange(len(population))]
-    for _ in range(10):
-        busy = any(s < t1 and e > t0 and user in roster for s, e, roster in today_windows)
-        if not busy:
-            return user
-        user = population[rng.randrange(len(population))]
-    return user
+    uniform, choice = rng.random, rng.choice
+    sticky, cross = config.sticky_ap_prob, config.cross_room_attach_prob
+    near = config.cross_room_attach_prob + config.near_room_attach_prob
+    crossing = len(campus.rooms) > 1
+    neighbours, tables = {}, {}
+    for room in campus.rooms:
+        others = [x for x in campus.rooms if x.building == room.building and x.room_id != room.room_id]
+        neighbours[room.room_id] = others or [x for x in campus.rooms if x.room_id != room.room_id]
+        weights = {ap: (config.corner_ap_weight if ap in room.corner_aps else 1.0) for ap in room.aps}
+        total = 0.0  # added in order, as `sum` adds floats before Python 3.12
+        for w in weights.values():
+            total += w
+        tables[room.room_id] = _cumulative({ap: w / total for ap, w in weights.items()})
+
+    def pick(room: Room, prev: str | None) -> str:
+        if prev is not None and uniform() < sticky:
+            return prev
+        r = uniform()
+        if r < cross and crossing:
+            return choice(choice(neighbours[room.room_id]).aps)
+        if r < near:
+            return choice(room.corridor_aps)
+        return _weighted_choice(uniform(), tables[room.room_id])
+
+    return pick
 
 
 def simulate_sessions(campus: Campus, config: SimConfig) -> tuple[list[tuple], GroundTruth]:
     """Emit session-log rows (time-sorted tuples) plus the planted ground truth."""
     config.validate()
-    rng = random.Random(config.seed + 1)
-    emitter = _Emitter(config, rng)
+    rng = _Random(config.seed + 1)
+    uniform, choice, randint, gauss = rng.random, rng.choice, rng.randint, rng.gauss
+    rows, emit = _emitter(config, rng)
+    segments = _presence(config, rng)
+    pick = _attendee_picker(config, rng, campus)
+    devices = _cumulative(config.device_count_weights)
     rooms_by_id = {r.room_id: r for r in campus.rooms}
+    population = campus.population
 
     attendees: dict[str, frozenset[str]] = {}
     non_connecting: dict[str, frozenset[str]] = {}
@@ -372,16 +482,33 @@ def simulate_sessions(campus: Campus, config: SimConfig) -> tuple[list[tuple], G
     for event in campus.events:
         events_by_day.setdefault(event.date, []).append(event)
 
+    def free_user(t0: int, t1: int) -> str:
+        """A user not enrolled in any class running during [t0, t1).
+
+        Keeps background traffic physically consistent: someone attending (or
+        due to attend) a class cannot simultaneously idle elsewhere on campus.
+        """
+        user = choice(population)
+        for _ in range(10):
+            windows = enrolled_windows.get(user)
+            if windows is None or not any(s < t1 and e > t0 for s, e in windows):
+                return user
+            user = choice(population)
+        return user
+
     for day in all_days:
         midnight = to_minutes(day)
         day_lo, day_hi = midnight + DAY_START_MIN, midnight + DAY_END_MIN
         todays = sorted(events_by_day[day], key=lambda e: (e.room_id, e.start))
-        today_windows = [
-            (to_minutes(e.start), to_minutes(e.end), campus.rosters[e.class_id]) for e in todays
-        ]
+        enrolled_windows: dict[str, list[tuple[int, int]]] = {}  # user -> today's class times
+        for e in todays:
+            window = (to_minutes(e.start), to_minutes(e.end))
+            for user in campus.rosters[e.class_id]:
+                enrolled_windows.setdefault(user, []).append(window)
 
         for event in todays:
             room = rooms_by_id[event.room_id]
+            own_aps = frozenset(room.aps)
             roster = sorted(campus.rosters[event.class_id])
             start, end = to_minutes(event.start), to_minutes(event.end)
             duration = end - start
@@ -390,55 +517,53 @@ def simulate_sessions(campus: Campus, config: SimConfig) -> tuple[list[tuple], G
             going = rng.sample(roster, max(1, round(ratio * len(roster))))
             if config.walkin_prob > 0:
                 extras = round(config.walkin_prob * len(going))
-                outsiders = [u for u in campus.population if u not in campus.rosters[event.class_id]]
+                outsiders = [u for u in population if u not in campus.rosters[event.class_id]]
                 going.extend(rng.sample(outsiders, min(extras, len(outsiders))))
             silent: set[str] = set()
             for user in sorted(going):
-                if rng.random() < config.non_connect_prob:
+                if uniform() < config.non_connect_prob:
                     silent.add(user)
                     continue
-                offset = rng.gauss(config.arrival_mean, config.arrival_sd)
+                offset = gauss(config.arrival_mean, config.arrival_sd)
                 offset = max(-config.early_arrival_limit, min(duration - 15, offset))
                 arrive = start + round(offset)
-                depart = max(arrive + 10, end + round(rng.gauss(0.0, config.depart_sd)))
-                n_devices = _weighted_choice(rng, config.device_count_weights)
-                for device in range(n_devices):
-                    dev_start = arrive if device == 0 else min(depart - 5, arrive + rng.randint(0, 40))
-                    prev = None
-                    for s, e in _presence_sessions(rng, config, dev_start, depart):
-                        ap = _pick_attendee_ap(rng, config, room, campus.rooms, prev)
-                        prev = ap
-                        emitter.emit(user, device, ap, s, e, in_room=ap in room.aps)
+                depart = max(arrive + 10, end + round(gauss(0.0, config.depart_sd)))
+                for device in range(_weighted_choice(uniform(), devices)):
+                    dev_start = arrive if device == 0 else min(depart - 5, arrive + randint(0, 40))
+                    ap = None
+                    for s, e in segments(dev_start, depart):
+                        ap = pick(room, ap)
+                        emit(user, device, ap, s, e, ap in own_aps)
 
             attendees[event.class_id] = frozenset(going)
             non_connecting[event.class_id] = frozenset(silent)
 
             for user in sorted(set(roster) - set(going)):
-                r = rng.random()
+                r = uniform()
                 if r < config.lingerer_prob:
                     win_lo = max(day_lo, start - 45)
                     win_hi = min(day_hi, end + 45)
-                    for _ in range(rng.randint(1, 2)):
-                        s = rng.randint(win_lo, max(win_lo, win_hi - 10))
-                        e = min(win_hi, s + rng.randint(4, 14))
-                        if rng.random() < 0.8:
-                            ap = room.corridor_aps[rng.randrange(len(room.corridor_aps))]
+                    for _ in range(randint(1, 2)):
+                        s = randint(win_lo, max(win_lo, win_hi - 10))
+                        e = min(win_hi, s + randint(4, 14))
+                        if uniform() < 0.8:
+                            ap = choice(room.corridor_aps)
                         else:
-                            ap = room.aps[rng.randrange(len(room.aps))]
-                        emitter.emit(user, 0, ap, s, e, in_room=False)
+                            ap = choice(room.aps)
+                        emit(user, 0, ap, s, e, False)
                 elif r < config.lingerer_prob + config.remote_prob:
                     far_corridors = sorted(
                         x.corridor_aps[0]
                         for x in campus.rooms
                         if x.room_id != room.room_id and x.corridor_aps
                     )
-                    if rng.random() < 0.6 or not far_corridors:
-                        ap = campus.walkway_aps[rng.randrange(len(campus.walkway_aps))]
+                    if uniform() < 0.6 or not far_corridors:
+                        ap = choice(campus.walkway_aps)
                     else:
-                        ap = far_corridors[rng.randrange(len(far_corridors))]
-                    s = rng.randint(day_lo, day_hi - 25)
-                    e = min(day_hi, s + rng.randint(20, 120))
-                    emitter.emit(user, 0, ap, s, e, in_room=False)
+                        ap = choice(far_corridors)
+                    s = randint(day_lo, day_hi - 25)
+                    e = min(day_hi, s + randint(20, 120))
+                    emit(user, 0, ap, s, e, False)
 
         # non-class traffic: short passersby plus a steady ambient population
         # of long-dwell users (staff, students between classes) per spot
@@ -457,28 +582,28 @@ def simulate_sessions(campus: Campus, config: SimConfig) -> tuple[list[tuple], G
         ):
             n_pass = _poisson(rng, rate * (DAY_END_MIN - DAY_START_MIN) / 60)
             for _ in range(n_pass):
-                t = rng.randint(day_lo, day_hi - 2)
+                t = randint(day_lo, day_hi - 2)
                 dwell = max(1, round(rng.expovariate(1.0 / config.bystander_dwell_mean)))
-                user = _free_user(rng, campus.population, today_windows, t, t + dwell)
-                if room is not None and rng.random() < config.bystander_in_room_prob:
-                    ap = room.aps[rng.randrange(len(room.aps))]
+                user = free_user(t, t + dwell)
+                if room is not None and uniform() < config.bystander_in_room_prob:
+                    ap = choice(room.aps)
                 else:
-                    ap = corridor_aps[rng.randrange(len(corridor_aps))]
-                emitter.emit(user, 0, ap, t, t + dwell, in_room=False)
+                    ap = choice(corridor_aps)
+                emit(user, 0, ap, t, t + dwell, False)
             target = ambient * len(corridor_aps)
             arrivals = [day_lo] * _poisson(rng, target)
             arrivals += [
-                rng.randint(day_lo, day_hi - 30)
+                randint(day_lo, day_hi - 30)
                 for _ in range(_poisson(rng, target * 60 / 112 * (day_hi - day_lo) / 60))
             ]
             for t in sorted(arrivals):
-                e = min(day_hi, t + rng.randint(45, 180))
-                user = _free_user(rng, campus.population, today_windows, t, e)
+                e = min(day_hi, t + randint(45, 180))
+                user = free_user(t, e)
                 prev = None
-                for s, seg_e in _presence_sessions(rng, config, t, e):
-                    if prev is None or rng.random() > 0.6:
-                        prev = corridor_aps[rng.randrange(len(corridor_aps))]
-                    emitter.emit(user, 0, prev, s, seg_e, in_room=False)
+                for s, seg_e in segments(t, e):
+                    if prev is None or uniform() > 0.6:
+                        prev = choice(corridor_aps)
+                    emit(user, 0, prev, s, seg_e, False)
 
         # students using rooms while idle
         for room in sorted(campus.rooms, key=lambda r: r.room_id):
@@ -504,22 +629,24 @@ def simulate_sessions(campus: Campus, config: SimConfig) -> tuple[list[tuple], G
                 hours = (win_hi - win_lo) / 60
                 arrivals = [win_lo] * _poisson(rng, target)
                 arrivals += [
-                    rng.randint(win_lo, max(win_lo, win_hi - 10))
+                    randint(win_lo, max(win_lo, win_hi - 10))
                     for _ in range(_poisson(rng, target * 60 / 112 * hours))
                 ]
                 for t in arrivals:
-                    e = min(win_hi, t + rng.randint(45, 180))
-                    user = _free_user(rng, campus.population, today_windows, t, e)
-                    ap = room.aps[rng.randrange(len(room.aps))]
-                    emitter.emit(user, 0, ap, t, e, in_room=True)
+                    e = min(win_hi, t + randint(45, 180))
+                    user = free_user(t, e)
+                    ap = choice(room.aps)
+                    emit(user, 0, ap, t, e, True)
 
-    emitter.rows.sort(key=lambda row: (row[0], row[1], row[2], row[3], row[4]))
-    return emitter.rows, GroundTruth(attendees, non_connecting)
+    rows.sort(key=itemgetter(0, 1, 2, 3, 4))
+    return rows, GroundTruth(attendees, non_connecting)
 
 
 def write_sessions_csv(path, rows, delimiter: str = ",") -> None:
-    """Write session-log rows; each distinct stamp, MAC and duration is formatted once."""
-    stamps = _Memo(format_minutes)
+    """Write session-log rows; each distinct day, stamp, MAC and duration is formatted once."""
+    days = _Memo(lambda day: format_minutes(day * 1440)[:-5])  # the stamp without `HH:MM`
+    clocks = [f"{minute // 60:02d}:{minute % 60:02d}" for minute in range(1440)]
+    stamps = _Memo(lambda minutes: days[minutes // 1440] + clocks[minutes % 1440])
     macs = _Memo(lambda pair: _device_mac(*pair))
     lengths = _Memo("{} min".format)
     lines = (

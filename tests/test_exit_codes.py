@@ -121,24 +121,21 @@ def test_one_bad_line_keeps_the_exit_code_contract(tiny, data):
         assert err.getvalue().startswith("error: ")
 
 
-# Simulator settings that scale the corpus (classes, traffic rates, churn and
-# dwell) draw from these small values only, so that no example builds a large
-# corpus.
-SIZE_KEYS = frozenset({
-    "classes_per_room_per_week", "enrollment_ratio", "churn_prob_per_10min",
-    "bystander_rate_per_hour", "walkway_bystander_rate_per_hour", "bystander_dwell_mean",
-    "ambient_per_corridor_ap", "ambient_per_walkway_ap", "idle_room_users_per_ap",
-})
+# Simulator settings that scale the corpus (classes, enrolment and dwell) and
+# that `SimConfig.validate` does not bound draw from these small values only,
+# so that no example builds a large corpus.
+SIZE_KEYS = frozenset({"classes_per_room_per_week", "enrollment_ratio", "bystander_dwell_mean"})
 SMALL = st.sampled_from(
     ["", "x", "-1", "0", "1", "2", "3", "0.5", "nan", "inf", "-inf", "1e400", "1,2", "2,1", "0,3",
      "1,2,3", "-10,-6", "5,1", "1:1", "1:0.5,2:0.5", "0:1", "-1:1", "60:1", "1:nan"]
 )
-# `SimConfig.validate` bounds the length, rooms, APs, devices and presence
-# times; these values sit at and beyond those bounds.
+# `SimConfig.validate` bounds the length, rooms, APs, devices, presence
+# times, traffic rates and churn probability; these values sit at and beyond
+# those bounds.
 BOUNDED = st.sampled_from(
-    ["7", "8", "52", "53", "64", "65", "240", "241", "1000", "1001", "1000000", "1000000000",
-     "-1000000000", "1e9", "-1e9", "99999999999999999999", "42,1001", "64,1", "8:1", "9:1",
-     "1000000:1", "1:0.5,1000000:0.5"]
+    ["7", "8", "52", "53", "64", "65", "100", "101", "240", "241", "1000", "1001", "1000000",
+     "1000000000", "-1000000000", "1e9", "-1e9", "99999999999999999999", "1.0", "1.01", "-0.01",
+     "42,1001", "64,1", "8:1", "9:1", "1000000:1", "1:0.5,1000000:0.5"]
 )
 
 

@@ -1,19 +1,31 @@
 """Synthetic campus generator: determinism, conservation, closure, round-trips."""
+import contextlib
 import filecmp
+import hashlib
+import io
+import math
 import os
+import random
+import subprocess
+import sys
 import tempfile
 from datetime import datetime
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sim_oracle
 
+from roomsense.cli import main
 from roomsense.records import ConfigError, to_minutes
 from roomsense.simulate import (
+    POISSON_SPLIT,
     SIM_BOUNDS,
     SimConfig,
+    _poisson,
+    _Random,
     generate_campus,
     load_ground_truth_counts,
     simulate_corpus,
@@ -143,11 +155,28 @@ class TestGenerateCampus:
             {"device_count_weights": {1_000_000: 1.0}},  # ran for hours
             {"early_arrival_limit": 1_000_000_000, "arrival_mean": -1e9},
             {"depart_sd": 1e9},
+            {"churn_prob_per_10min": 1e9},  # a probability; 1e9 quadrupled the work
+            {"churn_prob_per_10min": 1.01},
+            {"churn_prob_per_10min": -0.1},
+            {"bystander_rate_per_hour": 1e300},  # planted a capped ~745 passersby
+            {"idle_room_users_per_ap": -1.0},
+            {"churn_gap_minutes": (0.0, 4.0)},  # integer draws take whole numbers
+            {"days_per_week": 5.0},
         ],
     )
     def test_settings_that_crashed_the_simulator_rejected(self, setting):
         with pytest.raises(ConfigError):
             SimConfig(**{"seed": 0, "weeks": 1, "room_capacities": (42, 60), **setting}).validate()
+
+    def test_churn_probability_out_of_range_is_exit_1(self, tmp_path):
+        config = tmp_path / "sim.cfg"
+        config.write_text("weeks = 1\nchurn_prob_per_10min = 1e9\n")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert err.getvalue() == "error: probabilities must lie in [0, 1]\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("name", sorted(SIM_BOUNDS))
     @pytest.mark.parametrize("end", [0, 1])
@@ -323,3 +352,213 @@ class TestDefaultCorpus:
             course = class_id.rsplit("-w", 1)[0]
             by_course.setdefault(course, set()).add(roster)
         assert all(len(rosters) == 1 for rosters in by_course.values())
+
+
+def _campus_facts(campus) -> tuple:
+    """Everything a `Campus` holds, in comparable form."""
+    return (
+        [(r.room_id, r.building, r.floor, r.capacity, r.aps, r.corner_aps, r.corridor_aps)
+         for r in campus.rooms],
+        [(ap, campus.inventory.location(ap)) for ap in campus.inventory],
+        campus.events,
+        campus.rosters,
+        campus.population,
+        campus.walkway_aps,
+    )
+
+
+@st.composite
+def small_configs(draw) -> SimConfig:
+    """One-week simulator configs of one to three small rooms, drawn so that
+    every branch of the simulator is reached across examples."""
+    n_rooms = draw(st.integers(1, 3))
+    capacities = tuple(draw(st.integers(2, 40)) for _ in range(n_rooms))
+    ap_counts = draw(st.none() | st.just(tuple(draw(st.integers(1, 8)) for _ in range(n_rooms))))
+    return SimConfig(
+        seed=draw(st.integers(0, 2**32)),
+        weeks=1,
+        days_per_week=draw(st.integers(1, 3)),
+        room_capacities=capacities,
+        room_ap_counts=ap_counts,
+        corner_ap_fraction=draw(st.sampled_from([0.0, 0.15, 0.5])),
+        corner_ap_weight=draw(st.sampled_from([0.3, 1.0, 2.5])),
+        corridor_aps_per_room=draw(st.integers(1, 2)),
+        walkway_ap_count=draw(st.integers(1, 3)),
+        classes_per_room_per_week=draw(st.integers(1, 2)),
+        device_count_weights=draw(st.sampled_from([{1: 1.0}, {1: 0.55, 2: 0.35, 3: 0.1}, {3: 1.0}])),
+        churn_prob_per_10min=draw(st.sampled_from([0.0, 0.22, 1.0])),
+        churn_gap_minutes=draw(st.sampled_from([(0, 4), (0, 0), (3, 9)])),
+        sticky_ap_prob=draw(st.sampled_from([0.0, 0.6, 1.0])),
+        cross_room_attach_prob=draw(st.sampled_from([0.0, 0.015, 0.5, 1.0])),
+        near_room_attach_prob=draw(st.sampled_from([0.0, 0.12, 1.0])),
+        arrival_mean=draw(st.sampled_from([8.0, -30.0])),
+        depart_sd=draw(st.sampled_from([0.0, 4.0, 40.0])),
+        bystander_rate_per_hour=draw(st.sampled_from([0.0, 2.0, 10.0])),
+        walkway_bystander_rate_per_hour=draw(st.sampled_from([0.0, 8.0])),
+        bystander_in_room_prob=draw(st.sampled_from([0.0, 0.15, 1.0])),
+        lingerer_prob=draw(st.sampled_from([0.0, 0.35, 1.0])),
+        remote_prob=draw(st.sampled_from([0.0, 0.12, 1.0])),
+        ambient_per_corridor_ap=draw(st.sampled_from([0.0, 2.0])),
+        ambient_per_walkway_ap=draw(st.sampled_from([0.0, 2.0])),
+        idle_room_users_per_ap=draw(st.sampled_from([0.0, 1.5])),
+        walkin_prob=draw(st.sampled_from([0.0, 0.3])),
+        report_hour=draw(st.sampled_from([21, 9, 11, 14])),
+    )
+
+
+# Each example reaches one branch for certain: walk-ins, no churn, every
+# attendee in a neighbouring room, corner weights, several devices, and a
+# report hour inside class hours, which cuts sessions and marks them ongoing.
+BRANCH_BASE = dict(seed=3, weeks=1, room_capacities=(30, 12))
+BRANCHES = [
+    dict(walkin_prob=0.3),
+    dict(churn_prob_per_10min=0.0),
+    dict(cross_room_attach_prob=1.0, sticky_ap_prob=0.0, idle_room_users_per_ap=0.0,
+         lingerer_prob=0.0, bystander_in_room_prob=0.0),
+    dict(room_ap_counts=(7, 3), corner_ap_fraction=0.5, corner_ap_weight=2.5,
+         cross_room_attach_prob=0.0, near_room_attach_prob=0.0),
+    dict(device_count_weights={1: 0.2, 2: 0.3, 3: 0.5}),
+    dict(report_hour=11, days_per_week=1, classes_per_room_per_week=2),
+]
+
+
+class TestSimulatorMatchesOracle:
+    """The simulator makes the draws of the loops it replaced, in their order."""
+
+    @staticmethod
+    def _check(config: SimConfig):
+        """(campus, rows, truth), after requiring that the oracle gives the same."""
+        campus = generate_campus(config)
+        assert _campus_facts(campus) == _campus_facts(sim_oracle.generate_campus(config))
+        rows, truth = simulate_sessions(campus, config)
+        old_rows, old_truth = sim_oracle.simulate_sessions(campus, config)
+        assert rows == old_rows
+        assert truth == old_truth
+        return campus, rows, truth
+
+    @settings(max_examples=150, deadline=None)
+    @given(config=small_configs())
+    @example(config=SimConfig(**BRANCH_BASE, **BRANCHES[0]))
+    @example(config=SimConfig(**BRANCH_BASE, **BRANCHES[1]))
+    @example(config=SimConfig(**BRANCH_BASE, **BRANCHES[2]))
+    @example(config=SimConfig(**BRANCH_BASE, **BRANCHES[3]))
+    @example(config=SimConfig(**BRANCH_BASE, **BRANCHES[4]))
+    @example(config=SimConfig(**BRANCH_BASE, **BRANCHES[5]))
+    def test_small_configs(self, config):
+        self._check(config)
+
+    def test_branch_examples_reach_their_branch(self):
+        campus, _, truth = self._check(SimConfig(**BRANCH_BASE, **BRANCHES[0]))
+        assert any(truth.attendees[c] - campus.rosters[c] for c in truth.attendees)
+        # Only attendees reach room APs here, and each attaches into the other room.
+        campus, rows, truth = self._check(SimConfig(**BRANCH_BASE, **BRANCHES[2]))
+        held_in = {e.class_id: e.room_id for e in campus.events}
+        rooms_attended = {}
+        for class_id, users in truth.attendees.items():
+            for user in users:
+                rooms_attended.setdefault(user, set()).add(held_in[class_id])
+        on_room_aps = [(r[1], r[3].split("-")[0]) for r in rows if r[3].startswith("room")]
+        assert on_room_aps
+        assert all(rooms_attended[user] - {room} for user, room in on_room_aps)
+        campus, _, _ = self._check(SimConfig(**BRANCH_BASE, **BRANCHES[3]))
+        assert len(campus.rooms[0].corner_aps) == 4
+        _, rows, _ = self._check(SimConfig(**BRANCH_BASE, **BRANCHES[4]))
+        assert max(r[2] for r in rows) == 2
+        _, rows, _ = self._check(SimConfig(**BRANCH_BASE, **BRANCHES[5]))
+        assert any(r[5] for r in rows) and all(r[4] % 1440 <= 11 * 60 for r in rows)
+
+    def test_small_corpus(self):
+        self._check(SimConfig(**FAST))
+
+
+def _stdlib_calls(ops):
+    """The values the stdlib returns for `ops`, then its state."""
+    rng, out = random.Random(ops[0]), []
+    for op, *args in ops[1:]:
+        if op == "gauss_pair":
+            out.append((rng.gauss(*args[:2]), rng.gauss(*args[2:])))
+        else:
+            out.append(getattr(rng, op)(*args))
+    return out, rng.getstate()
+
+
+def _fast_calls(ops):
+    rng, out = _Random(ops[0]), []
+    for op, *args in ops[1:]:
+        out.append(getattr(rng, op)(*args))
+    return out, rng.getstate()
+
+
+WIDTHS = st.one_of(st.integers(1, 70), st.integers(1, 2**70 + 3), st.sampled_from([2**k for k in range(66)]))
+DRAW_OPS = st.lists(
+    st.one_of(
+        WIDTHS.map(lambda n: ("randrange", n)),
+        st.tuples(st.integers(-2**70, 2**70), WIDTHS).map(lambda p: ("randrange", p[0], p[0] + p[1])),
+        st.tuples(st.integers(-2**70, 2**70), WIDTHS).map(lambda p: ("randint", p[0], p[0] + p[1] - 1)),
+        st.integers(1, 70).map(lambda n: ("choice", list(range(n)))),
+        st.tuples(st.floats(-100, 100), st.floats(0, 10)).map(lambda p: ("gauss", *p)),
+        st.tuples(st.floats(-100, 100), st.floats(0, 10)).map(lambda p: ("gauss_pair", *p, 32.0, 6.0)),
+        st.integers(0, 20).map(lambda k: ("sample", list(range(20)), k)),
+        st.just(("random",)),
+    ),
+    max_size=30,
+)
+
+
+class TestRandomDraws:
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**64), ops=DRAW_OPS)
+    def test_draws_equal_the_stdlib(self, seed, ops):
+        assert _fast_calls([seed, *ops]) == _stdlib_calls([seed, *ops])
+
+    @pytest.mark.parametrize("call", [("randrange", 0), ("randrange", -3), ("randrange", 5, 5),
+                                      ("randint", 4, 3), ("choice", [])])
+    def test_empty_ranges_raise_as_the_stdlib(self, call):
+        op, *args = call
+        with pytest.raises(Exception) as fast:
+            getattr(_Random(1), op)(*args)
+        with pytest.raises(Exception) as stdlib:
+            getattr(random.Random(1), op)(*args)
+        assert type(fast.value) is type(stdlib.value)
+
+
+class TestPoisson:
+    @pytest.mark.parametrize("mean", [0.5, 12.9, 120.0, 499.0, POISSON_SPLIT])
+    def test_means_up_to_the_split_draw_as_before(self, mean):
+        for seed in range(20):
+            assert _poisson(random.Random(seed), mean) == sim_oracle._poisson(random.Random(seed), mean)
+
+    @pytest.mark.parametrize("mean", [822.86, 5000.0, 1e6])
+    def test_large_means_are_not_capped(self, mean):
+        """The old loop drew about 745 for any mean above that; the split draw tracks the mean."""
+        draws = [_poisson(random.Random(seed), mean) for seed in range(6)]
+        assert all(abs(d - mean) <= 6 * math.sqrt(mean) for d in draws), draws
+        assert all(sim_oracle._poisson(random.Random(seed), mean) < 800 for seed in range(6))
+
+
+# sha256 of every file `roomsense simulate --seed 42 --weeks 1` writes,
+# unchanged since the simulator's first release.
+PINNED_WEEK = {
+    "ground_truth_counts.csv": "cdc69663e0c4fc6470a5d0e266df32833f6062ffe52a24e62e19133f174ec8b2",
+    "ground_truth_users.csv": "35a010055a3fb9224dd9239700fb1324318e1cad620357a80ac68c8a64d5d3f7",
+    "inventory.csv": "9f6fe3118c4bd6b276b7dd3e39a828c483c39346c5d0959ec42c2290f6f5de01",
+    "roster.csv": "741b3e6519b446251534789f53b59af5abc6dcbce9a6bcc732c6327fd1a87420",
+    "sessions.csv": "847a5afc854edf7861556b3c9ea6240bb4a0c29d5b9dd479954ae198f8817634",
+    "sim_config.txt": "577f7fcf7a8e086fad1e039e0e48ac250b665b0d84bedbcebe8397c84bf5e12c",
+    "timetable.csv": "c071c9d4c9116b6ef8665686629950af16a42c0ea283b3bb1545953c899f1183",
+}
+
+
+@pytest.mark.parametrize("hash_seed", ["1", "2"])
+def test_pinned_corpus_whatever_the_hash_seed(tmp_path, hash_seed):
+    """The corpus is fixed by its seed alone, not by the order of any set or dict of strings."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    subprocess.run(
+        [sys.executable, "-m", "roomsense.cli", "simulate", "--seed", "42", "--weeks", "1",
+         "--out", str(tmp_path)],
+        env=env, check=True, stdout=subprocess.DEVNULL,
+    )
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert digests == PINNED_WEEK
