@@ -41,6 +41,16 @@ from .store import _Memo, _check_row, read_rows, write_rows
 SEMESTER_START = datetime(2025, 3, 3)  # a Monday
 DAY_START_MIN = 9 * 60
 DAY_END_MIN = 21 * 60
+CLASS_STARTS_PER_DAY = (DAY_END_MIN - DAY_START_MIN) // 60  # classes start on the hour
+LONG_DWELL_MEAN = 112.5  # minutes: long-dwell and idle-room stays last 45..180 minutes
+
+# `SimConfig.validate` refuses more rooms than MAX_ROOMS, and a config whose
+# `estimated_session_rows` exceed MAX_SESSION_ROWS. The simulator holds every
+# row in memory before it writes the log: 2M rows take about 500 MB and half
+# a minute, and make a log of about 200 MB. A year of seven-day weeks on the
+# default campus is about 1.6M rows.
+MAX_ROOMS = 100
+MAX_SESSION_ROWS = 2_000_000
 
 # (lowest, highest) of each setting that sizes the campus or scales the
 # simulator's work or time span; a tuple or dict setting bounds each of its
@@ -108,10 +118,8 @@ class SimConfig:
     report_hour: int = 21
 
     def validate(self) -> None:
-        if not self.room_capacities:
-            raise ConfigError("at least one room is required")
-        if self.classes_per_room_per_week < 1:
-            raise ConfigError("classes_per_room_per_week must be positive")
+        if not 1 <= len(self.room_capacities) <= MAX_ROOMS:
+            raise ConfigError(f"room_capacities must list 1..{MAX_ROOMS} rooms")
         probs = (
             self.non_connect_prob,
             self.cross_room_attach_prob,
@@ -159,6 +167,59 @@ class SimConfig:
             raise ConfigError("attendance_ratio is a share of the roster and cannot exceed 1")
         if self.bystander_dwell_mean <= 0 or self.corner_ap_weight <= 0:
             raise ConfigError("bystander_dwell_mean and corner_ap_weight must be positive")
+        slots = self.days_per_week * CLASS_STARTS_PER_DAY
+        if not 1 <= self.classes_per_room_per_week <= slots:
+            raise ConfigError(
+                f"classes_per_room_per_week must lie in 1..{slots}, the hourly class starts of a week"
+            )
+        if not self.estimated_session_rows() <= MAX_SESSION_ROWS:  # also refuses nan
+            raise ConfigError(
+                f"this config would write about {self.estimated_session_rows():.3g} session rows; "
+                f"the limit is {MAX_SESSION_ROWS}"
+            )
+
+    def estimated_session_rows(self) -> float:
+        """About how many session rows `simulate_sessions` writes for this config.
+
+        The expected counts of its draws: per class, the attendees' churned
+        device sessions and the absentees' visits; per day, the passers-by and
+        long-dwell users of every corridor and walkway spot, and the
+        idle-room studiers. Every day counts, although the simulator skips a
+        day without a class, so with fewer courses than weekdays the estimate
+        runs high.
+        """
+        hours = (DAY_END_MIN - DAY_START_MIN) / 60
+        churn_every = max(3.0, 10 / self.churn_prob_per_10min) if self.churn_prob_per_10min > 0 else math.inf
+        gap = sum(self.churn_gap_minutes) / 2
+
+        def sessions(minutes: float) -> float:  # churned sessions covering `minutes` of presence
+            return 1 + minutes / (churn_every + gap)
+
+        def spot(passers_per_hour: float, concurrent: float) -> float:  # one corridor or walkway, one day
+            return passers_per_hour * hours + concurrent * (1 + hours * 60 / LONG_DWELL_MEAN) * sessions(
+                LONG_DWELL_MEAN
+            )
+
+        class_minutes = sum(m * w for m, w in self.duration_weights.items())
+        early = min(max(-self.arrival_mean, 0), self.early_arrival_limit)
+        presence = class_minutes + early + 0.4 * self.depart_sd  # 0.4 sd: mean of a half-normal tail
+        devices = sum(k * w for k, w in self.device_count_weights.items())
+        enrolled, attending = sum(self.enrollment_ratio) / 2, sum(self.attendance_ratio) / 2
+        classes, week = self.classes_per_room_per_week, 0.0
+        for i, capacity in enumerate(self.room_capacities):
+            roster = max(2.0, enrolled * capacity)
+            going = max(1.0, attending * roster)
+            per_class = going * (1 - self.non_connect_prob) * devices * sessions(presence)
+            per_class += (roster - going) * (1.5 * self.lingerer_prob + self.remote_prob)
+            aps = self.room_ap_counts[i] if self.room_ap_counts is not None else max(3, math.ceil(capacity / 45))
+            idle_hours = max(0.0, self.days_per_week * hours - classes * class_minutes / 60)
+            idle_windows = self.days_per_week + classes
+            idle = self.idle_room_users_per_ap * aps * (idle_windows + idle_hours * 60 / LONG_DWELL_MEAN)
+            week += classes * per_class + idle
+        day = len(self.room_capacities) * spot(
+            self.bystander_rate_per_hour, self.ambient_per_corridor_ap * self.corridor_aps_per_room
+        ) + self.walkway_ap_count * spot(self.walkway_bystander_rate_per_hour, self.ambient_per_walkway_ap)
+        return self.weeks * (week + self.days_per_week * day)
 
 
 @dataclass
@@ -417,7 +478,7 @@ def _presence(config: SimConfig, rng: random.Random):
     def segments(t0: int, t1: int) -> list[tuple[int, int]]:
         if t1 - t0 < 1:
             return []
-        if churn <= 0:
+        if lambd <= 0:  # no churn, or so rare that 10 / churn overflows
             return [(t0, t1)]
         out = []
         t = t0

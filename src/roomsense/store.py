@@ -2,7 +2,12 @@
 
 `read_rows` and `write_rows` frame every tabular file the program reads or
 writes. `load_sessions` parses a session log straight into a `SessionTable` of numpy
-columns. `SessionStore` indexes the table once; every query is read-only.
+columns. A canonical log is parsed in blocks: `_CanonicalBlocks.split` and
+`parse` turn one block into columns, `parse` on a worker thread when two CPUs
+are free, and `merge` appends the blocks to the table in file order, on the
+calling thread only. `SessionStore` indexes the table for
+`sessions_overlapping` when it is built, and builds the merged intervals that
+`user_counts_at` reads on its first call; every query is read-only.
 """
 from __future__ import annotations
 
@@ -11,9 +16,10 @@ import csv
 import os
 import stat
 from array import array
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from datetime import datetime
+from functools import cached_property
 
 import numpy as np
 
@@ -220,6 +226,17 @@ class _Memo(dict):
         return value
 
 
+def _sorted_texts(codes: np.ndarray, parts: list[np.ndarray]) -> tuple[np.ndarray, list[str]]:
+    """(codes, texts): `codes`, which index the concatenated `parts`, renumbered to
+    index the sorted distinct texts of `parts`, and those texts."""
+    if not parts:
+        return codes.copy(), []
+    texts = np.concatenate(parts)  # zero-padded to the widest part, a multiple of 8 bytes
+    words, group = _groups(texts.view(_WORD).reshape(len(texts), -1))
+    texts, rank = np.unique(words.view(texts.dtype).ravel(), return_inverse=True)
+    return rank.reshape(-1)[group][codes], texts.astype(str).tolist()
+
+
 def _sorted_codes(codes: array, names: dict[str, int]) -> tuple[np.ndarray, list[str]]:
     """Renumber first-seen name codes so that code order is name order."""
     seen = list(names)
@@ -233,7 +250,7 @@ def _sorted_codes(codes: array, names: dict[str, int]) -> tuple[np.ndarray, list
 _STATUS_ONGOING = {"ass": True, "associated": True, "disass": False, "disassociated": False}
 
 # The numpy path of `load_sessions`; see `_load_canonical`.
-_BLOCK_BYTES = 1 << 21  # read size; each block is cut at its last line end
+_BLOCK_BYTES = 1 << 20  # read size; each block is cut at its last line end
 _MAX_LINE_BYTES = 1 << 22  # a longer line sends the file to the row loop
 _TEXT_BYTES = 64  # widest name, status, RSSI or duration field taken by numpy
 _MIN_LINE_BYTES = 33  # shortest canonical line: a stamp, four 1-byte fields, `Ass`, 10 delimiters
@@ -243,6 +260,9 @@ _STAMP_MARKS = [2, 5, 10, 13]
 _STAMP_MARK_BYTES = np.frombuffer(b"// :", dtype=np.uint8)
 _WORD = np.dtype("<u8")
 _KEEP_BYTES = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=_WORD)  # a word's first n bytes
+_MIX = np.uint64(0x9E3779B97F4A7C15)  # odd multiplier that mixes a field's words into one sort key
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+_PARSE_THREADS = min(2, _CPUS)  # this thread and at most one worker
 
 
 def _load_canonical(path, report_end: int | None, delimiter: str) -> SessionTable | None:
@@ -253,9 +273,17 @@ def _load_canonical(path, report_end: int | None, delimiter: str) -> SessionTabl
     `_check_header`; every other line is a data line with as many fields as
     the header, none with surrounding spaces or as long as the csv field
     limit; and the row loop would take every row without a reject or a
-    warning (`_CanonicalBlocks.add`). The csv module splits such a file at
-    every delimiter and line end, so both paths build the same table. The
-    file is read in blocks of about `_BLOCK_BYTES`, each cut at a line end.
+    warning (`_CanonicalBlocks`). The csv module splits such a file at every
+    delimiter and line end, so both paths build the same table.
+
+    The file is read in blocks of about `_BLOCK_BYTES`, each cut at a line
+    end. With two CPUs, a worker thread parses each block while this thread
+    splits the next one; numpy releases the GIL for most of that work. The
+    whole-block scans of `split` stay on this thread, so the worker's own
+    memory is small, and freed memory that the C allocator keeps for the
+    worker is not wasted. This thread alone merges the parsed blocks into
+    the table, in file order, and the worker is shut down on every way out
+    of this function.
     """
     if delimiter not in _CANONICAL_DELIMITERS:
         return None
@@ -266,28 +294,62 @@ def _load_canonical(path, report_end: int | None, delimiter: str) -> SessionTabl
                 return None  # the row loop could not read a pipe again
             if codecs.lookup(handle.encoding).name not in ("utf-8", "ascii"):
                 return None
-            parser, pending = None, b""
-            while True:
-                block = handle.buffer.read(_BLOCK_BYTES)
-                data = pending + block
-                cut = data.rfind(b"\n") + 1 if block else len(data)
-                if block and not cut:
-                    if len(data) > _MAX_LINE_BYTES:
+            header = handle.buffer.readline(_MAX_LINE_BYTES + 1)
+            if len(header) > _MAX_LINE_BYTES:
+                return None
+            parser = _CanonicalBlocks.start(
+                path, header.removesuffix(b"\n"), delimiter, report_end, file_stat.st_size
+            )
+            if parser is None:
+                return None
+            # imported here: a command that reads no session log need not load it
+            from concurrent.futures import ThreadPoolExecutor
+
+            with ThreadPoolExecutor(max_workers=1) if _PARSE_THREADS > 1 else nullcontext() as pool:
+                ahead = None  # the worker's parse of the block before this one
+                for block in _line_blocks(handle.buffer):
+                    fields = None if block is None else parser.split(*block)
+                    if ahead is not None and not parser.merge(ahead.result()):
                         return None
-                    pending = data
-                    continue
-                lines, pending = data[:cut], data[cut:]
-                if parser is None:
-                    header, _, lines = lines.partition(b"\n")
-                    parser = _CanonicalBlocks.start(path, header, delimiter, report_end, file_stat.st_size)
-                    if parser is None:
+                    ahead = None
+                    if fields is None:
                         return None
-                if lines and not parser.add(lines):
+                    if pool is not None:
+                        ahead = pool.submit(parser.parse, fields)
+                    elif not parser.merge(parser.parse(fields)):
+                        return None
+                if ahead is not None and not parser.merge(ahead.result()):
                     return None
-                if not block:
-                    return parser.table()
+            return parser.table()
     except OSError:
         return None
+
+
+def _line_blocks(raw):
+    """The rest of `raw` in blocks of whole lines, each about `_BLOCK_BYTES` long.
+
+    A block is (buffer, size): its lines are the first `size` bytes of the
+    buffer, followed by at least `_TEXT_BYTES` spare bytes. Only the last
+    block may end without a line end. None stands for the rest of the file
+    when a line is longer than `_MAX_LINE_BYTES`.
+    """
+    pending = b""
+    while True:
+        data = bytearray(len(pending) + _BLOCK_BYTES + _TEXT_BYTES)
+        data[: len(pending)] = pending
+        read = raw.readinto(memoryview(data)[len(pending) : len(pending) + _BLOCK_BYTES])
+        size = len(pending) + read
+        if not read:
+            if size:
+                yield data, size
+            return
+        cut = data.rfind(b"\n", 0, size) + 1
+        if not cut and size > _MAX_LINE_BYTES:
+            yield None
+            return
+        pending = data[cut:size]
+        if cut:
+            yield data, cut
 
 
 def _day_minutes(key: int) -> int | None:
@@ -308,29 +370,39 @@ def _field_words(buf: np.ndarray, starts: np.ndarray, lens: np.ndarray, n_words:
     return words
 
 
-def _distinct(buf, starts, lens) -> tuple[list[str], np.ndarray] | None:
-    """(distinct texts, each row's index into them) of one column's fields.
+def _groups(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(a row of each group of equal rows, each row's group) of a uint64 matrix.
 
-    Fields are grouped as zero-padded 8-byte words; None when a field is
-    wider than `_TEXT_BYTES`.
+    Rows are ordered by one key that mixes their words, and a group ends
+    wherever neighbouring rows differ in any word. Equal rows have equal
+    keys, so they form one group unless other rows share their key; those
+    may then split them, and two groups hold equal rows.
     """
-    n_words = max(1, -(-int(lens.max()) // 8))
-    if 8 * n_words > _TEXT_BYTES:
-        return None
-    words = _field_words(buf, starts, lens, n_words)
-    order = np.lexsort(words.T) if n_words > 1 else np.argsort(words[:, 0])
+    key = words[:, 0].copy()
+    for i in range(1, words.shape[1]):
+        key *= _MIX
+        key ^= words[:, i]
+    order = np.argsort(key)
     words = words[order]
     first = np.ones(len(order), dtype=bool)
     first[1:] = (words[1:] != words[:-1]).any(axis=1)
     inverse = np.empty_like(order)
     inverse[order] = np.cumsum(first) - 1
-    return words[first].view(f"S{8 * n_words}").ravel().astype(str).tolist(), inverse
+    return words[first], inverse
 
 
-def _digits(buf, starts, lens) -> np.ndarray:
-    """Per field: 1 to 18 ASCII digits."""
-    digits = _field_words(buf, starts, lens, 3).view(np.uint8) - 48  # other bytes wrap above 9
-    return (lens >= 1) & (lens <= 18) & ((digits <= 9).sum(axis=1) == lens)
+def _distinct(buf, starts, lens) -> tuple[np.ndarray, np.ndarray] | None:
+    """(texts, each row's index into them) of one column's fields.
+
+    The texts are a bytes array (numpy `S` dtype), and may list a text more
+    than once (`_groups`). Fields are compared as zero-padded 8-byte words;
+    None when a field is wider than `_TEXT_BYTES`.
+    """
+    n_words = max(1, -(-int(lens.max()) // 8))
+    if 8 * n_words > _TEXT_BYTES:
+        return None
+    words, inverse = _groups(_field_words(buf, starts, lens, n_words))
+    return words.view(f"S{8 * n_words}").ravel(), inverse
 
 
 def _blank(buf, starts, lens) -> np.ndarray:
@@ -338,8 +410,39 @@ def _blank(buf, starts, lens) -> np.ndarray:
     return (lens == 0) | ((lens == 1) & (buf[starts] == ord("-")))
 
 
+@dataclass(frozen=True)
+class _Fields:
+    """One block split into fields: (line, field) offsets and lengths into `buf`,
+    and each line's session start and effective end in minutes."""
+
+    buf: np.ndarray
+    starts: np.ndarray
+    lens: np.ndarray
+    start: np.ndarray
+    end: np.ndarray
+
+
+@dataclass(frozen=True)
+class _Block:
+    """The parsed rows of one block: each name column as (texts, row index into them)."""
+
+    names: tuple[tuple[np.ndarray, np.ndarray], ...]  # user, MAC, AP
+    start: np.ndarray
+    end: np.ndarray
+    rssi: np.ndarray
+
+
 class _CanonicalBlocks:
-    """The data lines of a canonical session log, parsed with numpy block by block."""
+    """The data lines of a canonical session log, parsed with numpy block by block.
+
+    A block goes through three steps. `split` scans every byte to find
+    the fields, and decodes the numbers and times; `parse` looks up each
+    text column's distinct texts. Neither changes the parser but for its
+    memos, which cache pure functions, and the two use different memos, so
+    `parse` may run on a worker thread while `split` runs on another.
+    `merge` appends a parsed block to the table; blocks must be merged in
+    file order, on one thread.
+    """
 
     def __init__(self, delimiter: str, n_fields: int, crlf: bool, report_end: int | None, file_bytes: int):
         self.delimiter = ord(delimiter)
@@ -347,7 +450,10 @@ class _CanonicalBlocks:
         self.crlf = crlf
         self.report_end = report_end
         self.field_limit = csv.field_size_limit()
-        self.names: tuple[dict[str, int], ...] = ({}, {}, {})  # user, MAC, AP: first-seen codes
+        # Per name column (user, MAC, AP), the texts of each merged block; a
+        # row's code indexes their concatenation until `table` sorts them.
+        self.texts: tuple[list[np.ndarray], ...] = ([], [], [])
+        self.n_texts = [0, 0, 0]
         self.days = _Memo(_day_minutes)
         self.statuses = _Memo(lambda text: _STATUS_ONGOING.get(text.lower()))
         self.rssi_values = _Memo(_rssi_value)
@@ -381,7 +487,7 @@ class _CanonicalBlocks:
         digits = rows[:, _STAMP_DIGITS] - 48  # uint8: any other byte wraps above 9
         if (digits > 9).any() or (rows[:, _STAMP_MARKS] != _STAMP_MARK_BYTES).any():
             return None
-        d = digits.astype(np.int64).T
+        d = digits.astype(np.int32).T  # a yyyymmdd key fits in int32
         hour, minute = d[8] * 10 + d[9], d[10] * 10 + d[11]
         if (hour > 23).any() or (minute > 59).any():
             return None
@@ -396,104 +502,148 @@ class _CanonicalBlocks:
     def _resolved(self, buf, starts, lens, memo) -> tuple[list, np.ndarray] | None:
         """(memo value of each distinct text, each row's index into them) of one column."""
         found = _distinct(buf, starts, lens)
-        return None if found is None else ([memo[text] for text in found[0]], found[1])
+        if found is None:
+            return None
+        texts, inverse = found
+        return [memo[text] for text in texts.astype(str).tolist()], inverse
 
-    def add(self, lines: bytes) -> bool:
-        """Parse whole lines into the table; False if one is not canonical.
+    def split(self, data: bytearray, size: int) -> _Fields | None:
+        """The fields of the whole lines that are the first `size` bytes of `data`.
 
-        False also for a row the row loop would reject or warn about, so the
-        caller can hand the whole file to the row loop.
+        The checks by position: None if a line is not canonical, or if the
+        row loop would reject a row for its field count, an empty user ID or
+        MAC, a byte count or SNR that is not a number, or its times. `data`
+        needs `_TEXT_BYTES` readable bytes after the lines.
         """
-        if not lines.endswith(b"\n"):  # the last line of a file without a final line end
-            lines += b"\r\n" if self.crlf else b"\n"
-        buf = np.zeros(len(lines) + _TEXT_BYTES, dtype=np.uint8)  # zero tail for `_field_words`
-        text = buf[: len(lines)]
-        text[:] = np.frombuffer(lines, dtype=np.uint8)
-        line_ends, delimiters = text == ord("\n"), text == self.delimiter
-        n_lines, n_delimiters = np.count_nonzero(line_ends), np.count_nonzero(delimiters)
+        buf = np.frombuffer(data, dtype=np.uint8)
+        if buf[size - 1] != ord("\n"):  # the last line of a file without a final line end
+            line_end = b"\r\n" if self.crlf else b"\n"
+            buf = np.frombuffer(bytes(data[:size]) + line_end + bytes(_TEXT_BYTES), dtype=np.uint8)
+            size += len(line_end)
+        text = buf[:size]
+        separators = text == ord("\n")
+        n_lines = np.count_nonzero(separators)
+        delimiters = text == self.delimiter
+        n_delimiters = np.count_nonzero(delimiters)
+        separators |= delimiters
+        del delimiters
         n_returns = np.count_nonzero(text == ord("\r"))
         if n_delimiters != n_lines * (self.n_fields - 1) or n_returns != n_lines * self.crlf:
-            return False
+            return None
         # beyond these, only printable ASCII other than `"`
         n_controls = n_lines + n_returns + n_delimiters * (self.delimiter < 0x20)
         if np.count_nonzero(text < 0x20) != n_controls or (text > 0x7E).any() or (text == ord('"')).any():
-            return False
-        ends = np.flatnonzero(line_ends | delimiters)
-        ends = ends.reshape(n_lines, self.n_fields)
+            return None
+        # Field positions fit in int32, which halves the largest arrays of a block.
+        ends = np.flatnonzero(separators).astype(np.int32).reshape(n_lines, self.n_fields)
         if (text[ends[:, -1]] != ord("\n")).any():
-            return False
+            return None
         starts = np.empty_like(ends)
-        flat = starts.reshape(-1)
-        flat[0] = 0
-        np.add(ends.reshape(-1)[:-1], 1, out=flat[1:])
+        starts[0, 0] = 0
+        np.add(ends.reshape(-1)[:-1], 1, out=starts.reshape(-1)[1:])
+        # Per line, the bytes that are not digits from the start of Bytes Tx to
+        # the end of SNR, their three closing delimiters included; uint8 sums
+        # wrap only past 255 bytes, and the checks below need at most 57.
+        not_digit = separators.view(np.uint8)  # the separators are not needed again
+        np.subtract(text, 48, out=not_digit)  # any byte but a digit wraps above 9
+        np.greater(not_digit, 9, out=separators)
+        numeric_span = np.add.reduceat(not_digit, starts[:, [6, 9]].ravel(), dtype=np.uint8)[::2]
+        del separators, not_digit
         if self.crlf:
             ends[:, -1] -= 1
             if (text[ends[:, -1]] != ord("\r")).any():
-                return False
-        lens = ends - starts
-        filled = lens > 0
-        if lens.max() >= self.field_limit or not filled[:, :2].all():  # user ID and MAC
-            return False
-        if (text[starts[filled]] == ord(" ")).any() or (text[ends[filled] - 1] == ord(" ")).any():
-            return False
+                return None
+        # An empty field starts at its own delimiter or line end and ends after
+        # the one before it, so neither byte is a space.
+        if (text[starts] == ord(" ")).any() or (text[ends - 1] == ord(" ")).any():
+            return None
+        lens = np.subtract(ends, starts, out=ends)  # in place: the ends are not needed again
+        if lens.max() >= self.field_limit or not lens[:, :2].all():  # user ID and MAC
+            return None
+        # Bytes Tx and Rcvd: 1 to 18 digits; SNR the same, or blank. Then the
+        # span holds only digits, the three delimiters and an SNR of `-`.
+        lens_ok = (lens[:, 6:8] >= 1).all(axis=1) & (lens[:, 6:9] <= 18).all(axis=1)
+        dash = (lens[:, 8] == 1) & (buf[starts[:, 8]] == ord("-"))
+        if not (lens_ok & (numeric_span == 3 + dash)).all():
+            return None
 
         if not (lens[:, 2] == 16).all():
-            return False
+            return None
         assoc = self._stamps(buf, starts[:, 2])
         closed = lens[:, 3] == 16
         if assoc is None or not (closed | _blank(buf, starts[:, 3], lens[:, 3])).all():
-            return False
+            return None
         disassoc = self._stamps(buf, starts[closed, 3])
-        status = self._resolved(buf, starts[:, 10], lens[:, 10], self.statuses)
-        if disassoc is None or status is None or None in status[0]:
-            return False
-        ongoing = np.array(status[0], dtype=bool)[status[1]]
-        if (ongoing == closed).any():  # the status and the disassociation time disagree
-            return False
+        if disassoc is None:
+            return None
         if self.report_end is None:
             end = assoc - assoc % 1440 + DEFAULT_REPORT_HOUR * 60
         else:
             end = np.full_like(assoc, self.report_end)
         end[closed] = disassoc
         if (end < assoc).any():
-            return False
+            return None
+        return _Fields(buf, starts, lens, assoc, end)
 
+    def parse(self, fields: _Fields) -> _Block | None:
+        """The rows of split lines; None if the row loop would reject or warn about one.
+
+        The checks that look up each column's distinct texts: status, RSSI
+        and logged duration; then the name columns' texts.
+        """
+        buf, starts, lens = fields.buf, fields.starts, fields.lens
+        status = self._resolved(buf, starts[:, 10], lens[:, 10], self.statuses)
+        if status is None or None in status[0]:
+            return None
+        ongoing = np.array(status[0], dtype=bool)[status[1]]
+        if (ongoing == (lens[:, 3] == 16)).any():  # the status and the disassociation time disagree
+            return None
         rssi = self._resolved(buf, starts[:, 9], lens[:, 9], self.rssi_values)
         if rssi is None or None in rssi[0]:
-            return False
-        numbers = _digits(buf, starts[:, 6], lens[:, 6]) & _digits(buf, starts[:, 7], lens[:, 7])
-        numbers &= _blank(buf, starts[:, 8], lens[:, 8]) | _digits(buf, starts[:, 8], lens[:, 8])
-        if not numbers.all():  # bytes Tx and Rcvd, SNR
-            return False
+            return None
         logged = self._resolved(buf, starts[:, 4], lens[:, 4], self.durations)
         if logged is None or any(v is not None and not 0 <= v[1] < 2**62 for v in logged[0]):
-            return False  # a negative logged duration never matches, so the row loop warns
+            return None  # a negative logged duration never matches, so the row loop warns
         expected = np.array([-1 if v is None else v[1] for v in logged[0]], dtype=np.int64)[logged[1]]
-        if ((expected >= 0) & (expected != end - assoc)).any():
-            return False
+        if ((expected >= 0) & (expected != fields.end - fields.start)).any():
+            return None
 
-        codes = []
-        for column, names in zip((0, 1, 5), self.names):
-            found = _distinct(buf, starts[:, column], lens[:, column])
-            if found is None:
-                return False
-            texts, inverse = found
-            codes.append(np.array([names.setdefault(t, len(names)) for t in texts], dtype=np.int64)[inverse])
-        rssi = np.array(rssi[0], dtype=np.int64)[rssi[1]]
-        rows = slice(self.n_rows, self.n_rows + n_lines)
-        if rows.stop > len(self.columns[0]):  # the file grew while it was read
+        names = tuple(_distinct(buf, starts[:, column], lens[:, column]) for column in (0, 1, 5))
+        if None in names:
+            return None
+        return _Block(names, fields.start, fields.end, np.array(rssi[0], dtype=np.int64)[rssi[1]])
+
+    def merge(self, block: _Block | None) -> bool:
+        """Append a parsed block's rows to the table.
+
+        False for a block that is not canonical (None), or when the file
+        grew while it was read.
+        """
+        if block is None:
             return False
-        for full, column in zip(self.columns, (*codes, assoc, end, rssi)):
+        rows = slice(self.n_rows, self.n_rows + len(block.start))
+        if rows.stop > len(self.columns[0]):
+            return False
+        for c, (texts, inverse) in enumerate(block.names):
+            np.add(inverse, self.n_texts[c], out=self.columns[c][rows])
+            self.texts[c].append(texts.copy())  # a worker's memory is not kept past its block
+            self.n_texts[c] += len(texts)
+        for full, column in zip(self.columns[3:], (block.start, block.end, block.rssi)):
             full[rows] = column
         self.n_rows = rows.stop
         return True
 
     def table(self) -> SessionTable:
-        """The parsed rows; each full-capacity column is released once copied."""
+        """The parsed rows; each full-capacity column is released once copied.
+
+        A text may be listed by many blocks, or twice by one; `np.unique`
+        sorts the texts of each name column and merges the copies. ASCII
+        bytes sort as their text does.
+        """
         n, full = self.n_rows, self.columns
         self.columns = []
         (user, user_names), (mac, mac_names), (ap, ap_names) = (
-            _sorted_codes(full.pop(0)[:n], names) for names in self.names
+            _sorted_texts(full.pop(0)[:n], parts) for parts in self.texts
         )
         start, end, rssi = (full.pop(0)[:n].copy() for _ in range(3))
         return SessionTable(user_names, mac_names, ap_names, user, mac, ap, start, end, rssi)
@@ -699,6 +849,14 @@ def _offsets(sorted_codes: np.ndarray, n_codes: int) -> np.ndarray:
     return np.searchsorted(sorted_codes, np.arange(n_codes + 1))
 
 
+def _longest(lengths: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Per group of the CSR `offsets`, the largest of its `lengths` (0 for an empty group)."""
+    longest = np.zeros(len(offsets) - 1, dtype=np.int64)
+    busy = offsets[:-1] < offsets[1:]
+    longest[busy] = np.maximum.reduceat(lengths, offsets[:-1][busy])
+    return longest
+
+
 def _sum_by_group(rows: np.ndarray, groups: np.ndarray, n_groups: int) -> np.ndarray:
     """Column sums of the 2-D `rows` per group code; `groups` is sorted.
 
@@ -728,64 +886,96 @@ def grouped_running_max(group: np.ndarray, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _merged_intervals(table: SessionTable):
+def _row_order(*keys: np.ndarray) -> np.ndarray:
+    """The stable order of rows by int64 `keys`, the first key most significant.
+
+    The same order as `np.lexsort(keys[::-1])`. When the keys' value ranges
+    fit in 63 bits together, one stable argsort of the packed keys finds it.
+    """
+    if keys[0].size == 0:
+        return np.zeros(0, dtype=np.intp)
+    lows = [int(k.min()) for k in keys]
+    widths = [(int(k.max()) - low).bit_length() for k, low in zip(keys, lows)]
+    if sum(widths) > 63:
+        return np.lexsort(keys[::-1])
+    packed = np.zeros(keys[0].size, dtype=np.int64)
+    for key, low, width in zip(keys, lows, widths):
+        packed <<= width
+        packed += key - low
+    return np.argsort(packed, kind="stable")
+
+
+@dataclass(frozen=True)
+class _MergedIntervals:
     """Per-(ap, user) unions of session intervals, ordered by (ap, start).
 
-    Returns (start, end, user, ap) columns. Touching intervals coalesce: a
-    session starting at or before the running maximum end of its (ap, user)
-    group joins the current merged interval.
+    Grouped by AP code with CSR `offsets`. `longest` is each AP's longest
+    merged interval (0 without any). `key`, `ap * span + (start - low)`, is
+    sorted, so one binary search finds any AP's intervals that start in a
+    given time range; it also stands for the intervals' start minutes.
     """
-    order = np.lexsort((table.start, table.user, table.ap))
-    ap, user = table.ap[order], table.user[order]
-    start, end = table.start[order], table.end[order]
-    n = order.size
-    if n == 0:
-        return start, end, user, ap
-    opens = np.ones(n, dtype=bool)
-    opens[1:] = (ap[1:] != ap[:-1]) | (user[1:] != user[:-1])
-    reach = grouped_running_max(np.cumsum(opens, dtype=np.int64), end)
-    opens[1:] |= start[1:] > reach[:-1]
-    heads = np.flatnonzero(opens)
-    tails = np.append(heads[1:], n) - 1
-    by_start = np.lexsort((start[heads], ap[heads]))
-    heads, tails = heads[by_start], tails[by_start]
-    return start[heads], reach[tails], user[heads], ap[heads]
+
+    key: np.ndarray
+    end: np.ndarray
+    user: np.ndarray
+    offsets: np.ndarray
+    longest: np.ndarray
+    low: int
+    span: int
+
+    @classmethod
+    def build(cls, table: SessionTable) -> _MergedIntervals:
+        """The merged intervals of `table`.
+
+        Touching intervals coalesce: a session starting at or before the
+        running maximum end of its (ap, user) group joins the current one.
+        """
+        n_aps = len(table.ap_names)
+        order = _row_order(table.ap, table.user, table.start)
+        ap, user = table.ap[order], table.user[order]
+        start, end = table.start[order], table.end[order]
+        n = order.size
+        if n == 0:
+            return cls(ap, end, user, _offsets(ap, n_aps), np.zeros(n_aps, dtype=np.int64), 0, 1)
+        opens = np.ones(n, dtype=bool)
+        opens[1:] = (ap[1:] != ap[:-1]) | (user[1:] != user[:-1])
+        reach = grouped_running_max(np.cumsum(opens, dtype=np.int64), end)
+        opens[1:] |= start[1:] > reach[:-1]
+        heads = np.flatnonzero(opens)
+        tails = np.append(heads[1:], n) - 1
+        by_start = _row_order(ap[heads], start[heads])
+        heads, tails = heads[by_start], tails[by_start]
+        start, end, user, ap = start[heads], reach[tails], user[heads], ap[heads]
+        offsets = _offsets(ap, n_aps)
+        low = int(start.min())
+        span = int(start.max()) - low + 1
+        return cls(ap * span + (start - low), end, user, offsets, _longest(end - start, offsets), low, span)
 
 
 class SessionStore:
     """Immutable time-window queries over a `SessionTable`.
 
-    Two indexes, each grouped by AP code with CSR offsets: the raw sessions in
-    (ap, start, end, row) order, and the per-(ap, user) merged intervals in
-    (ap, start) order. The merged intervals also carry an int64 search key,
-    `ap * span + (start - low)`, which is sorted, so one binary search finds
-    any AP's intervals that start in a given time range.
+    The constructor indexes the raw sessions, grouped by AP code with CSR
+    offsets, in (ap, start, end, row) order, with each AP's longest session;
+    `sessions_overlapping` searches an AP's sessions by start. The
+    per-(ap, user) merged intervals that `user_counts_at` reads are built on
+    its first call, so a store that is never asked for counts never builds
+    them.
     """
 
     def __init__(self, table: SessionTable):
         self.table = table
         self._ap_code = {name: i for i, name in enumerate(table.ap_names)}
         self._user_code = {name: i for i, name in enumerate(table.user_names)}
-        n_aps = len(table.ap_names)
-
-        # lexsort is stable, so rows tied on (ap, start, end) stay in row order
-        self._raw_row = np.lexsort((table.end, table.start, table.ap))
+        # a stable order, so rows tied on (ap, start, end) stay in row order
+        self._raw_row = _row_order(table.ap, table.start, table.end)
         self._raw_start = table.start[self._raw_row]
-        self._raw_end = table.end[self._raw_row]
-        self._raw_offsets = _offsets(table.ap[self._raw_row], n_aps)
+        self._raw_offsets = _offsets(table.ap[self._raw_row], len(table.ap_names))
+        self._raw_longest = _longest(table.end[self._raw_row] - self._raw_start, self._raw_offsets)
 
-        self._m_start, self._m_end, self._m_user, m_ap = _merged_intervals(table)
-        self._m_offsets = _offsets(m_ap, n_aps)
-        # per AP, the length of its longest merged interval (0 without any)
-        self._longest = np.zeros(n_aps, dtype=np.int64)
-        self._low, self._span = 0, 1
-        if m_ap.size:
-            self._low = int(self._m_start.min())
-            self._span = int(self._m_start.max()) - self._low + 1
-            heads = self._m_offsets[:-1]
-            busy = heads < self._m_offsets[1:]
-            self._longest[busy] = np.maximum.reduceat(self._m_end - self._m_start, heads[busy])
-        self._m_key = m_ap * self._span + (self._m_start - self._low)
+    @cached_property
+    def _merged(self) -> _MergedIntervals:
+        return _MergedIntervals.build(self.table)
 
     def user_ids(self, user_names) -> np.ndarray:
         """Integer ids for the given user names; unknown names are dropped."""
@@ -804,31 +994,33 @@ class SessionStore:
         """
         times = np.asarray(times, dtype=np.int64)
         n_aps = len(self.table.ap_names)
-        if times.size == 0 or self._m_key.size == 0:
+        merged = self._merged
+        if times.size == 0 or merged.key.size == 0:
             zero = np.zeros((n_aps, times.size), dtype=np.int64)
             return zero, zero.copy()
         lo, hi = int(times.min()), int(times.max())
         # An interval covering a time in [lo, hi] starts in [lo - longest, hi],
         # with the longest interval of its own AP. Offsets are clipped to
         # [0, span] so that each AP's search stays inside its own key range.
-        base = np.arange(n_aps, dtype=np.int64) * self._span
+        base = np.arange(n_aps, dtype=np.int64) * merged.span
         first = np.searchsorted(
-            self._m_key, base + np.clip(lo - self._longest - self._low, 0, self._span)
+            merged.key, base + np.clip(lo - merged.longest - merged.low, 0, merged.span)
         )
-        stop = np.searchsorted(self._m_key, base + min(max(hi + 1 - self._low, 0), self._span))
+        stop = np.searchsorted(merged.key, base + min(max(hi + 1 - merged.low, 0), merged.span))
         counts = stop - first
         ap = np.repeat(np.arange(n_aps), counts)
         rows = np.arange(ap.size) + np.repeat(first - (np.cumsum(counts) - counts), counts)
-        ending = self._m_end[rows] > lo
+        ending = merged.end[rows] > lo
         ap, rows = ap[ending], rows[ending]
-        starts, ends = self._m_start[rows, None], self._m_end[rows, None]
+        starts = (merged.key[rows] - (ap * merged.span - merged.low))[:, None]
+        ends = merged.end[rows, None]
         cover = (starts <= times) & (times < ends)
         total = _sum_by_group(cover, ap, n_aps)
         if member_ids is None or member_ids.size == 0:
             return total, np.zeros_like(total)
         enrolled = np.zeros(len(self.table.user_names), dtype=bool)
         enrolled[member_ids] = True
-        enrolled = enrolled[self._m_user[rows]]
+        enrolled = enrolled[merged.user[rows]]
         return total, _sum_by_group(cover[enrolled], ap[enrolled], n_aps)
 
     def active_aps(self, lo: datetime, hi: datetime) -> list[str]:
@@ -848,7 +1040,11 @@ class SessionStore:
             code = self._ap_code.get(ap)
             if code is None:
                 continue
+            # a session overlapping [lo, hi) starts in [lo - longest, hi)
             a, b = self._raw_offsets[code], self._raw_offsets[code + 1]
-            mask = (self._raw_start[a:b] < hi_m) & (self._raw_end[a:b] > lo_m)
-            parts.append(self._raw_row[a:b][mask])
+            first, stop = a + np.searchsorted(
+                self._raw_start[a:b], [lo_m - self._raw_longest[code], hi_m]
+            )
+            rows = self._raw_row[first:stop]
+            parts.append(rows[self.table.end[rows] > lo_m])
         return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)

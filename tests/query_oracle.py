@@ -47,8 +47,10 @@ def _merged(store: SessionStore, ap_name: str):
     code = store._ap_code.get(ap_name)
     if code is None:
         return None
-    lo, hi = store._m_offsets[code], store._m_offsets[code + 1]
-    return store._m_start[lo:hi], store._m_end[lo:hi], store._m_user[lo:hi]
+    merged = store._merged
+    lo, hi = merged.offsets[code], merged.offsets[code + 1]
+    starts = merged.key[lo:hi] - (code * merged.span - merged.low)
+    return starts, merged.end[lo:hi], merged.user[lo:hi]
 
 
 def user_counts_at(

@@ -85,7 +85,7 @@ class TestCountsMatchPerApOracle:
             make_session("u2", "ap2", "10:00", "10:45", mac="m2"),
         )
         # each AP's search window reaches back by its own longest interval
-        assert store._longest.tolist() == [days, 45]
+        assert store._merged.longest.tolist() == [days, 45]
         member_ids = store.user_ids({"u1", "u2"})
         for day in range(3):
             start = parse_stamp(f"{DAY} 09:00") + timedelta(days=day)

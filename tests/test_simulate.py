@@ -21,6 +21,9 @@ import sim_oracle
 from roomsense.cli import main
 from roomsense.records import ConfigError, to_minutes
 from roomsense.simulate import (
+    CLASS_STARTS_PER_DAY,
+    MAX_ROOMS,
+    MAX_SESSION_ROWS,
     POISSON_SPLIT,
     SIM_BOUNDS,
     SimConfig,
@@ -189,6 +192,84 @@ class TestGenerateCampus:
         SimConfig(**{**FAST, name: shape(value)}).validate()
         with pytest.raises(ConfigError, match=f"{name} must lie in"):
             SimConfig(**{**FAST, name: shape(beyond)}).validate()
+
+
+class TestSimulatorWork:
+    """The room count, the weekly classes and the estimated log size are bounded."""
+
+    def test_room_count_bound(self):
+        SimConfig(seed=0, weeks=1, room_capacities=(10,) * MAX_ROOMS, classes_per_room_per_week=1).validate()
+        with pytest.raises(ConfigError, match=f"1..{MAX_ROOMS} rooms"):
+            SimConfig(seed=0, weeks=1, room_capacities=(10,) * (MAX_ROOMS + 1)).validate()
+
+    @pytest.mark.parametrize("days", [1, 5, 7])
+    def test_weekly_classes_bounded_by_the_class_starts(self, days):
+        slots = days * CLASS_STARTS_PER_DAY
+        SimConfig(**{**FAST, "days_per_week": days, "classes_per_room_per_week": slots}).validate()
+        for classes in (0, slots + 1, 1_000_000):
+            with pytest.raises(ConfigError, match="classes_per_room_per_week must lie in"):
+                SimConfig(**{**FAST, "days_per_week": days, "classes_per_room_per_week": classes}).validate()
+
+    def test_every_key_at_its_bound_is_refused(self):
+        highs = {name: high for name, (_, high) in SIM_BOUNDS.items()}
+        config = SimConfig(
+            seed=5, weeks=highs["weeks"], days_per_week=highs["days_per_week"],
+            room_capacities=(highs["room_capacities"],) * MAX_ROOMS,
+            room_ap_counts=(highs["room_ap_counts"],) * MAX_ROOMS,
+            corridor_aps_per_room=highs["corridor_aps_per_room"], walkway_ap_count=highs["walkway_ap_count"],
+            device_count_weights={highs["device_count_weights"]: 1.0},
+            early_arrival_limit=highs["early_arrival_limit"], depart_sd=highs["depart_sd"],
+            bystander_rate_per_hour=highs["bystander_rate_per_hour"],
+            walkway_bystander_rate_per_hour=highs["walkway_bystander_rate_per_hour"],
+            ambient_per_corridor_ap=highs["ambient_per_corridor_ap"],
+            ambient_per_walkway_ap=highs["ambient_per_walkway_ap"],
+            idle_room_users_per_ap=highs["idle_room_users_per_ap"],
+        )
+        with pytest.raises(ConfigError, match="session rows"):
+            config.validate()
+
+    def test_a_config_over_the_row_limit_is_exit_1(self, tmp_path):
+        config = tmp_path / "sim.cfg"
+        # the tiny config of the exit-code tests with four keys at their bounds; it once
+        # took 30 s and wrote 2.4M rows
+        config.write_text(
+            "weeks = 52\ndays_per_week = 7\nroom_capacities = 42,60\nclasses_per_room_per_week = 2\n"
+            "walkway_ap_count = 64\ncorridor_aps_per_room = 64\n"
+        )
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert err.getvalue().startswith("error: this config would write about ")
+        assert err.getvalue().endswith(f"session rows; the limit is {MAX_SESSION_ROWS}\n")
+        assert not (tmp_path / "out").exists()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        days=st.integers(1, 7),
+        capacities=st.lists(st.integers(2, 150), min_size=1, max_size=4),
+        classes=st.integers(1, 4),
+        rates=st.tuples(st.floats(0, 30), st.floats(0, 30), st.floats(0, 5), st.floats(0, 5), st.floats(0, 5)),
+        churn=st.floats(0, 1),
+        attendance=st.floats(0, 1),
+    )
+    def test_estimate_tracks_the_rows_written(self, seed, days, capacities, classes, rates, churn, attendance):
+        """Counting every day, the estimate may run high only by the days without a class."""
+        classes = min(classes, days * CLASS_STARTS_PER_DAY)
+        config = SimConfig(
+            seed=seed, weeks=1, days_per_week=days, room_capacities=tuple(capacities),
+            classes_per_room_per_week=classes, walkway_ap_count=2,
+            bystander_rate_per_hour=rates[0], walkway_bystander_rate_per_hour=rates[1],
+            ambient_per_corridor_ap=rates[2], ambient_per_walkway_ap=rates[3], idle_room_users_per_ap=rates[4],
+            churn_prob_per_10min=churn, attendance_ratio=(attendance, attendance),
+        )
+        campus = generate_campus(config)
+        rows, _ = simulate_sessions(campus, config)
+        estimate = config.estimated_session_rows()
+        class_days = len({e.date for e in campus.events}) / days
+        assert len(rows) <= 1.3 * estimate + 60
+        assert len(rows) >= 0.6 * class_days * estimate - 60
 
 
 class TestSimulateSessions:

@@ -1,7 +1,11 @@
 """Session-log loading, validation and time-window queries."""
+import contextlib
+import io
 import os
 import tempfile
+import threading
 from datetime import datetime, timedelta
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +15,7 @@ from hypothesis import strategies as st
 import session_oracle
 
 from roomsense import store
+from roomsense.cli import main
 from roomsense.estimation import OccupancyEstimate
 from roomsense.mapping import MappingResult
 from roomsense.pipeline import (
@@ -373,6 +378,8 @@ NEAR_MISSES = [
     ("plus sign", _set(6, "+5")),
     ("minus sign", _set(7, "-5")),
     ("19 digits", _set(6, "1" * 19)),
+    ("letter in a byte count", _set(7, lambda v: v + "x")),
+    ("SNR not a number", _set(8, "n/a")),
     ("ongoing with stamp", _set(10, "Ass")),
     ("duration mismatch", _set(4, "99999 min")),
     ("ten fields", lambda fields: fields.pop()),
@@ -381,13 +388,16 @@ NEAR_MISSES = [
 
 
 @st.composite
-def canonical_logs(draw):
-    """(file bytes, delimiter, report time, mutated): a canonical log with at most one near miss."""
+def canonical_logs(draw, n_rows=st.integers(0, 12), late=0.0):
+    """(file bytes, delimiter, report time, mutated): a canonical log with at most one near miss.
+
+    A near miss in a row falls in the last `1 - late` of the rows.
+    """
     delimiter = draw(st.sampled_from([",", ";", "\t", "|"]))
     newline = draw(st.sampled_from(["\n", "\r\n"]))
     retries = draw(st.booleans())
     report_time = draw(st.none() | st.datetimes(datetime(2025, 3, 3, 21), datetime(2025, 3, 4, 2)))
-    rows = [_canonical_fields(draw, report_time, retries) for _ in range(draw(st.integers(0, 12)))]
+    rows = [_canonical_fields(draw, report_time, retries) for _ in range(draw(n_rows))]
     header = SESSIONS_HEADER.split(",") + ["Retries"] * retries
     lines = [delimiter.join(header), *(delimiter.join(fields) for fields in rows)]
     endings = [newline] * len(lines)
@@ -395,7 +405,7 @@ def canonical_logs(draw):
         endings[-1] = ""
     kind = draw(st.sampled_from(["none", "fields", "fields", "fields", "blank line", "mixed line ends"]))
     if kind == "fields" and rows:
-        at = draw(st.integers(0, len(rows) - 1))
+        at = draw(st.integers(int(late * (len(rows) - 1)), len(rows) - 1))
         _, mutate = draw(st.sampled_from(NEAR_MISSES))
         mutate(rows[at])
         lines[at + 1] = delimiter.join(rows[at])
@@ -447,6 +457,114 @@ class TestCanonicalPath:
         table, report = load_sessions(path)
         assert _table_rows(table) == _table_rows(expected[0]) and len(table) == 299
         assert report == expected[1]
+
+
+def _parse_threads() -> set[threading.Thread]:
+    return {t for t in threading.enumerate() if t is not threading.current_thread()}
+
+
+class TestThreadedParse:
+    """Blocks parsed on a worker thread build what one thread builds alone."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        log=canonical_logs(n_rows=st.integers(16, 40), late=0.75),
+        block_bytes=st.integers(64, 1200),
+    )
+    def test_worker_count_changes_nothing(self, log, block_bytes):
+        data, delimiter, report_time, mutated = log
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "sessions.csv")
+            with open(path, "wb") as handle:
+                handle.write(data)
+            outcomes = []
+            for threads in (1, 2):
+                running = _parse_threads()
+                with mock.patch.object(store, "_PARSE_THREADS", threads), \
+                        mock.patch.object(store, "_BLOCK_BYTES", block_bytes):
+                    try:
+                        outcomes.append(load_sessions(path, report_time=report_time, delimiter=delimiter))
+                    except DataValidationError as exc:
+                        outcomes.append(str(exc))
+                    if not mutated:
+                        report_end = None if report_time is None else to_minutes(report_time)
+                        assert store._load_canonical(path, report_end, delimiter) is not None
+                assert _parse_threads() == running  # the worker is gone, on either path
+        one, two = outcomes
+        if isinstance(one, str) or isinstance(two, str):
+            assert one == two
+        else:
+            assert _table_rows(one[0]) == _table_rows(two[0])
+            assert one[1] == two[1]
+
+    def test_a_failing_parse_stops_the_worker(self, small_corpus_dir, monkeypatch):
+        calls = []
+        parse = store._CanonicalBlocks.parse
+
+        def fail_on_third(self, fields):
+            calls.append(threading.current_thread())
+            if len(calls) == 3:
+                raise RuntimeError("parse failed")
+            return parse(self, fields)
+
+        monkeypatch.setattr(store._CanonicalBlocks, "parse", fail_on_third)
+        monkeypatch.setattr(store, "_PARSE_THREADS", 2)
+        monkeypatch.setattr(store, "_BLOCK_BYTES", 4096)
+        running = _parse_threads()
+        with pytest.raises(RuntimeError, match="parse failed"):
+            load_sessions(os.path.join(small_corpus_dir, "sessions.csv"))
+        assert _parse_threads() == running
+        assert threading.main_thread() not in calls  # every block was parsed by the worker
+
+    def test_colliding_sort_keys_change_nothing(self, small_corpus_dir, monkeypatch):
+        """With a mixing factor of 0, a multi-word field's key is its last word alone."""
+        path = os.path.join(small_corpus_dir, "sessions.csv")
+        expected = load_sessions(path)
+        monkeypatch.setattr(store, "_MIX", np.uint64(0))
+        monkeypatch.setattr(store, "_BLOCK_BYTES", 4096)
+        monkeypatch.setattr(store, "_load_rows", None)  # the numpy path must take this log
+        table, report = load_sessions(path)
+        assert _table_rows(table) == _table_rows(expected[0])
+        assert table.mac_names == expected[0].mac_names and table.ap_names == expected[0].ap_names
+        assert report == expected[1]
+
+
+class TestRowOrder:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(st.integers(-3, 3), st.integers(0, 5), st.integers(-(2**62), 2**62) | st.integers(0, 9)),
+            max_size=40,
+        ),
+    )
+    def test_matches_lexsort(self, rows):
+        keys = [np.array(column, dtype=np.int64) for column in zip(*rows)] or [np.zeros(0, np.int64)] * 3
+        assert store._row_order(*keys).tolist() == np.lexsort(keys[::-1]).tolist()
+
+
+class TestLazyMergedIndex:
+    def test_built_on_the_first_count_query(self, store_builder):
+        store = store_builder(make_session("u1", "ap1", "10:00", "11:00"))
+        assert "_merged" not in vars(store)
+        assert connected(store, "10:30") == (1, 0)
+        assert "_merged" in vars(store)
+
+    def test_train_and_estimate_never_build_it(self, small_corpus_dir, tmp_path, monkeypatch):
+        corpus = small_corpus_dir
+        inputs = ["--sessions", f"{corpus}/sessions.csv", "--timetable", f"{corpus}/timetable.csv",
+                  "--rosters", f"{corpus}/roster.csv"]
+        truth = ["--ground-truth-counts", f"{corpus}/ground_truth_counts.csv"]
+        out = str(tmp_path)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["map-aps", *inputs, "--seed", "7", "--out", out]) == 0
+
+            def refuse(table):
+                raise AssertionError("the merged-interval index was built")
+
+            monkeypatch.setattr(store._MergedIntervals, "build", refuse)
+            assert main(["train", *inputs, "--mapping", f"{out}/mapping.csv", *truth, "--out", out]) == 0
+            assert main(["estimate", *inputs, "--mapping", f"{out}/mapping.csv",
+                         "--model", f"{out}/model.txt", *truth, "--out", out]) == 0
 
 
 class TestMergeIntervals:
