@@ -42,7 +42,11 @@ SEMESTER_START = datetime(2025, 3, 3)  # a Monday
 DAY_START_MIN = 9 * 60
 DAY_END_MIN = 21 * 60
 CLASS_STARTS_PER_DAY = (DAY_END_MIN - DAY_START_MIN) // 60  # classes start on the hour
-LONG_DWELL_MEAN = 112.5  # minutes: long-dwell and idle-room stays last 45..180 minutes
+LONG_DWELL = (45, 180)  # minutes a long-dwell or idle-room stay lasts, drawn uniformly
+# Poisson arrivals per hour of long-dwell or idle-room users: the target
+# concurrency times 60 / LONG_DWELL_TURNOVER, about the mean stay in minutes
+LONG_DWELL_TURNOVER = 112
+MIN_SEGMENT = 3  # minutes: the shortest churned connection segment
 
 # `SimConfig.validate` refuses more rooms than MAX_ROOMS, and a config whose
 # `estimated_session_rows` exceed MAX_SESSION_ROWS. The simulator holds every
@@ -189,16 +193,15 @@ class SimConfig:
         runs high.
         """
         hours = (DAY_END_MIN - DAY_START_MIN) / 60
-        churn_every = max(3.0, 10 / self.churn_prob_per_10min) if self.churn_prob_per_10min > 0 else math.inf
+        churn_every = max(MIN_SEGMENT, _churn_mean_minutes(self.churn_prob_per_10min))
         gap = sum(self.churn_gap_minutes) / 2
+        stay = sum(LONG_DWELL) / 2
 
         def sessions(minutes: float) -> float:  # churned sessions covering `minutes` of presence
             return 1 + minutes / (churn_every + gap)
 
         def spot(passers_per_hour: float, concurrent: float) -> float:  # one corridor or walkway, one day
-            return passers_per_hour * hours + concurrent * (1 + hours * 60 / LONG_DWELL_MEAN) * sessions(
-                LONG_DWELL_MEAN
-            )
+            return passers_per_hour * hours + concurrent * (1 + hours * 60 / LONG_DWELL_TURNOVER) * sessions(stay)
 
         class_minutes = sum(m * w for m, w in self.duration_weights.items())
         early = min(max(-self.arrival_mean, 0), self.early_arrival_limit)
@@ -214,7 +217,7 @@ class SimConfig:
             aps = self.room_ap_counts[i] if self.room_ap_counts is not None else max(3, math.ceil(capacity / 45))
             idle_hours = max(0.0, self.days_per_week * hours - classes * class_minutes / 60)
             idle_windows = self.days_per_week + classes
-            idle = self.idle_room_users_per_ap * aps * (idle_windows + idle_hours * 60 / LONG_DWELL_MEAN)
+            idle = self.idle_room_users_per_ap * aps * (idle_windows + idle_hours * 60 / LONG_DWELL_TURNOVER)
             week += classes * per_class + idle
         day = len(self.room_capacities) * spot(
             self.bystander_rate_per_hour, self.ambient_per_corridor_ap * self.corridor_aps_per_room
@@ -468,22 +471,29 @@ def _device_mac(user: str, device: int) -> str:
     return f"02:00:{(idx >> 16) & 0xFF:02x}:{(idx >> 8) & 0xFF:02x}:{idx & 0xFF:02x}:{device:02x}"
 
 
+def _churn_mean_minutes(churn_prob_per_10min: float) -> float:
+    """The mean drawn length of a churned connection segment; inf without churn.
+
+    A churn rate so small that 10 / churn overflows gives inf as well.
+    """
+    return 10.0 / churn_prob_per_10min if churn_prob_per_10min > 0 else math.inf
+
+
 def _presence(config: SimConfig, rng: random.Random):
     """`segments(t0, t1)`: the churned connection segments covering a presence interval."""
-    churn = config.churn_prob_per_10min
-    lambd = 1.0 / (10.0 / churn) if churn > 0 else 0.0
+    lambd = 1.0 / _churn_mean_minutes(config.churn_prob_per_10min)
     gap_low, gap_high = config.churn_gap_minutes
     expovariate, randint = rng.expovariate, rng.randint
 
     def segments(t0: int, t1: int) -> list[tuple[int, int]]:
         if t1 - t0 < 1:
             return []
-        if lambd <= 0:  # no churn, or so rare that 10 / churn overflows
+        if lambd <= 0:  # no churn
             return [(t0, t1)]
         out = []
         t = t0
         while t < t1:
-            end = min(t1, t + max(3, round(expovariate(lambd))))
+            end = min(t1, t + max(MIN_SEGMENT, round(expovariate(lambd))))
             out.append((t, end))
             t = end + randint(gap_low, gap_high)
         return out
@@ -528,6 +538,7 @@ def simulate_sessions(campus: Campus, config: SimConfig) -> tuple[list[tuple], G
     config.validate()
     rng = _Random(config.seed + 1)
     uniform, choice, randint, gauss = rng.random, rng.choice, rng.randint, rng.gauss
+    dwell_lo, dwell_hi = LONG_DWELL
     rows, emit = _emitter(config, rng)
     segments = _presence(config, rng)
     pick = _attendee_picker(config, rng, campus)
@@ -655,10 +666,10 @@ def simulate_sessions(campus: Campus, config: SimConfig) -> tuple[list[tuple], G
             arrivals = [day_lo] * _poisson(rng, target)
             arrivals += [
                 randint(day_lo, day_hi - 30)
-                for _ in range(_poisson(rng, target * 60 / 112 * (day_hi - day_lo) / 60))
+                for _ in range(_poisson(rng, target * 60 / LONG_DWELL_TURNOVER * (day_hi - day_lo) / 60))
             ]
             for t in sorted(arrivals):
-                e = min(day_hi, t + randint(45, 180))
+                e = min(day_hi, t + randint(dwell_lo, dwell_hi))
                 user = free_user(t, e)
                 prev = None
                 for s, seg_e in segments(t, e):
@@ -682,7 +693,7 @@ def simulate_sessions(campus: Campus, config: SimConfig) -> tuple[list[tuple], G
             if cursor < day_hi:
                 idle.append((cursor, day_hi))
             # target a steady per-AP concurrency: an initial batch present when the
-            # window opens plus Poisson arrivals balancing the ~112 min mean dwell
+            # window opens plus Poisson arrivals balancing the mean stay
             target = config.idle_room_users_per_ap * len(room.aps)
             for win_lo, win_hi in idle:
                 if win_hi - win_lo < 15:
@@ -691,10 +702,10 @@ def simulate_sessions(campus: Campus, config: SimConfig) -> tuple[list[tuple], G
                 arrivals = [win_lo] * _poisson(rng, target)
                 arrivals += [
                     randint(win_lo, max(win_lo, win_hi - 10))
-                    for _ in range(_poisson(rng, target * 60 / 112 * hours))
+                    for _ in range(_poisson(rng, target * 60 / LONG_DWELL_TURNOVER * hours))
                 ]
                 for t in arrivals:
-                    e = min(win_hi, t + randint(45, 180))
+                    e = min(win_hi, t + randint(dwell_lo, dwell_hi))
                     user = free_user(t, e)
                     ap = choice(room.aps)
                     emit(user, 0, ap, t, e, True)

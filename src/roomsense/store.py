@@ -3,9 +3,9 @@
 `read_rows` and `write_rows` frame every tabular file the program reads or
 writes. `load_sessions` parses a session log straight into a `SessionTable` of numpy
 columns. A canonical log is parsed in blocks: `_CanonicalBlocks.split` and
-`parse` turn one block into columns, `parse` on a worker thread when two CPUs
-are free, and `merge` appends the blocks to the table in file order, on the
-calling thread only. `SessionStore` indexes the table for
+`parse` turn one block into columns, `parse` on a worker thread, and `merge`
+appends the blocks to the table in file order, on the calling thread only.
+`SessionStore` indexes the table for
 `sessions_overlapping` when it is built, and builds the merged intervals that
 `user_counts_at` reads on its first call; every query is read-only.
 """
@@ -16,7 +16,7 @@ import csv
 import os
 import stat
 from array import array
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime
 from functools import cached_property
@@ -261,8 +261,6 @@ _STAMP_MARK_BYTES = np.frombuffer(b"// :", dtype=np.uint8)
 _WORD = np.dtype("<u8")
 _KEEP_BYTES = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=_WORD)  # a word's first n bytes
 _MIX = np.uint64(0x9E3779B97F4A7C15)  # odd multiplier that mixes a field's words into one sort key
-_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-_PARSE_THREADS = min(2, _CPUS)  # this thread and at most one worker
 
 
 def _load_canonical(path, report_end: int | None, delimiter: str) -> SessionTable | None:
@@ -277,8 +275,8 @@ def _load_canonical(path, report_end: int | None, delimiter: str) -> SessionTabl
     delimiter and line end, so both paths build the same table.
 
     The file is read in blocks of about `_BLOCK_BYTES`, each cut at a line
-    end. With two CPUs, a worker thread parses each block while this thread
-    splits the next one; numpy releases the GIL for most of that work. The
+    end. A worker thread parses each block while this thread splits the
+    next one; numpy releases the GIL for most of that work. The
     whole-block scans of `split` stay on this thread, so the worker's own
     memory is small, and freed memory that the C allocator keeps for the
     worker is not wasted. This thread alone merges the parsed blocks into
@@ -305,7 +303,7 @@ def _load_canonical(path, report_end: int | None, delimiter: str) -> SessionTabl
             # imported here: a command that reads no session log need not load it
             from concurrent.futures import ThreadPoolExecutor
 
-            with ThreadPoolExecutor(max_workers=1) if _PARSE_THREADS > 1 else nullcontext() as pool:
+            with ThreadPoolExecutor(max_workers=1) as pool:
                 ahead = None  # the worker's parse of the block before this one
                 for block in _line_blocks(handle.buffer):
                     fields = None if block is None else parser.split(*block)
@@ -314,10 +312,7 @@ def _load_canonical(path, report_end: int | None, delimiter: str) -> SessionTabl
                     ahead = None
                     if fields is None:
                         return None
-                    if pool is not None:
-                        ahead = pool.submit(parser.parse, fields)
-                    elif not parser.merge(parser.parse(fields)):
-                        return None
+                    ahead = pool.submit(parser.parse, fields)
                 if ahead is not None and not parser.merge(ahead.result()):
                     return None
             return parser.table()
@@ -912,7 +907,7 @@ class _MergedIntervals:
     Grouped by AP code with CSR `offsets`. `longest` is each AP's longest
     merged interval (0 without any). `key`, `ap * span + (start - low)`, is
     sorted, so one binary search finds any AP's intervals that start in a
-    given time range; it also stands for the intervals' start minutes.
+    given time range; `starts` reads the start minutes back from it.
     """
 
     key: np.ndarray
@@ -950,6 +945,10 @@ class _MergedIntervals:
         low = int(start.min())
         span = int(start.max()) - low + 1
         return cls(ap * span + (start - low), end, user, offsets, _longest(end - start, offsets), low, span)
+
+    def starts(self, rows: np.ndarray, ap: np.ndarray | int) -> np.ndarray:
+        """The start minutes of the intervals at `rows`, which belong to AP codes `ap`."""
+        return self.key[rows] - (ap * self.span - self.low)
 
 
 class SessionStore:
@@ -1012,7 +1011,7 @@ class SessionStore:
         rows = np.arange(ap.size) + np.repeat(first - (np.cumsum(counts) - counts), counts)
         ending = merged.end[rows] > lo
         ap, rows = ap[ending], rows[ending]
-        starts = (merged.key[rows] - (ap * merged.span - merged.low))[:, None]
+        starts = merged.starts(rows, ap)[:, None]
         ends = merged.end[rows, None]
         cover = (starts <= times) & (times < ends)
         total = _sum_by_group(cover, ap, n_aps)

@@ -48,9 +48,8 @@ def _merged(store: SessionStore, ap_name: str):
     if code is None:
         return None
     merged = store._merged
-    lo, hi = merged.offsets[code], merged.offsets[code + 1]
-    starts = merged.key[lo:hi] - (code * merged.span - merged.low)
-    return starts, merged.end[lo:hi], merged.user[lo:hi]
+    rows = np.arange(merged.offsets[code], merged.offsets[code + 1])
+    return merged.starts(rows, code), merged.end[rows], merged.user[rows]
 
 
 def user_counts_at(

@@ -464,38 +464,40 @@ def _parse_threads() -> set[threading.Thread]:
 
 
 class TestThreadedParse:
-    """Blocks parsed on a worker thread build what one thread builds alone."""
+    """Blocks parsed on a worker thread build what the row loop builds."""
 
     @settings(max_examples=60, deadline=None)
     @given(
         log=canonical_logs(n_rows=st.integers(16, 40), late=0.75),
         block_bytes=st.integers(64, 1200),
     )
-    def test_worker_count_changes_nothing(self, log, block_bytes):
+    def test_matches_the_row_loop(self, log, block_bytes):
         data, delimiter, report_time, mutated = log
+        report_end = None if report_time is None else to_minutes(report_time)
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "sessions.csv")
             with open(path, "wb") as handle:
                 handle.write(data)
             outcomes = []
-            for threads in (1, 2):
-                running = _parse_threads()
-                with mock.patch.object(store, "_PARSE_THREADS", threads), \
-                        mock.patch.object(store, "_BLOCK_BYTES", block_bytes):
+            running = _parse_threads()
+            for load in (
+                lambda: load_sessions(path, report_time=report_time, delimiter=delimiter),
+                lambda: store._load_rows(path, report_end, delimiter),
+            ):
+                with mock.patch.object(store, "_BLOCK_BYTES", block_bytes):
                     try:
-                        outcomes.append(load_sessions(path, report_time=report_time, delimiter=delimiter))
+                        outcomes.append(load())
                     except DataValidationError as exc:
                         outcomes.append(str(exc))
                     if not mutated:
-                        report_end = None if report_time is None else to_minutes(report_time)
                         assert store._load_canonical(path, report_end, delimiter) is not None
                 assert _parse_threads() == running  # the worker is gone, on either path
-        one, two = outcomes
-        if isinstance(one, str) or isinstance(two, str):
-            assert one == two
+        threaded, rows = outcomes
+        if isinstance(threaded, str) or isinstance(rows, str):
+            assert threaded == rows
         else:
-            assert _table_rows(one[0]) == _table_rows(two[0])
-            assert one[1] == two[1]
+            assert _table_rows(threaded[0]) == _table_rows(rows[0])
+            assert threaded[1] == rows[1]
 
     def test_a_failing_parse_stops_the_worker(self, small_corpus_dir, monkeypatch):
         calls = []
@@ -508,7 +510,6 @@ class TestThreadedParse:
             return parse(self, fields)
 
         monkeypatch.setattr(store._CanonicalBlocks, "parse", fail_on_third)
-        monkeypatch.setattr(store, "_PARSE_THREADS", 2)
         monkeypatch.setattr(store, "_BLOCK_BYTES", 4096)
         running = _parse_threads()
         with pytest.raises(RuntimeError, match="parse failed"):
