@@ -1,4 +1,4 @@
-"""Forecast-error and correlation metrics."""
+"""Forecast-error metrics."""
 from __future__ import annotations
 
 import numpy as np
@@ -20,15 +20,3 @@ def smape(forecasts, actuals) -> float:
     terms = np.where(denom > 0, np.abs(F - A) / np.where(denom > 0, denom, 1.0), 0.0)
     return float(100.0 * terms.mean())
 
-
-def pearson(xs, ys) -> float:
-    """Sample Pearson correlation coefficient."""
-    x = np.asarray(xs, dtype=float)
-    y = np.asarray(ys, dtype=float)
-    if x.shape != y.shape or x.ndim != 1 or x.size < 2:
-        raise DataValidationError("pearson needs two equal-length series, n >= 2")
-    xc, yc = x - x.mean(), y - y.mean()
-    sx, sy = float((xc**2).sum()), float((yc**2).sum())
-    if sx == 0 or sy == 0:
-        raise DataValidationError("pearson undefined for a constant series")
-    return float((xc * yc).sum() / np.sqrt(sx * sy))

@@ -48,13 +48,19 @@ LONG_DWELL = (45, 180)  # minutes a long-dwell or idle-room stay lasts, drawn un
 LONG_DWELL_TURNOVER = 112
 MIN_SEGMENT = 3  # minutes: the shortest churned connection segment
 
-# `SimConfig.validate` refuses more rooms than MAX_ROOMS, and a config whose
-# `estimated_session_rows` exceed MAX_SESSION_ROWS. The simulator holds every
-# row in memory before it writes the log: 2M rows take about 500 MB and half
-# a minute, and make a log of about 200 MB. A year of seven-day weeks on the
-# default campus is about 1.6M rows.
+# `SimConfig.validate` refuses more rooms than MAX_ROOMS, a config whose
+# `estimated_session_rows` exceed MAX_SESSION_ROWS, and one whose walk-ins
+# scan more than MAX_WALKIN_SCANS users. The simulator holds every row in
+# memory before it writes the log: 2M rows take about 500 MB and half a
+# minute, and make a log of about 200 MB. A year of seven-day weeks on the
+# default campus is about 1.6M rows. With `walkin_prob` above 0, every class
+# scans the whole population for its non-enrolled users, whether or not it
+# writes rows: on a 2-vCPU host (Python 3.11), `simulate` took 3.4 s for 9M
+# scans and 16 s for 72M. The default campus with walk-ins scans 0.5M users
+# in 10 weeks, and 2.4M in a year of seven-day weeks.
 MAX_ROOMS = 100
 MAX_SESSION_ROWS = 2_000_000
+MAX_WALKIN_SCANS = 10_000_000
 
 # (lowest, highest) of each setting that sizes the campus or scales the
 # simulator's work or time span; a tuple or dict setting bounds each of its
@@ -181,6 +187,19 @@ class SimConfig:
                 f"this config would write about {self.estimated_session_rows():.3g} session rows; "
                 f"the limit is {MAX_SESSION_ROWS}"
             )
+        if self.walkin_prob > 0:
+            scans = self.weeks * len(self.room_capacities) * self.classes_per_room_per_week * self.population_size()
+            if scans > MAX_WALKIN_SCANS:
+                raise ConfigError(
+                    f"this config's walk-ins would scan {scans:.3g} users (classes x population); "
+                    f"the limit is {MAX_WALKIN_SCANS}"
+                )
+
+    def population_size(self) -> int:
+        """How many users the campus has: enough to fill every room twice, or
+        about half the weekly enrolled seats."""
+        slots = sum(self.room_capacities) * self.classes_per_room_per_week
+        return max(2 * max(self.room_capacities), int(0.45 * slots))
 
     def estimated_session_rows(self) -> float:
         """About how many session rows `simulate_sessions` writes for this config.
@@ -386,9 +405,7 @@ def generate_campus(config: SimConfig) -> Campus:
     for ap in walkways:
         locations[ap] = ApLocation(None, "campus", 0)
 
-    slots = sum(config.room_capacities) * config.classes_per_room_per_week
-    pop_size = max(2 * max(config.room_capacities), int(0.45 * slots))
-    population = [f"u{i:05d}" for i in range(pop_size)]
+    population = [f"u{i:05d}" for i in range(config.population_size())]
 
     events: list[ClassEvent] = []
     rosters: dict[str, frozenset[str]] = {}
@@ -714,7 +731,7 @@ def simulate_sessions(campus: Campus, config: SimConfig) -> tuple[list[tuple], G
     return rows, GroundTruth(attendees, non_connecting)
 
 
-def write_sessions_csv(path, rows, delimiter: str = ",") -> None:
+def write_sessions_csv(path, rows) -> None:
     """Write session-log rows; each distinct day, stamp, MAC and duration is formatted once."""
     days = _Memo(lambda day: format_minutes(day * 1440)[:-5])  # the stamp without `HH:MM`
     clocks = [f"{minute // 60:02d}:{minute % 60:02d}" for minute in range(1440)]
@@ -726,7 +743,7 @@ def write_sessions_csv(path, rows, delimiter: str = ",") -> None:
          lengths[end - start], ap, tx, rcvd, snr, rssi, "Ass" if ongoing else "Disass")
         for start, user, device, ap, end, ongoing, rssi, snr, tx, rcvd in rows
     )
-    write_rows(path, SESSION_COLUMNS, lines, delimiter)
+    write_rows(path, SESSION_COLUMNS, lines)
 
 
 def write_timetable_csv(path, events: list[ClassEvent]) -> None:

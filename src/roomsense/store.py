@@ -5,9 +5,10 @@ writes. `load_sessions` parses a session log straight into a `SessionTable` of n
 columns. A canonical log is parsed in blocks: `_CanonicalBlocks.split` and
 `parse` turn one block into columns, `parse` on a worker thread, and `merge`
 appends the blocks to the table in file order, on the calling thread only.
-`SessionStore` indexes the table for
-`sessions_overlapping` when it is built, and builds the merged intervals that
-`user_counts_at` reads on its first call; every query is read-only.
+`SessionStore` answers both time-window queries with one `_IntervalIndex`
+layout and search: it indexes the raw sessions for `sessions_overlapping` when
+it is built, and the merged intervals that `user_counts_at` reads on its
+first call; every query is read-only.
 """
 from __future__ import annotations
 
@@ -149,15 +150,15 @@ def read_rows(path, delimiter: str, columns):
                 yield line_no, fields
 
 
-def write_rows(path, columns, rows, delimiter: str = ",") -> None:
-    """Write a tabular file: the `columns` header, then every row of `rows`.
+def write_rows(path, columns, rows) -> None:
+    """Write a comma-separated file: the `columns` header, then every row of `rows`.
 
     The csv module frames the fields: CRLF line ends, and quotes around a
-    field only where it must (one holding the delimiter, a quote or a line
-    end). `None` is written as an empty field.
+    field only where it must (one holding a comma, a quote or a line end).
+    `None` is written as an empty field.
     """
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, delimiter=delimiter)
+        writer = csv.writer(handle)
         writer.writerow(columns)
         writer.writerows(rows)
 
@@ -263,7 +264,7 @@ _KEEP_BYTES = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=_WORD)  # a w
 _MIX = np.uint64(0x9E3779B97F4A7C15)  # odd multiplier that mixes a field's words into one sort key
 
 
-def _load_canonical(path, report_end: int | None, delimiter: str) -> SessionTable | None:
+def _load_canonical(path, delimiter: str) -> SessionTable | None:
     """The `SessionTable` of a session log in canonical form, or None for any other file.
 
     Canonical form is printable ASCII without `"`, plus the delimiter (one of
@@ -295,9 +296,7 @@ def _load_canonical(path, report_end: int | None, delimiter: str) -> SessionTabl
             header = handle.buffer.readline(_MAX_LINE_BYTES + 1)
             if len(header) > _MAX_LINE_BYTES:
                 return None
-            parser = _CanonicalBlocks.start(
-                path, header.removesuffix(b"\n"), delimiter, report_end, file_stat.st_size
-            )
+            parser = _CanonicalBlocks.start(path, header.removesuffix(b"\n"), delimiter, file_stat.st_size)
             if parser is None:
                 return None
             # imported here: a command that reads no session log need not load it
@@ -439,11 +438,10 @@ class _CanonicalBlocks:
     file order, on one thread.
     """
 
-    def __init__(self, delimiter: str, n_fields: int, crlf: bool, report_end: int | None, file_bytes: int):
+    def __init__(self, delimiter: str, n_fields: int, crlf: bool, file_bytes: int):
         self.delimiter = ord(delimiter)
         self.n_fields = n_fields
         self.crlf = crlf
-        self.report_end = report_end
         self.field_limit = csv.field_size_limit()
         # Per name column (user, MAC, AP), the texts of each merged block; a
         # row's code indexes their concatenation until `table` sorts them.
@@ -460,12 +458,12 @@ class _CanonicalBlocks:
         self.n_rows = 0
 
     @classmethod
-    def start(cls, path, header: bytes, delimiter: str, report_end: int | None, file_bytes: int):
+    def start(cls, path, header: bytes, delimiter: str, file_bytes: int):
         """A parser for the lines after `header`, or None when the header is not canonical."""
         crlf = header.endswith(b"\r")
         header = header[:-1] if crlf else header
         fields = header.decode("latin-1").split(delimiter)
-        parser = cls(delimiter, len(fields), crlf, report_end, file_bytes)
+        parser = cls(delimiter, len(fields), crlf, file_bytes)
         if not header.isascii() or not all(f.isprintable() and '"' not in f for f in fields):
             return None
         if max(map(len, fields)) >= parser.field_limit:
@@ -571,10 +569,7 @@ class _CanonicalBlocks:
         disassoc = self._stamps(buf, starts[closed, 3])
         if disassoc is None:
             return None
-        if self.report_end is None:
-            end = assoc - assoc % 1440 + DEFAULT_REPORT_HOUR * 60
-        else:
-            end = np.full_like(assoc, self.report_end)
+        end = assoc - assoc % 1440 + DEFAULT_REPORT_HOUR * 60
         end[closed] = disassoc
         if (end < assoc).any():
             return None
@@ -644,27 +639,23 @@ class _CanonicalBlocks:
         return SessionTable(user_names, mac_names, ap_names, user, mac, ap, start, end, rssi)
 
 
-def load_sessions(
-    path, report_time: datetime | None = None, delimiter: str = ","
-) -> tuple[SessionTable, LoadReport]:
+def load_sessions(path, delimiter: str = ",") -> tuple[SessionTable, LoadReport]:
     """Load and validate a session-log file into a `SessionTable`.
 
-    Ongoing (`Ass`) sessions get their effective end from `report_time`; when
-    it is None, the default 9pm report time on the row's own date applies.
+    Ongoing (`Ass`) sessions end at the 9pm report time on their own date.
     Bytes, SNR and Retries are validated but not kept.
 
     A log in canonical form is parsed with numpy, block by block; any other
     file is read from its first line by the row loop, which alone rejects
     rows and warns.
     """
-    report_end = None if report_time is None else to_minutes(report_time)
-    table = _load_canonical(path, report_end, delimiter)
+    table = _load_canonical(path, delimiter)
     if table is not None:
         return table, LoadReport(rows_read=len(table))
-    return _load_rows(path, report_end, delimiter)
+    return _load_rows(path, delimiter)
 
 
-def _load_rows(path, report_end: int | None, delimiter: str) -> tuple[SessionTable, LoadReport]:
+def _load_rows(path, delimiter: str) -> tuple[SessionTable, LoadReport]:
     """The row loop of `load_sessions`: every rule, reject and warning, row by row."""
     report = LoadReport()
     reject = report.reject
@@ -716,10 +707,7 @@ def _load_rows(path, report_end: int | None, delimiter: str) -> tuple[SessionTab
             if disassoc is not None:
                 reject(line_no, "ongoing session carries a disassociation time")
                 continue
-            if report_end is None:
-                end = assoc - assoc % 1440 + DEFAULT_REPORT_HOUR * 60
-            else:
-                end = report_end
+            end = assoc - assoc % 1440 + DEFAULT_REPORT_HOUR * 60
             if end < assoc:
                 reject(line_no, "ongoing session starts after report generation time")
                 continue
@@ -901,80 +889,91 @@ def _row_order(*keys: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class _MergedIntervals:
-    """Per-(ap, user) unions of session intervals, ordered by (ap, start).
+class _IntervalIndex:
+    """Intervals [start, end) on AP codes, searchable by AP and start time.
 
-    Grouped by AP code with CSR `offsets`. `longest` is each AP's longest
-    merged interval (0 without any). `key`, `ap * span + (start - low)`, is
-    sorted, so one binary search finds any AP's intervals that start in a
-    given time range; `starts` reads the start minutes back from it.
+    `row` lists the intervals in (ap, start, end) order, ties in input order.
+    `key`, `ap * span + (start - low)` in that order, is sorted, so one binary
+    search per AP finds its intervals that start in a given time range.
+    `longest` is each AP's longest interval (0 without any). The index keeps
+    no starts or ends: its users keep those.
     """
 
+    row: np.ndarray
     key: np.ndarray
-    end: np.ndarray
-    user: np.ndarray
-    offsets: np.ndarray
     longest: np.ndarray
     low: int
     span: int
 
     @classmethod
-    def build(cls, table: SessionTable) -> _MergedIntervals:
-        """The merged intervals of `table`.
+    def build(cls, ap: np.ndarray, start: np.ndarray, end: np.ndarray, n_aps: int) -> _IntervalIndex:
+        """The index of the intervals [start[i], end[i]) on AP codes ap[i].
 
-        Touching intervals coalesce: a session starting at or before the
-        running maximum end of its (ap, user) group joins the current one.
+        No more than two sorted columns are alive beside `row` at once; numpy
+        reuses a temporary operand for a result in place.
         """
-        n_aps = len(table.ap_names)
-        order = _row_order(table.ap, table.user, table.start)
-        ap, user = table.ap[order], table.user[order]
-        start, end = table.start[order], table.end[order]
-        n = order.size
-        if n == 0:
-            return cls(ap, end, user, _offsets(ap, n_aps), np.zeros(n_aps, dtype=np.int64), 0, 1)
-        opens = np.ones(n, dtype=bool)
-        opens[1:] = (ap[1:] != ap[:-1]) | (user[1:] != user[:-1])
-        reach = grouped_running_max(np.cumsum(opens, dtype=np.int64), end)
-        opens[1:] |= start[1:] > reach[:-1]
-        heads = np.flatnonzero(opens)
-        tails = np.append(heads[1:], n) - 1
-        by_start = _row_order(ap[heads], start[heads])
-        heads, tails = heads[by_start], tails[by_start]
-        start, end, user, ap = start[heads], reach[tails], user[heads], ap[heads]
-        offsets = _offsets(ap, n_aps)
-        low = int(start.min())
-        span = int(start.max()) - low + 1
-        return cls(ap * span + (start - low), end, user, offsets, _longest(end - start, offsets), low, span)
+        row = _row_order(ap, start, end)
+        longest = _longest(end[row] - start[row], _offsets(ap[row], n_aps))
+        low, high = (int(start.min()), int(start.max())) if start.size else (0, 0)
+        span = high - low + 1
+        key = ap[row] * span
+        key += start[row]
+        key -= low
+        return cls(row, key, longest, low, span)
 
-    def starts(self, rows: np.ndarray, ap: np.ndarray | int) -> np.ndarray:
-        """The start minutes of the intervals at `rows`, which belong to AP codes `ap`."""
-        return self.key[rows] - (ap * self.span - self.low)
+    def search(self, codes: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, AP code of each) of the intervals on the sorted AP `codes`
+        that start in [lo - longest, hi), with the longest interval of their own AP.
+
+        Every interval on those APs that overlaps [lo, hi), lo <= hi, is among them.
+        Both bounds are clipped to [0, span], so each AP's search stays
+        inside its own key range; rows come in the index's order.
+        """
+        base = codes * self.span
+        first = np.searchsorted(self.key, base + np.clip(lo - self.longest[codes] - self.low, 0, self.span))
+        stop = np.searchsorted(self.key, base + np.clip(hi - self.low, 0, self.span))
+        counts = stop - first
+        ap = np.repeat(codes, counts)
+        positions = np.arange(ap.size) + np.repeat(first - (np.cumsum(counts) - counts), counts)
+        return self.row[positions], ap
+
+
+def _merge_intervals(table: SessionTable) -> tuple[_IntervalIndex, np.ndarray, np.ndarray, np.ndarray]:
+    """(index, start, end, user) of the per-(ap, user) unions of session intervals.
+
+    Touching intervals coalesce: a session starting at or before the running
+    maximum end of its (ap, user) group joins the current one.
+    """
+    order = _row_order(table.ap, table.user, table.start)
+    ap, user = table.ap[order], table.user[order]
+    start, end = table.start[order], table.end[order]
+    opens = np.ones(order.size, dtype=bool)
+    opens[1:] = (ap[1:] != ap[:-1]) | (user[1:] != user[:-1])
+    reach = grouped_running_max(np.cumsum(opens, dtype=np.int64), end)
+    opens[1:] |= start[1:] > reach[:-1]
+    heads = np.flatnonzero(opens)
+    start, end = start[heads], np.maximum.reduceat(end, heads)  # the latest end of each union
+    return _IntervalIndex.build(ap[heads], start, end, len(table.ap_names)), start, end, user[heads]
 
 
 class SessionStore:
     """Immutable time-window queries over a `SessionTable`.
 
-    The constructor indexes the raw sessions, grouped by AP code with CSR
-    offsets, in (ap, start, end, row) order, with each AP's longest session;
-    `sessions_overlapping` searches an AP's sessions by start. The
-    per-(ap, user) merged intervals that `user_counts_at` reads are built on
-    its first call, so a store that is never asked for counts never builds
-    them.
+    Both AP queries search an `_IntervalIndex`. The constructor indexes the
+    raw sessions, which `sessions_overlapping` reads. The per-(ap, user)
+    merged intervals that `user_counts_at` reads are indexed on its first
+    call, so a store that is never asked for counts never builds them.
     """
 
     def __init__(self, table: SessionTable):
         self.table = table
         self._ap_code = {name: i for i, name in enumerate(table.ap_names)}
         self._user_code = {name: i for i, name in enumerate(table.user_names)}
-        # a stable order, so rows tied on (ap, start, end) stay in row order
-        self._raw_row = _row_order(table.ap, table.start, table.end)
-        self._raw_start = table.start[self._raw_row]
-        self._raw_offsets = _offsets(table.ap[self._raw_row], len(table.ap_names))
-        self._raw_longest = _longest(table.end[self._raw_row] - self._raw_start, self._raw_offsets)
+        self._sessions = _IntervalIndex.build(table.ap, table.start, table.end, len(table.ap_names))
 
     @cached_property
-    def _merged(self) -> _MergedIntervals:
-        return _MergedIntervals.build(self.table)
+    def _merged(self) -> tuple[_IntervalIndex, np.ndarray, np.ndarray, np.ndarray]:
+        return _merge_intervals(self.table)
 
     def user_ids(self, user_names) -> np.ndarray:
         """Integer ids for the given user names; unknown names are dropped."""
@@ -993,33 +992,22 @@ class SessionStore:
         """
         times = np.asarray(times, dtype=np.int64)
         n_aps = len(self.table.ap_names)
-        merged = self._merged
-        if times.size == 0 or merged.key.size == 0:
-            zero = np.zeros((n_aps, times.size), dtype=np.int64)
+        index, start, end, user = self._merged
+        if times.size == 0:
+            zero = np.zeros((n_aps, 0), dtype=np.int64)
             return zero, zero.copy()
         lo, hi = int(times.min()), int(times.max())
-        # An interval covering a time in [lo, hi] starts in [lo - longest, hi],
-        # with the longest interval of its own AP. Offsets are clipped to
-        # [0, span] so that each AP's search stays inside its own key range.
-        base = np.arange(n_aps, dtype=np.int64) * merged.span
-        first = np.searchsorted(
-            merged.key, base + np.clip(lo - merged.longest - merged.low, 0, merged.span)
-        )
-        stop = np.searchsorted(merged.key, base + min(max(hi + 1 - merged.low, 0), merged.span))
-        counts = stop - first
-        ap = np.repeat(np.arange(n_aps), counts)
-        rows = np.arange(ap.size) + np.repeat(first - (np.cumsum(counts) - counts), counts)
-        ending = merged.end[rows] > lo
-        ap, rows = ap[ending], rows[ending]
-        starts = merged.starts(rows, ap)[:, None]
-        ends = merged.end[rows, None]
-        cover = (starts <= times) & (times < ends)
+        # an interval covering a sample time in [lo, hi] starts before hi + 1
+        rows, ap = index.search(np.arange(n_aps), lo, hi + 1)
+        ending = end[rows] > lo
+        rows, ap = rows[ending], ap[ending]
+        cover = (start[rows, None] <= times) & (times < end[rows, None])
         total = _sum_by_group(cover, ap, n_aps)
         if member_ids is None or member_ids.size == 0:
             return total, np.zeros_like(total)
         enrolled = np.zeros(len(self.table.user_names), dtype=bool)
         enrolled[member_ids] = True
-        enrolled = enrolled[merged.user[rows]]
+        enrolled = enrolled[user[rows]]
         return total, _sum_by_group(cover[enrolled], ap[enrolled], n_aps)
 
     def active_aps(self, lo: datetime, hi: datetime) -> list[str]:
@@ -1033,17 +1021,7 @@ class SessionStore:
 
         Rows come grouped by AP name in sorted order, then by (start, end, row).
         """
-        lo_m, hi_m = to_minutes(lo), to_minutes(hi)
-        parts = []
-        for ap in sorted(set(ap_names)):
-            code = self._ap_code.get(ap)
-            if code is None:
-                continue
-            # a session overlapping [lo, hi) starts in [lo - longest, hi)
-            a, b = self._raw_offsets[code], self._raw_offsets[code + 1]
-            first, stop = a + np.searchsorted(
-                self._raw_start[a:b], [lo_m - self._raw_longest[code], hi_m]
-            )
-            rows = self._raw_row[first:stop]
-            parts.append(rows[self.table.end[rows] > lo_m])
-        return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+        lo_m = to_minutes(lo)
+        codes = sorted({self._ap_code[ap] for ap in ap_names if ap in self._ap_code})
+        rows, _ = self._sessions.search(np.array(codes, dtype=np.int64), lo_m, to_minutes(hi))
+        return rows[self.table.end[rows] > lo_m]

@@ -47,9 +47,9 @@ def _merged(store: SessionStore, ap_name: str):
     code = store._ap_code.get(ap_name)
     if code is None:
         return None
-    merged = store._merged
-    rows = np.arange(merged.offsets[code], merged.offsets[code + 1])
-    return merged.starts(rows, code), merged.end[rows], merged.user[rows]
+    index, start, end, user = store._merged
+    rows = index.row[index.key // index.span == code]
+    return start[rows], end[rows], user[rows]
 
 
 def user_counts_at(

@@ -1,10 +1,9 @@
-"""Error and correlation metrics."""
-import numpy as np
+"""Error metrics."""
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from roomsense.metrics import pearson, smape
+from roomsense.metrics import smape
 from roomsense.records import DataValidationError
 
 counts = st.lists(st.integers(0, 500), min_size=1, max_size=30)
@@ -42,31 +41,3 @@ class TestSmape:
         assert left == pytest.approx(smape(t, f))
         assert 0.0 <= left <= 100.0
 
-
-class TestPearson:
-    def test_positive_affine_relation(self):
-        xs = [1.0, 2.0, 3.0, 4.0]
-        assert pearson(xs, [2 * x + 1 for x in xs]) == pytest.approx(1.0)
-
-    def test_negation(self):
-        xs = [1.0, 2.0, 5.0]
-        assert pearson(xs, [-x for x in xs]) == pytest.approx(-1.0)
-
-    def test_ten_point_hand_computation(self):
-        xs = np.array([3, 1, 4, 1, 5, 9, 2, 6, 5, 3], dtype=float)
-        ys = np.array([2, 7, 1, 8, 2, 8, 1, 8, 2, 8], dtype=float)
-        xc, yc = xs - xs.mean(), ys - ys.mean()
-        expected = (xc * yc).sum() / np.sqrt((xc**2).sum() * (yc**2).sum())
-        assert pearson(xs, ys) == pytest.approx(expected, abs=1e-12)
-
-    def test_constant_series_errors(self):
-        with pytest.raises(DataValidationError):
-            pearson([1, 1, 1], [1, 2, 3])
-
-    def test_affine_rescale_invariance(self):
-        rng = np.random.default_rng(0)
-        xs = rng.normal(0, 1, 25)
-        ys = rng.normal(0, 1, 25)
-        base = pearson(xs, ys)
-        assert pearson(3.5 * xs + 11, ys) == pytest.approx(base, abs=1e-12)
-        assert pearson(xs, 0.25 * ys - 3) == pytest.approx(base, abs=1e-12)

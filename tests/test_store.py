@@ -105,15 +105,6 @@ class TestLoadSessions:
         assert table.end[0] == to_minutes(parse_stamp("31/07/2017 21:00"))
         assert table.end[0] - table.start[0] == 20
 
-    def test_explicit_report_time_overrides_default(self, tmp_path):
-        path = write(
-            tmp_path,
-            "s.csv",
-            [SESSIONS_HEADER, "u1, m1, 31/07/2017 20:40, -, 20 min, ap1, 1, 1, 30, -60, Ass"],
-        )
-        table, _ = load_sessions(path, report_time=parse_stamp("31/07/2017 22:30"))
-        assert table.end[0] - table.start[0] == 110
-
     def test_empty_stream_with_header(self, tmp_path):
         path = write(tmp_path, "s.csv", [SESSIONS_HEADER])
         table, report = load_sessions(path)
@@ -248,12 +239,12 @@ def session_lines(draw):
     return ",".join(pad + f for f in fields)
 
 
-def _load_both(path, report_time, delimiter=","):
+def _load_both(path, delimiter=","):
     """(columnar outcome, oracle outcome); a fatal load becomes its message."""
     outcomes = []
     for loader in (load_sessions, session_oracle.load_sessions):
         try:
-            outcomes.append(loader(path, report_time=report_time, delimiter=delimiter))
+            outcomes.append(loader(path, delimiter=delimiter))
         except DataValidationError as exc:
             outcomes.append(str(exc))
     return outcomes
@@ -287,8 +278,8 @@ def _record_rows(records):
     ]
 
 
-def assert_matches_oracle(path, report_time=None, delimiter=","):
-    columnar, oracle = _load_both(path, report_time, delimiter)
+def assert_matches_oracle(path, delimiter=","):
+    columnar, oracle = _load_both(path, delimiter)
     if isinstance(oracle, str) or isinstance(columnar, str):
         assert columnar == oracle
         return
@@ -303,28 +294,23 @@ class TestLoaderMatchesOracle:
     """The columnar loader against the record-building loader it replaced."""
 
     @settings(max_examples=200, deadline=None)
-    @given(
-        lines=st.lists(session_lines(), max_size=30),
-        retries_header=st.booleans(),
-        report_time=st.none()
-        | st.datetimes(datetime(2025, 3, 3, 8), datetime(2025, 3, 4, 2)),
-    )
-    def test_generated_logs(self, lines, retries_header, report_time):
+    @given(lines=st.lists(session_lines(), max_size=30), retries_header=st.booleans())
+    def test_generated_logs(self, lines, retries_header):
         header = SESSIONS_HEADER + (",Retries" if retries_header else "")
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "sessions.csv")
             with open(path, "w", newline="") as handle:
                 handle.write("\n".join([header, *lines]) + "\n")
-            assert_matches_oracle(path, report_time)
+            assert_matches_oracle(path)
 
     def test_seed42_corpus(self, corpus42_dir):
         assert_matches_oracle(os.path.join(corpus42_dir, "sessions.csv"))
 
 
-def _closed_or_ongoing(draw, assoc: datetime, report_time) -> tuple[str, str, str]:
+def _closed_or_ongoing(draw, assoc: datetime) -> tuple[str, str, str]:
     """(disassociation time, logged duration, status) of a row the numpy path takes."""
     if draw(st.booleans()):
-        end = report_time or assoc.replace(hour=21, minute=0)
+        end = assoc.replace(hour=21, minute=0)
         disassoc = draw(st.sampled_from(["-", ""]))
         status = draw(st.sampled_from(["Ass", "associated", "ASSOCIATED"]))
     else:
@@ -336,9 +322,9 @@ def _closed_or_ongoing(draw, assoc: datetime, report_time) -> tuple[str, str, st
     return disassoc, logged, status
 
 
-def _canonical_fields(draw, report_time, retries: bool) -> list[str]:
+def _canonical_fields(draw, retries: bool) -> list[str]:
     assoc = datetime(2025, 3, 3) + timedelta(minutes=draw(st.integers(7 * 60, 21 * 60 - 1)))
-    disassoc, logged, status = _closed_or_ongoing(draw, assoc, report_time)
+    disassoc, logged, status = _closed_or_ongoing(draw, assoc)
     fields = [
         draw(st.sampled_from(["u1", "u2", "u10", "u00042", "user-" + "x" * 40])),
         draw(st.sampled_from(["02:00:00:00:1a:00", "m1", "aa:bb"])),
@@ -389,15 +375,14 @@ NEAR_MISSES = [
 
 @st.composite
 def canonical_logs(draw, n_rows=st.integers(0, 12), late=0.0):
-    """(file bytes, delimiter, report time, mutated): a canonical log with at most one near miss.
+    """(file bytes, delimiter, mutated): a canonical log with at most one near miss.
 
     A near miss in a row falls in the last `1 - late` of the rows.
     """
     delimiter = draw(st.sampled_from([",", ";", "\t", "|"]))
     newline = draw(st.sampled_from(["\n", "\r\n"]))
     retries = draw(st.booleans())
-    report_time = draw(st.none() | st.datetimes(datetime(2025, 3, 3, 21), datetime(2025, 3, 4, 2)))
-    rows = [_canonical_fields(draw, report_time, retries) for _ in range(draw(n_rows))]
+    rows = [_canonical_fields(draw, retries) for _ in range(draw(n_rows))]
     header = SESSIONS_HEADER.split(",") + ["Retries"] * retries
     lines = [delimiter.join(header), *(delimiter.join(fields) for fields in rows)]
     endings = [newline] * len(lines)
@@ -417,7 +402,7 @@ def canonical_logs(draw, n_rows=st.integers(0, 12), late=0.0):
         at = draw(st.integers(0, len(lines) - 2))
         endings[at] = "\r\n" if newline == "\n" else "\n"
     text = "".join(line + ending for line, ending in zip(lines, endings))
-    return text.encode("utf-8"), delimiter, report_time, kind != "none"
+    return text.encode("utf-8"), delimiter, kind != "none"
 
 
 class TestCanonicalPath:
@@ -426,15 +411,14 @@ class TestCanonicalPath:
     @settings(max_examples=500, deadline=None)
     @given(log=canonical_logs())
     def test_canonical_logs_with_one_near_miss(self, log):
-        data, delimiter, report_time, mutated = log
+        data, delimiter, mutated = log
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "sessions.csv")
             with open(path, "wb") as handle:
                 handle.write(data)
             if not mutated:
-                report_end = None if report_time is None else to_minutes(report_time)
-                assert store._load_canonical(path, report_end, delimiter) is not None
-            assert_matches_oracle(path, report_time, delimiter)
+                assert store._load_canonical(path, delimiter) is not None
+            assert_matches_oracle(path, delimiter)
 
     def test_seed42_corpus_takes_the_numpy_path(self, corpus42_dir, monkeypatch):
         def row_loop(*args):
@@ -472,8 +456,7 @@ class TestThreadedParse:
         block_bytes=st.integers(64, 1200),
     )
     def test_matches_the_row_loop(self, log, block_bytes):
-        data, delimiter, report_time, mutated = log
-        report_end = None if report_time is None else to_minutes(report_time)
+        data, delimiter, mutated = log
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "sessions.csv")
             with open(path, "wb") as handle:
@@ -481,8 +464,8 @@ class TestThreadedParse:
             outcomes = []
             running = _parse_threads()
             for load in (
-                lambda: load_sessions(path, report_time=report_time, delimiter=delimiter),
-                lambda: store._load_rows(path, report_end, delimiter),
+                lambda: load_sessions(path, delimiter=delimiter),
+                lambda: store._load_rows(path, delimiter),
             ):
                 with mock.patch.object(store, "_BLOCK_BYTES", block_bytes):
                     try:
@@ -490,7 +473,7 @@ class TestThreadedParse:
                     except DataValidationError as exc:
                         outcomes.append(str(exc))
                     if not mutated:
-                        assert store._load_canonical(path, report_end, delimiter) is not None
+                        assert store._load_canonical(path, delimiter) is not None
                 assert _parse_threads() == running  # the worker is gone, on either path
         threaded, rows = outcomes
         if isinstance(threaded, str) or isinstance(rows, str):
@@ -562,7 +545,7 @@ class TestLazyMergedIndex:
             def refuse(table):
                 raise AssertionError("the merged-interval index was built")
 
-            monkeypatch.setattr(store._MergedIntervals, "build", refuse)
+            monkeypatch.setattr(store, "_merge_intervals", refuse)
             assert main(["train", *inputs, "--mapping", f"{out}/mapping.csv", *truth, "--out", out]) == 0
             assert main(["estimate", *inputs, "--mapping", f"{out}/mapping.csv",
                          "--model", f"{out}/model.txt", *truth, "--out", out]) == 0
@@ -694,32 +677,38 @@ class TestIndexMatchesBruteForce:
     """Store queries against direct scans of the hand-built sessions."""
 
     @settings(max_examples=150, deadline=None)
-    @given(records=small_logs(), lo=st.integers(9 * 60, 14 * 60), length=st.integers(1, 120))
-    def test_queries(self, records, lo, length):
+    @given(
+        records=small_logs(),
+        # minutes after the log day's midnight: inside the log, across its edges, or wholly before or after it
+        lo=st.integers(9 * 60, 14 * 60) | st.integers(5 * 60, 25 * 60) | st.integers(-3 * 1440, 3 * 1440),
+        length=st.integers(1, 120),
+        aps=st.lists(st.sampled_from(["ap1", "ap2", "ap10", "nosuch"]), max_size=6),
+    )
+    def test_queries(self, records, lo, length, aps):
         store = record_store(records)
         midnight = to_minutes(parse_stamp(f"{DAY} 00:00"))
         spans = [
             (r.user_id, r.ap_name, to_minutes(r.assoc_time), to_minutes(r.assoc_time) + r.duration)
             for r in records
         ]
-        times = np.arange(midnight + 9 * 60, midnight + 14 * 60, 7, dtype=np.int64)
-        total, members = store.user_counts_at(times, store.user_ids({"u1", "u3", "nosuch"}))
-        assert total.shape == members.shape == (len(store.table.ap_names), len(times))
-        for code, ap in enumerate(store.table.ap_names):
-            covering = [{u for u, a, s, e in spans if a == ap and s <= t < e} for t in times]
-            assert total[code].tolist() == [len(users) for users in covering]
-            assert members[code].tolist() == [len(users & {"u1", "u3"}) for users in covering]
+        lo_m, hi_m = midnight + lo, midnight + lo + length
+        for times in (np.arange(midnight + 9 * 60, midnight + 14 * 60, 7), np.arange(lo_m, hi_m, 7)):
+            total, members = store.user_counts_at(times, store.user_ids({"u1", "u3", "nosuch"}))
+            assert total.shape == members.shape == (len(store.table.ap_names), len(times))
+            for code, ap in enumerate(store.table.ap_names):
+                covering = [{u for u, a, s, e in spans if a == ap and s <= t < e} for t in times]
+                assert total[code].tolist() == [len(users) for users in covering]
+                assert members[code].tolist() == [len(users & {"u1", "u3"}) for users in covering]
 
         lo_at = parse_stamp(f"{DAY} 00:00") + timedelta(minutes=lo)
         window = (lo_at, lo_at + timedelta(minutes=length))
-        lo_m, hi_m = midnight + lo, midnight + lo + length
         hits = [i for i, (_, a, s, e) in enumerate(spans) if s < hi_m and e > lo_m]
         assert store.active_aps(*window) == sorted({spans[i][1] for i in hits})
         expected = sorted(
-            (i for i in hits if spans[i][1] in {"ap10", "ap2"}),
+            (i for i in hits if spans[i][1] in aps),
             key=lambda i: (spans[i][1], spans[i][2], spans[i][3], i),
         )
-        assert store.sessions_overlapping(["ap2", "ap10", "nosuch"], *window).tolist() == expected
+        assert store.sessions_overlapping(aps, *window).tolist() == expected
 
 
 class TestClassWindowSessions:
@@ -940,8 +929,8 @@ def _round_trip(write, read, *args):
 class TestWriteRows:
     def test_framing(self, tmp_path):
         path = tmp_path / "t.csv"
-        store.write_rows(path, ("a", "b"), [("x;y", None), ('q"', 1), ("é", 2.5)], delimiter=";")
-        assert path.read_bytes() == 'a;b\r\n"x;y";\r\n"q""";1\r\né;2.5\r\n'.encode()
+        store.write_rows(path, ("a", "b"), [("x,y", None), ('q"', 1), ("é", 2.5)])
+        assert path.read_bytes() == 'a,b\r\n"x,y",\r\n"q""",1\r\né,2.5\r\n'.encode()
 
     def test_skipped_sweep_row_leaves_the_rates_empty(self, tmp_path):
         path = tmp_path / "sweep.csv"
