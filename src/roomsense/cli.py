@@ -23,15 +23,10 @@ from dataclasses import fields
 import numpy as np
 
 from . import estimation, mapping, model as model_mod, pipeline, userfeatures
-from .config import (
-    PipelineConfig,
-    echo_config,
-    pipeline_config_from,
-    read_config_file,
-    sim_config_from,
-)
+from .config import PipelineConfig, echo_config, pipeline_config_from, sim_config_from
 from .records import ConfigError, RoomsenseError
 from .simulate import simulate_corpus
+from .store import read_key_values
 
 
 # Every pipeline flag, declared once: its config key, flag and argparse options.
@@ -67,7 +62,7 @@ def _add_pipeline_args(parser: argparse.ArgumentParser, *keys: str, required=_PA
 
 def _config_from_args(args, need_truth: bool = False, need_corpus: bool = True) -> PipelineConfig:
     """File values (`run --config`), then every given flag, then validation."""
-    values = read_config_file(args.config) if getattr(args, "config", "") else {}
+    values = read_key_values(args.config, ConfigError) if getattr(args, "config", "") else {}
     flags = {f.name: getattr(args, f.name, None) for f in fields(PipelineConfig)}
     config = pipeline_config_from(values, flags)
     config.validate(require_truth=need_truth, require_corpus=need_corpus)
@@ -75,7 +70,7 @@ def _config_from_args(args, need_truth: bool = False, need_corpus: bool = True) 
 
 
 def cmd_simulate(args) -> int:
-    values = read_config_file(args.config) if args.config else {}
+    values = read_key_values(args.config, ConfigError) if args.config else {}
     config = sim_config_from(values, {"seed": args.seed, "weeks": args.weeks})
     campus, _ = simulate_corpus(config, args.out)
     echo_config(os.path.join(args.out, "sim_config.txt"), config)

@@ -1,9 +1,9 @@
 """Plain-text `key = value` configuration files for the CLI stages.
 
-Lines starting with `#` are comments. List values are comma-separated,
-distributions are `key:weight` pairs separated by commas. Command-line flags
+List values are comma-separated, distributions are `key:weight` pairs
+separated by commas, and an empty `room_ap_counts` is unset. Command-line flags
 override file values; the effective configuration is echoed into the output
-directory for provenance.
+directory for provenance, and the echo reads back to it.
 """
 from __future__ import annotations
 
@@ -13,24 +13,7 @@ from dataclasses import dataclass, fields
 from .mapping import ALGORITHMS, DEFAULT_RESAMPLE_LEN, DEFAULT_RESOLUTION, MAX_RESAMPLE_LEN
 from .records import ConfigError
 from .simulate import SimConfig
-
-
-def read_config_file(path) -> dict[str, str]:
-    try:
-        with open(path) as handle:
-            lines = handle.readlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    values: dict[str, str] = {}
-    for no, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, val = line.partition("=")
-        if not sep:
-            raise ConfigError(f"{path}:{no}: expected 'key = value'")
-        values[key.strip()] = val.strip()
-    return values
+from .store import write_key_values
 
 
 def _parse_bool(text: str) -> bool:
@@ -107,13 +90,14 @@ class PipelineConfig:
             raise ConfigError("use_room_aps requires an inventory file")
 
 
-def _config_from(config, kind: str, parsers: dict, values: dict[str, str], overrides: dict | None):
+def _config_from(config, kind: str, parsers: dict, values: dict, overrides: dict | None):
     """`config` with the file `values` parsed onto it, then the non-None `overrides`.
 
+    `values` maps each key to its (line number, text) from `read_key_values`.
     A key without a `parsers` entry is parsed by the type of its default.
     """
     known = {f.name for f in fields(config)}
-    for key, raw in values.items():
+    for key, (_, raw) in values.items():
         if key not in known:
             raise ConfigError(f"unknown {kind} config key {key!r}")
         default = getattr(config, key)
@@ -128,13 +112,13 @@ def _config_from(config, kind: str, parsers: dict, values: dict[str, str], overr
     return config
 
 
-def pipeline_config_from(values: dict[str, str], overrides: dict | None = None) -> PipelineConfig:
+def pipeline_config_from(values: dict, overrides: dict | None = None) -> PipelineConfig:
     return _config_from(PipelineConfig(), "pipeline", {}, values, overrides)
 
 
 _SIM_PARSERS = {
     "room_capacities": lambda t: _parse_tuple(t, int),
-    "room_ap_counts": lambda t: _parse_tuple(t, int),
+    "room_ap_counts": lambda t: _parse_tuple(t, int) or None,  # empty: derived from capacity
     "churn_gap_minutes": lambda t: _parse_tuple(t, int),
     "enrollment_ratio": lambda t: _parse_tuple(t, float),
     "attendance_ratio": lambda t: _parse_tuple(t, float),
@@ -143,21 +127,20 @@ _SIM_PARSERS = {
 }
 
 
-def sim_config_from(values: dict[str, str], overrides: dict | None = None) -> SimConfig:
+def sim_config_from(values: dict, overrides: dict | None = None) -> SimConfig:
     config = _config_from(SimConfig(), "simulator", _SIM_PARSERS, values, overrides)
     config.validate()
     return config
 
 
 def echo_config(path, config) -> None:
-    """Write the effective configuration as a key = value file."""
-    lines = []
+    """Write the effective configuration as a `key = value` file that reads back to it."""
+    pairs = []
     for f in fields(config):
         value = getattr(config, f.name)
         if isinstance(value, dict):
             value = ",".join(f"{k}:{v}" for k, v in sorted(value.items()))
         elif isinstance(value, (tuple, list)):
             value = ",".join(str(v) for v in value)
-        lines.append(f"{f.name} = {value}")
-    with open(path, "w") as handle:
-        handle.write("\n".join(lines) + "\n")
+        pairs.append((f.name, "" if value is None else value))
+    write_key_values(path, pairs)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .records import BYSTANDER, OCCUPANT, DataValidationError, NumericalError
+from .store import read_key_values, write_key_values
 from .userfeatures import FEATURE_NAMES, ClassFeatures, stack
 
 LDA_REGULARIZER = 1e-6
@@ -154,39 +155,26 @@ def fit_calibration(pairs: list[tuple[float, float]]) -> CalibrationModel:
 
 def save_model(path, model: LdaModel, calibration: CalibrationModel) -> None:
     """Plain-text key/value model file covering classifier and calibration."""
-    lines = [
-        "# roomsense occupancy model",
-        "features = " + " ".join(FEATURE_NAMES),
-        "mean_occupant = " + " ".join(repr(float(v)) for v in model.mean_occupant),
-        "mean_bystander = " + " ".join(repr(float(v)) for v in model.mean_bystander),
-    ]
-    for i, row in enumerate(model.covariance):
-        lines.append(f"covariance_{i} = " + " ".join(repr(float(v)) for v in row))
-    lines += [
-        f"prior_occupant = {float(model.prior_occupant)!r}",
-        f"prior_bystander = {float(model.prior_bystander)!r}",
-        f"rssi_fill = {float(model.rssi_fill)!r}",
-        f"slope = {float(calibration.slope)!r}",
-        f"intercept = {float(calibration.intercept)!r}",
-    ]
-    with open(path, "w") as handle:
-        handle.write("\n".join(lines) + "\n")
+    numbers = {
+        "mean_occupant": model.mean_occupant,
+        "mean_bystander": model.mean_bystander,
+        **{f"covariance_{i}": row for i, row in enumerate(model.covariance)},
+        "prior_occupant": [model.prior_occupant],
+        "prior_bystander": [model.prior_bystander],
+        "rssi_fill": [model.rssi_fill],
+        "slope": [calibration.slope],
+        "intercept": [calibration.intercept],
+    }
+    pairs = [("features", " ".join(FEATURE_NAMES))]
+    pairs += [(key, " ".join(repr(float(v)) for v in values)) for key, values in numbers.items()]
+    write_key_values(path, pairs, comment="roomsense occupancy model")
 
 
 def load_model(path) -> tuple[LdaModel, CalibrationModel]:
-    """Read a `save_model` file; a missing key, a malformed value or a shape
-    that does not fit `FEATURE_NAMES` is a `DataValidationError` naming the line."""
-    values: dict[str, tuple[int, str]] = {}
-    try:
-        with open(path) as handle:
-            for line_no, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                key, _, val = line.partition("=")
-                values[key.strip()] = (line_no, val.strip())
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataValidationError(f"cannot read model file {path}: {exc}") from exc
+    """Read a `save_model` file; an unreadable file, a line without `=`, a
+    missing key, a malformed value or a shape that does not fit
+    `FEATURE_NAMES` is a `DataValidationError` naming the line."""
+    values = read_key_values(path, DataValidationError)
 
     def entry(key):
         if key not in values:

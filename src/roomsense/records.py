@@ -17,10 +17,10 @@ CLOCK_FMT = "%H:%M"
 OCCUPANT = "occupant"
 BYSTANDER = "bystander"
 
-# Lectures run 9am-9pm; daily session reports are generated at 9pm.
+# Lectures run 9am-9pm; every session log, simulated or loaded, is reported at 9pm.
 TEACHING_DAY_START_MIN = 9 * 60
 TEACHING_DAY_END_MIN = 21 * 60
-DEFAULT_REPORT_HOUR = 21
+REPORT_HOUR = 21
 
 # Column order of a session-log file. Trailing extra columns (e.g. Retries)
 # are accepted and ignored.

@@ -25,8 +25,11 @@ from .records import (
     GROUND_TRUTH_COUNT_COLUMNS,
     GROUND_TRUTH_USER_COLUMNS,
     INVENTORY_COLUMNS,
+    REPORT_HOUR,
     ROSTER_COLUMNS,
     SESSION_COLUMNS,
+    TEACHING_DAY_END_MIN,
+    TEACHING_DAY_START_MIN,
     TIMETABLE_COLUMNS,
     ApInventory,
     ApLocation,
@@ -39,9 +42,7 @@ from .records import (
 from .store import _Memo, _check_row, read_rows, write_rows
 
 SEMESTER_START = datetime(2025, 3, 3)  # a Monday
-DAY_START_MIN = 9 * 60
-DAY_END_MIN = 21 * 60
-CLASS_STARTS_PER_DAY = (DAY_END_MIN - DAY_START_MIN) // 60  # classes start on the hour
+CLASS_STARTS_PER_DAY = (TEACHING_DAY_END_MIN - TEACHING_DAY_START_MIN) // 60  # classes start on the hour
 LONG_DWELL = (45, 180)  # minutes a long-dwell or idle-room stay lasts, drawn uniformly
 # Poisson arrivals per hour of long-dwell or idle-room users: the target
 # concurrency times 60 / LONG_DWELL_TURNOVER, about the mean stay in minutes
@@ -125,7 +126,6 @@ class SimConfig:
     ambient_per_walkway_ap: float = 2.0
     idle_room_users_per_ap: float = 1.5  # mean concurrent studiers per AP while a room is idle
     walkin_prob: float = 0.0
-    report_hour: int = 21
 
     def validate(self) -> None:
         if not 1 <= len(self.room_capacities) <= MAX_ROOMS:
@@ -201,17 +201,23 @@ class SimConfig:
         slots = sum(self.room_capacities) * self.classes_per_room_per_week
         return max(2 * max(self.room_capacities), int(0.45 * slots))
 
+    def ap_counts(self) -> tuple[int, ...]:
+        """Each room's AP count: `room_ap_counts`, or if unset one per 45 seats and at least 3."""
+        if self.room_ap_counts is not None:
+            return tuple(self.room_ap_counts)
+        return tuple(max(3, math.ceil(capacity / 45)) for capacity in self.room_capacities)
+
     def estimated_session_rows(self) -> float:
         """About how many session rows `simulate_sessions` writes for this config.
 
         The expected counts of its draws: per class, the attendees' churned
-        device sessions and the absentees' visits; per day, the passers-by and
-        long-dwell users of every corridor and walkway spot, and the
-        idle-room studiers. Every day counts, although the simulator skips a
-        day without a class, so with fewer courses than weekdays the estimate
-        runs high.
+        device sessions, walk-ins included, and the absentees' visits; per
+        day, the passers-by and long-dwell users of every corridor and
+        walkway spot, and the idle-room studiers. Every day counts, although
+        the simulator skips a day without a class, so with fewer courses than
+        weekdays the estimate runs high.
         """
-        hours = (DAY_END_MIN - DAY_START_MIN) / 60
+        hours = (TEACHING_DAY_END_MIN - TEACHING_DAY_START_MIN) / 60
         churn_every = max(MIN_SEGMENT, _churn_mean_minutes(self.churn_prob_per_10min))
         gap = sum(self.churn_gap_minutes) / 2
         stay = sum(LONG_DWELL) / 2
@@ -227,13 +233,13 @@ class SimConfig:
         presence = class_minutes + early + 0.4 * self.depart_sd  # 0.4 sd: mean of a half-normal tail
         devices = sum(k * w for k, w in self.device_count_weights.items())
         enrolled, attending = sum(self.enrollment_ratio) / 2, sum(self.attendance_ratio) / 2
-        classes, week = self.classes_per_room_per_week, 0.0
-        for i, capacity in enumerate(self.room_capacities):
+        classes, population, week = self.classes_per_room_per_week, self.population_size(), 0.0
+        for capacity, aps in zip(self.room_capacities, self.ap_counts()):
             roster = max(2.0, enrolled * capacity)
             going = max(1.0, attending * roster)
-            per_class = going * (1 - self.non_connect_prob) * devices * sessions(presence)
+            walkins = min(self.walkin_prob * going, max(0.0, population - roster))
+            per_class = (going + walkins) * (1 - self.non_connect_prob) * devices * sessions(presence)
             per_class += (roster - going) * (1.5 * self.lingerer_prob + self.remote_prob)
-            aps = self.room_ap_counts[i] if self.room_ap_counts is not None else max(3, math.ceil(capacity / 45))
             idle_hours = max(0.0, self.days_per_week * hours - classes * class_minutes / 60)
             idle_windows = self.days_per_week + classes
             idle = self.idle_room_users_per_ap * aps * (idle_windows + idle_hours * 60 / LONG_DWELL_TURNOVER)
@@ -383,14 +389,10 @@ def generate_campus(config: SimConfig) -> Campus:
 
     rooms: list[Room] = []
     locations: dict[str, ApLocation] = {}
-    for i, capacity in enumerate(config.room_capacities):
+    for i, (capacity, ap_count) in enumerate(zip(config.room_capacities, config.ap_counts())):
         room_id = f"room{i + 1}"
         building = buildings[i // 2]
         floor = i % 2 + 1
-        if config.room_ap_counts is not None:
-            ap_count = config.room_ap_counts[i]
-        else:
-            ap_count = max(3, math.ceil(capacity / 45))
         aps = [f"{room_id}-ap{j + 1:02d}" for j in range(ap_count)]
         n_corner = round(config.corner_ap_fraction * ap_count)
         corner = frozenset(aps[-n_corner:]) if n_corner else frozenset()
@@ -415,8 +417,8 @@ def generate_campus(config: SimConfig) -> Campus:
             for _ in range(200):
                 weekday = rng.randrange(config.days_per_week)
                 duration = _weighted_choice(rng.random(), durations)
-                latest = DAY_END_MIN - duration
-                start_min = rng.randrange(DAY_START_MIN // 60, latest // 60 + 1) * 60
+                latest = TEACHING_DAY_END_MIN - duration
+                start_min = rng.randrange(TEACHING_DAY_START_MIN // 60, latest // 60 + 1) * 60
                 end_min = start_min + duration
                 clash = any(
                     wd == weekday and start_min < e and end_min > s for wd, s, e in taken
@@ -449,7 +451,7 @@ def _emitter(config: SimConfig, rng: random.Random):
     """
     rows: list[tuple] = []
     append, gauss_pair, getrandbits = rows.append, rng.gauss_pair, rng.getrandbits
-    report_minute = config.report_hour * 60
+    report_minute = REPORT_HOUR * 60
     rssi_in = (config.rssi_in_mean, config.rssi_in_sd)
     rssi_out = (config.rssi_out_mean, config.rssi_out_sd)
 
@@ -587,7 +589,7 @@ def simulate_sessions(campus: Campus, config: SimConfig) -> tuple[list[tuple], G
 
     for day in all_days:
         midnight = to_minutes(day)
-        day_lo, day_hi = midnight + DAY_START_MIN, midnight + DAY_END_MIN
+        day_lo, day_hi = midnight + TEACHING_DAY_START_MIN, midnight + TEACHING_DAY_END_MIN
         todays = sorted(events_by_day[day], key=lambda e: (e.room_id, e.start))
         enrolled_windows: dict[str, list[tuple[int, int]]] = {}  # user -> today's class times
         for e in todays:
@@ -669,7 +671,7 @@ def simulate_sessions(campus: Campus, config: SimConfig) -> tuple[list[tuple], G
         for building, floor, corridor_aps, room, rate, ambient in sorted(
             floor_spots, key=lambda f: (f[0], f[1], f[2])
         ):
-            n_pass = _poisson(rng, rate * (DAY_END_MIN - DAY_START_MIN) / 60)
+            n_pass = _poisson(rng, rate * (TEACHING_DAY_END_MIN - TEACHING_DAY_START_MIN) / 60)
             for _ in range(n_pass):
                 t = randint(day_lo, day_hi - 2)
                 dwell = max(1, round(rng.expovariate(1.0 / config.bystander_dwell_mean)))

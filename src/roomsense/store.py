@@ -1,7 +1,8 @@
 """Columnar session-log loading and time-window queries.
 
 `read_rows` and `write_rows` frame every tabular file the program reads or
-writes. `load_sessions` parses a session log straight into a `SessionTable` of numpy
+writes, and `read_key_values` and `write_key_values` every `key = value` file.
+`load_sessions` parses a session log straight into a `SessionTable` of numpy
 columns. A canonical log is parsed in blocks: `_CanonicalBlocks.split` and
 `parse` turn one block into columns, `parse` on a worker thread, and `merge`
 appends the blocks to the table in file order, on the calling thread only.
@@ -27,8 +28,8 @@ import numpy as np
 from .records import (
     ALLOWED_CLASS_MINUTES,
     CORRIDOR_MARKERS,
-    DEFAULT_REPORT_HOUR,
     INVENTORY_COLUMNS,
+    REPORT_HOUR,
     ROSTER_COLUMNS,
     SESSION_COLUMNS,
     TIMETABLE_COLUMNS,
@@ -36,6 +37,7 @@ from .records import (
     ApLocation,
     ClassEvent,
     DataValidationError,
+    RoomsenseError,
     parse_stamp,
     to_minutes,
 )
@@ -161,6 +163,37 @@ def write_rows(path, columns, rows) -> None:
         writer = csv.writer(handle)
         writer.writerow(columns)
         writer.writerows(rows)
+
+
+def read_key_values(path, error: type[RoomsenseError]) -> dict[str, tuple[int, str]]:
+    """(line number, value) of each key of a `key = value` file; a later line for a key wins.
+
+    Blank and `#` lines are skipped. Keys are stripped of whitespace and values
+    of spaces only, so a value may be a tab. An unreadable file or a line
+    without `=` raises `error`, naming the file and the line.
+    """
+    try:
+        with open(path) as handle:
+            lines = handle.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {path}: {exc}") from exc
+    values = {}
+    for line_no, line in enumerate(lines, start=1):
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise error(f"{path}: line {line_no}: expected 'key = value'")
+        values[key.strip()] = (line_no, value.strip(" \n"))
+    return values
+
+
+def write_key_values(path, pairs, comment: str = "") -> None:
+    """Write a `# comment` line if `comment` is given, then a `key = value` line per pair."""
+    lines = [f"# {comment}"] if comment else []
+    lines += [f"{key} = {value}" for key, value in pairs]
+    with open(path, "w") as handle:
+        handle.write("\n".join(lines) + "\n")
 
 
 def _check_row(path, line_no: int, fields: list[str], columns) -> None:
@@ -569,7 +602,7 @@ class _CanonicalBlocks:
         disassoc = self._stamps(buf, starts[closed, 3])
         if disassoc is None:
             return None
-        end = assoc - assoc % 1440 + DEFAULT_REPORT_HOUR * 60
+        end = assoc - assoc % 1440 + REPORT_HOUR * 60
         end[closed] = disassoc
         if (end < assoc).any():
             return None
@@ -707,7 +740,7 @@ def _load_rows(path, delimiter: str) -> tuple[SessionTable, LoadReport]:
             if disassoc is not None:
                 reject(line_no, "ongoing session carries a disassociation time")
                 continue
-            end = assoc - assoc % 1440 + DEFAULT_REPORT_HOUR * 60
+            end = assoc - assoc % 1440 + REPORT_HOUR * 60
             if end < assoc:
                 reject(line_no, "ongoing session starts after report generation time")
                 continue

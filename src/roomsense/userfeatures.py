@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .records import TEACHING_DAY_END_MIN, TEACHING_DAY_START_MIN, ClassEvent, day_start, to_minutes
+from .records import TEACHING_DAY_END_MIN, TEACHING_DAY_START_MIN, ClassEvent, from_minutes, to_minutes
 from .store import RSSI_MISSING, SessionStore, grouped_running_max
 
 FEATURE_NAMES = ("t_in", "t_out", "arrival_delay", "n_sessions", "n_devices", "avg_rssi")
@@ -75,13 +75,11 @@ def extract_class_features(
     """
     class_lo, class_hi = to_minutes(event.start), to_minutes(event.end)
     duration = class_hi - class_lo
-    midnight = to_minutes(day_start(event.start))
+    midnight = to_minutes(event.date)
     day_lo = midnight + TEACHING_DAY_START_MIN
     day_hi = midnight + TEACHING_DAY_END_MIN
 
-    rows = store.sessions_overlapping(
-        mapped_aps, event.date.replace(hour=9), event.date.replace(hour=21)
-    )
+    rows = store.sessions_overlapping(mapped_aps, from_minutes(day_lo), from_minutes(day_hi))
     table = store.table
     rows = rows[np.lexsort((table.start[rows], table.user[rows]))]
     user, start, end = table.user[rows], table.start[rows], table.end[rows]

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from datetime import datetime
 
-from roomsense.records import DEFAULT_REPORT_HOUR, SESSION_COLUMNS, parse_stamp, to_minutes
+from roomsense.records import REPORT_HOUR, SESSION_COLUMNS, parse_stamp, to_minutes
 from roomsense.store import LoadReport, _check_header, _maybe_fatal_rejects, _open_rows
 
 STATUS_ASSOCIATED = "Associated"
@@ -88,7 +88,7 @@ def parse_session_row(
         if disassoc is not None:
             return None, "ongoing session carries a disassociation time", None
         end = report_time if report_time is not None else assoc.replace(
-            hour=DEFAULT_REPORT_HOUR, minute=0
+            hour=REPORT_HOUR, minute=0
         )
         if end < assoc:
             return None, "ongoing session starts after report generation time", None

@@ -20,7 +20,10 @@ import random
 from datetime import datetime, timedelta
 
 from roomsense.records import (
+    REPORT_HOUR,
     SESSION_COLUMNS,
+    TEACHING_DAY_END_MIN,
+    TEACHING_DAY_START_MIN,
     ApInventory,
     ApLocation,
     ClassEvent,
@@ -29,8 +32,6 @@ from roomsense.records import (
     to_minutes,
 )
 from roomsense.simulate import (
-    DAY_END_MIN,
-    DAY_START_MIN,
     SEMESTER_START,
     Campus,
     GroundTruth,
@@ -105,8 +106,8 @@ def generate_campus(config: SimConfig) -> Campus:
             for _ in range(200):
                 weekday = rng.randrange(config.days_per_week)
                 duration = _weighted_choice(rng, config.duration_weights)
-                latest = DAY_END_MIN - duration
-                start_min = rng.randrange(DAY_START_MIN // 60, latest // 60 + 1) * 60
+                latest = TEACHING_DAY_END_MIN - duration
+                start_min = rng.randrange(TEACHING_DAY_START_MIN // 60, latest // 60 + 1) * 60
                 end_min = start_min + duration
                 clash = any(
                     wd == weekday and start_min < e and end_min > s for wd, s, e in taken
@@ -140,7 +141,7 @@ class _Emitter:
         self.rows: list[tuple] = []
 
     def emit(self, user: str, device: int, ap: str, start: int, end: int, in_room: bool):
-        report = (start // 1440) * 1440 + self.config.report_hour * 60
+        report = (start // 1440) * 1440 + REPORT_HOUR * 60
         if start >= report:
             return
         ongoing = end > report
@@ -226,7 +227,7 @@ def simulate_sessions(campus: Campus, config: SimConfig) -> tuple[list[tuple], G
 
     for day in all_days:
         midnight = to_minutes(day)
-        day_lo, day_hi = midnight + DAY_START_MIN, midnight + DAY_END_MIN
+        day_lo, day_hi = midnight + TEACHING_DAY_START_MIN, midnight + TEACHING_DAY_END_MIN
         todays = sorted(events_by_day[day], key=lambda e: (e.room_id, e.start))
         today_windows = [
             (to_minutes(e.start), to_minutes(e.end), campus.rosters[e.class_id]) for e in todays
@@ -307,7 +308,7 @@ def simulate_sessions(campus: Campus, config: SimConfig) -> tuple[list[tuple], G
         for building, floor, corridor_aps, room, rate, ambient in sorted(
             floor_spots, key=lambda f: (f[0], f[1], f[2])
         ):
-            n_pass = _poisson(rng, rate * (DAY_END_MIN - DAY_START_MIN) / 60)
+            n_pass = _poisson(rng, rate * (TEACHING_DAY_END_MIN - TEACHING_DAY_START_MIN) / 60)
             for _ in range(n_pass):
                 t = rng.randint(day_lo, day_hi - 2)
                 dwell = max(1, round(rng.expovariate(1.0 / config.bystander_dwell_mean)))

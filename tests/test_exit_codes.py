@@ -160,7 +160,7 @@ def sim_config(tmp_path_factory) -> list[str]:
     """The `key = value` lines of the tiny simulator config; it simulates."""
     root = tmp_path_factory.mktemp("sim")
     echo_config(root / "echo.cfg", TINY)
-    lines = [line for line in (root / "echo.cfg").read_text().splitlines() if not line.endswith("= None")]
+    lines = (root / "echo.cfg").read_text().splitlines()
     assert _simulate(lines, str(root)) == (0, "")
     return lines
 

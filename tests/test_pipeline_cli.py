@@ -10,8 +10,12 @@ import os
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from roomsense.cli import main
+from roomsense.config import PipelineConfig, echo_config, pipeline_config_from, sim_config_from
+from roomsense.mapping import ALGORITHMS
 from roomsense.pipeline import (
     ESTIMATE_COLUMNS,
     MAPPING_COLUMNS,
@@ -20,6 +24,9 @@ from roomsense.pipeline import (
     read_mapping_csv,
     run_pipeline,
 )
+from roomsense.records import ConfigError
+from roomsense.simulate import SimConfig
+from roomsense.store import read_key_values
 from conftest import pipeline_config
 
 
@@ -293,6 +300,16 @@ class TestCli:
         config_file.write_text("definitely_not_a_key = 1\n")
         assert main(["run", "--config", str(config_file)]) == 1
 
+    def test_simulate_config_echo_reproduces_the_corpus(self, tmp_path):
+        """`sim_config.txt` of the default config, unset `room_ap_counts` included, simulates it again."""
+        first, second = tmp_path / "c1", tmp_path / "c2"
+        assert main(["simulate", "--seed", "3", "--weeks", "1", "--out", str(first)]) == 0
+        assert main(["simulate", "--config", str(first / "sim_config.txt"), "--out", str(second)]) == 0
+        names = sorted(os.listdir(first))
+        assert names == sorted(os.listdir(second)) and len(names) == 7
+        _, mismatch, errors = filecmp.cmpfiles(first, second, names, shallow=False)
+        assert mismatch == errors == []
+
     def test_map_aps_resolution_sweep_table(self, small_corpus_dir, tmp_path):
         code = main(
             ["map-aps",
@@ -337,6 +354,70 @@ class TestCli:
         out = capsys.readouterr().out.splitlines()
         assert out[0] == "note: 146 users had no RSSI; filled with corpus mean 61.8"
         assert filecmp.cmp(tmp_path / "train" / "model.txt", paths["model"], shallow=False)
+
+
+# Text a config value may hold: no line end, and no space at either end.
+VALUES = st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")), max_size=12).map(str.strip)
+
+
+@st.composite
+def pipeline_configs(draw) -> PipelineConfig:
+    paths = {key: draw(VALUES) for key in
+             ("sessions", "timetable", "rosters", "inventory", "ground_truth_counts", "output_dir")}
+    return PipelineConfig(
+        **paths,
+        resolution=draw(st.integers()),
+        algorithm=draw(st.sampled_from(ALGORITHMS)),
+        resample_len=draw(st.integers()),
+        seed=draw(st.integers()),
+        train_ratio=draw(st.floats(allow_nan=False)),
+        adjacency=draw(st.booleans()),
+        use_room_aps=draw(st.booleans()),
+        delimiter=draw(st.sampled_from([",", ";", "|", "\t"]) | st.characters(min_codepoint=33, max_codepoint=126)),
+    )
+
+
+@st.composite
+def sim_configs(draw) -> SimConfig:
+    """Simulator configs that validate, with `room_ap_counts` unset or set."""
+    rooms = draw(st.lists(st.integers(1, 300), min_size=1, max_size=4))
+    counts = st.lists(st.integers(1, 64), min_size=len(rooms), max_size=len(rooms)).map(tuple)
+    probability = st.floats(0, 1)
+    config = SimConfig(
+        seed=draw(st.integers(0, 2**64)),
+        weeks=draw(st.integers(1, 6)),
+        days_per_week=draw(st.integers(1, 7)),
+        room_capacities=tuple(rooms),
+        room_ap_counts=draw(st.none() | counts),
+        corner_ap_fraction=draw(probability),
+        duration_weights=draw(st.sampled_from([{60: 1.0}, {90: 0.25, 240: 0.75}])),
+        enrollment_ratio=tuple(sorted(draw(st.tuples(st.floats(0, 2), st.floats(0, 2))))),
+        non_connect_prob=draw(probability),
+        device_count_weights=draw(st.sampled_from([{1: 1.0}, {2: 0.5, 8: 0.5}])),
+        churn_prob_per_10min=draw(probability),
+        churn_gap_minutes=tuple(sorted(draw(st.tuples(st.integers(0, 9), st.integers(0, 9))))),
+        arrival_mean=draw(st.floats(-100, 100)),
+        rssi_in_mean=draw(st.floats(-1e6, 1e6)),
+        bystander_dwell_mean=draw(st.floats(1e-6, 60)),
+        walkin_prob=draw(probability),
+    )
+    try:
+        config.validate()
+    except ConfigError:
+        assume(False)
+    return config
+
+
+class TestConfigEcho:
+    @settings(max_examples=200, deadline=None)
+    @given(config=sim_configs() | pipeline_configs())
+    def test_echo_reads_back_to_its_config(self, tmp_path_factory, config):
+        """`echo_config` then `read_key_values` gives the config back, a tab delimiter included."""
+        path = tmp_path_factory.mktemp("echo") / "config.txt"
+        echo_config(path, config)
+        values = read_key_values(path, ConfigError)
+        read = sim_config_from(values) if isinstance(config, SimConfig) else pipeline_config_from(values)
+        assert read == config
 
 
 class TestEnrolledNeverExceedsWifi:
@@ -491,6 +572,8 @@ class TestMalformedInputs:
             "sessions-byte",
             "sessions-field",
             "config-jobs",
+            "sim-config-report-hour",
+            "model-no-equals",
             "unknown-flag",
             "bad-flag-value",
             "model-nan",
@@ -547,6 +630,14 @@ class TestMalformedInputs:
             config = tmp_path / "run.cfg"
             config.write_text(f"sessions = {corpus_dir}/sessions.csv\njobs = 2\n")
             argv, code, fragment = ["run", "--config", str(config)], 1, "'jobs'"
+        elif case == "sim-config-report-hour":  # removed: every log is reported at 21:00
+            config = tmp_path / "sim.cfg"
+            config.write_text("report_hour = 21\n")
+            argv, code, fragment = ["simulate", "--config", str(config)], 1, "'report_hour'"
+        elif case == "model-no-equals":
+            bad, line = self._edited(paths["model"], tmp_path / "model.txt", "slope =", "slope 1.0")
+            argv = ["estimate", *corpus, "--mapping", paths["mapping"], "--model", bad]
+            fragment = "expected 'key = value'"
         elif case == "unknown-flag":
             argv, code, fragment = ["run", "--bogus"], 1, "--bogus"
         elif case == "model-nan":

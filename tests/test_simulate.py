@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import sim_oracle
 
 from roomsense.cli import main
-from roomsense.records import ConfigError, to_minutes
+from roomsense.records import REPORT_HOUR, ConfigError, to_minutes
 from roomsense.simulate import (
     CLASS_STARTS_PER_DAY,
     MAX_ROOMS,
@@ -276,8 +276,13 @@ class TestSimulatorWork:
         rates=st.tuples(st.floats(0, 30), st.floats(0, 30), st.floats(0, 5), st.floats(0, 5), st.floats(0, 5)),
         churn=st.floats(0, 1),
         attendance=st.floats(0, 1),
+        walkins=st.sampled_from([0.0, 0.5, 1.0]),
     )
-    def test_estimate_tracks_the_rows_written(self, seed, days, capacities, classes, rates, churn, attendance):
+    # Every attendee brings one walk-in, and nothing else writes rows.
+    @example(seed=0, days=1, capacities=[9], classes=2, rates=(0.0,) * 5, churn=1.0, attendance=1.0, walkins=1.0)
+    def test_estimate_tracks_the_rows_written(
+        self, seed, days, capacities, classes, rates, churn, attendance, walkins
+    ):
         """Counting every day, the estimate may run high only by the days without a class."""
         classes = min(classes, days * CLASS_STARTS_PER_DAY)
         config = SimConfig(
@@ -285,7 +290,7 @@ class TestSimulatorWork:
             classes_per_room_per_week=classes, walkway_ap_count=2,
             bystander_rate_per_hour=rates[0], walkway_bystander_rate_per_hour=rates[1],
             ambient_per_corridor_ap=rates[2], ambient_per_walkway_ap=rates[3], idle_room_users_per_ap=rates[4],
-            churn_prob_per_10min=churn, attendance_ratio=(attendance, attendance),
+            churn_prob_per_10min=churn, attendance_ratio=(attendance, attendance), walkin_prob=walkins,
         )
         campus = generate_campus(config)
         rows, _ = simulate_sessions(campus, config)
@@ -409,7 +414,7 @@ class TestSimulateSessions:
         config = SimConfig(**FAST)
         campus = generate_campus(config)
         rows, _ = simulate_sessions(campus, config)
-        report_minute = 21 * 60
+        report_minute = REPORT_HOUR * 60
         for start, user, device, ap, end, ongoing, *_ in rows:
             assert end - (end // 1440) * 1440 <= report_minute
             if ongoing:
@@ -506,13 +511,13 @@ def small_configs(draw) -> SimConfig:
         ambient_per_walkway_ap=draw(st.sampled_from([0.0, 2.0])),
         idle_room_users_per_ap=draw(st.sampled_from([0.0, 1.5])),
         walkin_prob=draw(st.sampled_from([0.0, 0.3])),
-        report_hour=draw(st.sampled_from([21, 9, 11, 14])),
     )
 
 
 # Each example reaches one branch for certain: walk-ins, no churn, every
-# attendee in a neighbouring room, corner weights, several devices, and a
-# report hour inside class hours, which cuts sessions and marks them ongoing.
+# attendee in a neighbouring room, corner weights, several devices, and the
+# base config alone, some of whose sessions run past the 21:00 report time and
+# are cut there and marked ongoing.
 BRANCH_BASE = dict(seed=3, weeks=1, room_capacities=(30, 12))
 BRANCHES = [
     dict(walkin_prob=0.3),
@@ -522,7 +527,7 @@ BRANCHES = [
     dict(room_ap_counts=(7, 3), corner_ap_fraction=0.5, corner_ap_weight=2.5,
          cross_room_attach_prob=0.0, near_room_attach_prob=0.0),
     dict(device_count_weights={1: 0.2, 2: 0.3, 3: 0.5}),
-    dict(report_hour=11, days_per_week=1, classes_per_room_per_week=2),
+    dict(),
 ]
 
 
@@ -569,7 +574,7 @@ class TestSimulatorMatchesOracle:
         _, rows, _ = self._check(SimConfig(**BRANCH_BASE, **BRANCHES[4]))
         assert max(r[2] for r in rows) == 2
         _, rows, _ = self._check(SimConfig(**BRANCH_BASE, **BRANCHES[5]))
-        assert any(r[5] for r in rows) and all(r[4] % 1440 <= 11 * 60 for r in rows)
+        assert any(r[5] for r in rows) and all(r[4] % 1440 <= REPORT_HOUR * 60 for r in rows)
 
     def test_small_corpus(self):
         self._check(SimConfig(**FAST))
@@ -640,15 +645,17 @@ class TestPoisson:
         assert all(sim_oracle._poisson(random.Random(seed), mean) < 800 for seed in range(6))
 
 
-# sha256 of every file `roomsense simulate --seed 42 --weeks 1` writes,
-# unchanged since the simulator's first release.
+# sha256 of every file `roomsense simulate --seed 42 --weeks 1` writes. The
+# six CSV files are unchanged since the simulator's first release;
+# `sim_config.txt` changed when its echo came to read back as written (an unset
+# `room_ap_counts` is an empty value) and `report_hour` was removed.
 PINNED_WEEK = {
     "ground_truth_counts.csv": "cdc69663e0c4fc6470a5d0e266df32833f6062ffe52a24e62e19133f174ec8b2",
     "ground_truth_users.csv": "35a010055a3fb9224dd9239700fb1324318e1cad620357a80ac68c8a64d5d3f7",
     "inventory.csv": "9f6fe3118c4bd6b276b7dd3e39a828c483c39346c5d0959ec42c2290f6f5de01",
     "roster.csv": "741b3e6519b446251534789f53b59af5abc6dcbce9a6bcc732c6327fd1a87420",
     "sessions.csv": "847a5afc854edf7861556b3c9ea6240bb4a0c29d5b9dd479954ae198f8817634",
-    "sim_config.txt": "577f7fcf7a8e086fad1e039e0e48ac250b665b0d84bedbcebe8397c84bf5e12c",
+    "sim_config.txt": "6c03e8b05c04cad35fd7f9d23e7daf154d1badea1b8a5a0b83f9c15764c7afe5",
     "timetable.csv": "c071c9d4c9116b6ef8665686629950af16a42c0ea283b3bb1545953c899f1183",
 }
 
