@@ -248,6 +248,9 @@ def main(argv=None) -> int:
     except RoomsenseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except OSError as exc:  # every reader reports its own, so this is an output that cannot be made
+        print(f"error: cannot write {exc.filename or 'an output'}: {exc.strerror or exc}", file=sys.stderr)
+        return ConfigError.exit_code
 
 
 if __name__ == "__main__":

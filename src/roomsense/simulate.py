@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 import os
 import random
+import signal
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timedelta
 from math import cos, log, sin, sqrt, tau
@@ -36,6 +38,7 @@ from .records import (
     ClassEvent,
     ConfigError,
     DataValidationError,
+    RoomsenseError,
     format_minutes,
     to_minutes,
 )
@@ -52,8 +55,8 @@ MIN_SEGMENT = 3  # minutes: the shortest churned connection segment
 # `SimConfig.validate` refuses more rooms than MAX_ROOMS, a config whose
 # `estimated_session_rows` exceed MAX_SESSION_ROWS, and one whose walk-ins
 # scan more than MAX_WALKIN_SCANS users. The simulator holds every row in
-# memory before it writes the log: 2M rows take about 500 MB and half a
-# minute, and make a log of about 200 MB. A year of seven-day weeks on the
+# memory until it has drawn the last day: 2M rows take about 500 MB and half
+# a minute, and make a log of about 200 MB. A year of seven-day weeks on the
 # default campus is about 1.6M rows. With `walkin_prob` above 0, every class
 # scans the whole population for its non-enrolled users, whether or not it
 # writes rows: on a 2-vCPU host (Python 3.11), `simulate` took 3.4 s for 9M
@@ -207,7 +210,7 @@ class SimConfig:
             return tuple(self.room_ap_counts)
         return tuple(max(3, math.ceil(capacity / 45)) for capacity in self.room_capacities)
 
-    def estimated_session_rows(self) -> float:
+    def estimated_session_rows(self, courses: list[dict] | None = None) -> float:
         """About how many session rows `simulate_sessions` writes for this config.
 
         The expected counts of its draws: per class, the attendees' churned
@@ -216,6 +219,13 @@ class SimConfig:
         walkway spot, and the idle-room studiers. Every day counts, although
         the simulator skips a day without a class, so with fewer courses than
         weekdays the estimate runs high.
+
+        `courses` holds, for each room, how many weekly courses it has of each
+        (class minutes, enrolled seats). By default every room has
+        `classes_per_room_per_week` courses of the expected length and
+        enrolment. A drawn timetable can differ much from that: the
+        timetabler redraws a class that clashes, so a packed room holds
+        mostly short classes.
         """
         hours = (TEACHING_DAY_END_MIN - TEACHING_DAY_START_MIN) / 60
         churn_every = max(MIN_SEGMENT, _churn_mean_minutes(self.churn_prob_per_10min))
@@ -228,22 +238,30 @@ class SimConfig:
         def spot(passers_per_hour: float, concurrent: float) -> float:  # one corridor or walkway, one day
             return passers_per_hour * hours + concurrent * (1 + hours * 60 / LONG_DWELL_TURNOVER) * sessions(stay)
 
-        class_minutes = sum(m * w for m, w in self.duration_weights.items())
         early = min(max(-self.arrival_mean, 0), self.early_arrival_limit)
-        presence = class_minutes + early + 0.4 * self.depart_sd  # 0.4 sd: mean of a half-normal tail
         devices = sum(k * w for k, w in self.device_count_weights.items())
         enrolled, attending = sum(self.enrollment_ratio) / 2, sum(self.attendance_ratio) / 2
-        classes, population, week = self.classes_per_room_per_week, self.population_size(), 0.0
-        for capacity, aps in zip(self.room_capacities, self.ap_counts()):
-            roster = max(2.0, enrolled * capacity)
+        population, week = self.population_size(), 0.0
+
+        def per_class(minutes: float, roster: float) -> float:
             going = max(1.0, attending * roster)
             walkins = min(self.walkin_prob * going, max(0.0, population - roster))
-            per_class = (going + walkins) * (1 - self.non_connect_prob) * devices * sessions(presence)
-            per_class += (roster - going) * (1.5 * self.lingerer_prob + self.remote_prob)
-            idle_hours = max(0.0, self.days_per_week * hours - classes * class_minutes / 60)
-            idle_windows = self.days_per_week + classes
+            presence = minutes + early + 0.4 * self.depart_sd  # 0.4 sd: mean of a half-normal tail
+            rows = (going + walkins) * (1 - self.non_connect_prob) * devices * sessions(presence)
+            return rows + (roster - going) * (1.5 * self.lingerer_prob + self.remote_prob)
+
+        if courses is None:
+            class_minutes = sum(m * w for m, w in self.duration_weights.items())
+            courses = [
+                {(class_minutes, max(2.0, enrolled * capacity)): self.classes_per_room_per_week}
+                for capacity in self.room_capacities
+            ]
+        for aps, room in zip(self.ap_counts(), courses):
+            busy_minutes = sum(count * minutes for (minutes, _), count in room.items())
+            idle_hours = max(0.0, self.days_per_week * hours - busy_minutes / 60)
+            idle_windows = self.days_per_week + sum(room.values())
             idle = self.idle_room_users_per_ap * aps * (idle_windows + idle_hours * 60 / LONG_DWELL_TURNOVER)
-            week += classes * per_class + idle
+            week += sum(count * per_class(minutes, seats) for (minutes, seats), count in room.items()) + idle
         day = len(self.room_capacities) * spot(
             self.bystander_rate_per_hour, self.ambient_per_corridor_ap * self.corridor_aps_per_room
         ) + self.walkway_ap_count * spot(self.walkway_bystander_rate_per_hour, self.ambient_per_walkway_ap)
@@ -552,13 +570,22 @@ def _attendee_picker(config: SimConfig, rng: random.Random, campus: Campus):
     return pick
 
 
-def simulate_sessions(campus: Campus, config: SimConfig) -> tuple[list[tuple], GroundTruth]:
-    """Emit session-log rows (time-sorted tuples) plus the planted ground truth."""
+def simulate_sessions(campus: Campus, config: SimConfig, on_day=None) -> tuple[list[tuple], GroundTruth]:
+    """Emit session-log rows (time-sorted tuples) plus the planted ground truth.
+
+    Each day's rows are sorted as soon as the day is drawn and, when `on_day`
+    is given, handed to it. Every row of a day starts within that day: no
+    class starts before the teaching day, no attendee arrives more than
+    `early_arrival_limit` (at most 240) minutes early, other traffic keeps
+    to the teaching day, and a row starting at the report time is dropped.
+    So the days, in order, are the whole log in order.
+    """
     config.validate()
     rng = _Random(config.seed + 1)
     uniform, choice, randint, gauss = rng.random, rng.choice, rng.randint, rng.gauss
     dwell_lo, dwell_hi = LONG_DWELL
-    rows, emit = _emitter(config, rng)
+    rows, emit = _emitter(config, rng)  # the rows of the day being drawn
+    log: list[tuple] = []
     segments = _presence(config, rng)
     pick = _attendee_picker(config, rng, campus)
     devices = _cumulative(config.device_count_weights)
@@ -729,8 +756,13 @@ def simulate_sessions(campus: Campus, config: SimConfig) -> tuple[list[tuple], G
                     ap = choice(room.aps)
                     emit(user, 0, ap, t, e, True)
 
-    rows.sort(key=itemgetter(0, 1, 2, 3, 4))
-    return rows, GroundTruth(attendees, non_connecting)
+        day_rows = sorted(rows, key=itemgetter(0, 1, 2, 3, 4))  # by start, user, device, AP and end
+        rows.clear()
+        log += day_rows
+        if on_day is not None:
+            on_day(day_rows)
+
+    return log, GroundTruth(attendees, non_connecting)
 
 
 def write_sessions_csv(path, rows) -> None:
@@ -800,12 +832,81 @@ def load_ground_truth_counts(path, delimiter: str = ",") -> dict[str, int]:
     return counts
 
 
+def _write_received_sessions(path, conn, parent_end) -> None:
+    """The writer process: write the session log at `path` from the days `conn` receives.
+
+    None after the last day ends the log. The process then sends back None,
+    or the error that stopped it and stops reading. When the parent closes
+    the pipe first, it ends without a word; it never prints a traceback.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt stops the parent, which closes the pipe
+    parent_end.close()  # so that the parent's exit reads as the end of the pipe
+
+    def received():
+        while (day := conn.recv()) is not None:
+            yield from day
+
+    try:
+        write_sessions_csv(path, received())
+        failure = None
+    except EOFError:  # the parent stopped before the last day
+        return
+    except OSError as exc:  # as the parent would raise it: errno, reason and the file
+        failure = OSError(exc.errno, exc.strerror or str(exc), exc.filename or path)
+    except Exception as exc:
+        failure = RoomsenseError(f"the session-log writer failed on {path}: {exc!r}")
+    with suppress(OSError):  # the parent has gone
+        conn.send(failure)
+
+
+@contextmanager
+def _session_writer(path):
+    """`send(day_rows)`, which hands the rows to a process that writes the session log at `path`.
+
+    The process is forked, so it starts from this process's state, and it is
+    joined on every way out. Once the last day is sent, the error that
+    stopped the writer is raised here: an `OSError` as writing the file in
+    this process would raise it, and anything else as a `RoomsenseError`.
+    """
+    import multiprocessing  # here: a command that writes no session log need not load it
+
+    context = multiprocessing.get_context("fork")
+    ours, theirs = context.Pipe()
+    writer = context.Process(target=_write_received_sessions, args=(path, theirs, ours))
+    try:
+        writer.start()
+    except OSError as exc:
+        ours.close()
+        raise RoomsenseError(f"cannot start the session-log writer: {exc}") from exc
+    finally:
+        theirs.close()
+    try:
+        try:
+            yield ours.send
+            ours.send(None)
+        except ConnectionError:  # the writer has stopped reading; its reason follows
+            pass
+        try:
+            failure = ours.recv()
+        except (EOFError, ConnectionError):
+            failure = RoomsenseError(f"the session-log writer stopped before writing {path}")
+    finally:
+        ours.close()
+        writer.join()
+    if failure is not None:
+        raise failure
+
+
 def simulate_corpus(config: SimConfig, out_dir) -> tuple[Campus, GroundTruth]:
-    """Generate a campus and write the full corpus file set into `out_dir`."""
+    """Generate a campus and write the full corpus file set into `out_dir`.
+
+    A writer process writes the session log while `simulate_sessions` draws
+    it, one sorted day at a time.
+    """
     campus = generate_campus(config)
-    rows, truth = simulate_sessions(campus, config)
     os.makedirs(out_dir, exist_ok=True)
-    write_sessions_csv(os.path.join(out_dir, "sessions.csv"), rows)
+    with _session_writer(os.path.join(out_dir, "sessions.csv")) as send:
+        _, truth = simulate_sessions(campus, config, send)
     write_timetable_csv(os.path.join(out_dir, "timetable.csv"), campus.events)
     write_roster_csv(os.path.join(out_dir, "roster.csv"), campus.rosters)
     write_inventory_csv(os.path.join(out_dir, "inventory.csv"), campus.inventory)

@@ -22,6 +22,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime
 from functools import cached_property
+from itertools import chain, islice
 
 import numpy as np
 
@@ -94,7 +95,7 @@ def _open_rows(path, delimiter: str):
     """
     try:
         handle = open(path, "r", newline="")
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         raise DataValidationError(f"cannot read {path}: {exc}") from exc
     rows = csv.reader(handle, delimiter=delimiter)
     with handle:
@@ -152,17 +153,61 @@ def read_rows(path, delimiter: str, columns):
                 yield line_no, fields
 
 
+# `write_rows` frames this many rows at a time.
+_CHUNK_ROWS = 10_000
+# The field types whose `%s` text is the text the csv module writes for them.
+_PLAIN_TYPES = frozenset({str, int, float, bool})
+
+
 def write_rows(path, columns, rows) -> None:
     """Write a comma-separated file: the `columns` header, then every row of `rows`.
 
     The csv module frames the fields: CRLF line ends, and quotes around a
-    field only where it must (one holding a comma, a quote or a line end).
-    `None` is written as an empty field.
+    field only where it must (one holding a comma, a quote or a line end, and
+    a row's only field when it is empty). `None` is written as an empty field.
+
+    Rows are framed `_CHUNK_ROWS` at a time. A chunk that `_plain_text` can
+    frame is written as one string; any other chunk goes through `csv.writer`.
     """
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(columns)
-        writer.writerows(rows)
+        rows = chain([columns], rows)
+        while chunk := list(islice(rows, _CHUNK_ROWS)):
+            text = _plain_text(chunk, len(columns))
+            if text is None:
+                writer.writerows(chunk)
+            else:
+                handle.write(text)
+
+
+def _plain_text(chunk: list, width: int) -> str | None:
+    """The text `csv.writer` writes for `chunk` when no field needs quoting, else None.
+
+    Every row must hold `width` fields, each a str, int, float or bool, and
+    a row of one field must not be empty. The rows are then formatted with
+    one `%`, and the text is kept only if it holds no quote character, no NUL
+    (which `csv.writer` refuses before Python 3.11), and exactly the commas
+    and line ends that the format puts there, so that no field holds one.
+    """
+    line, count = ",".join(["%s"] * width) + "\r\n", len(chunk)
+    try:
+        if set(map(len, chunk)) != {width}:
+            return None
+        fields = tuple(chain.from_iterable(chunk))
+        if not set(map(type, fields)) <= _PLAIN_TYPES or (width == 1 and "" in fields):
+            return None
+        text = (line * count) % fields
+    except (TypeError, ValueError):  # a row without a length, or an int too long to print
+        return None
+    if (
+        '"' in text
+        or "\0" in text
+        or text.count(",") != (width - 1) * count
+        or text.count("\r") != count
+        or text.count("\n") != count
+    ):
+        return None
+    return text
 
 
 def read_key_values(path, error: type[RoomsenseError]) -> dict[str, tuple[int, str]]:
@@ -175,7 +220,7 @@ def read_key_values(path, error: type[RoomsenseError]) -> dict[str, tuple[int, s
     try:
         with open(path) as handle:
             lines = handle.readlines()
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: undecodable text, or a NUL in the path
         raise error(f"cannot read {path}: {exc}") from exc
     values = {}
     for line_no, line in enumerate(lines, start=1):

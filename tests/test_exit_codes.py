@@ -8,6 +8,8 @@ no exception escapes `main`.
 import argparse
 import contextlib
 import io
+import multiprocessing
+import os
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -19,6 +21,7 @@ from hypothesis import strategies as st
 from roomsense import simulate
 from roomsense.cli import build_parser, main
 from roomsense.config import echo_config
+from roomsense.records import NumericalError
 from roomsense.simulate import SIM_BOUNDS, SimConfig, simulate_corpus
 
 # Two rooms, four classes: a whole `run` takes a few tens of milliseconds.
@@ -241,3 +244,80 @@ def test_flag_values_keep_the_exit_code_contract(tiny, data):
     assert "Traceback" not in err.getvalue()
     if code:
         assert err.getvalue().startswith("error: ")
+
+
+@pytest.mark.parametrize("target", ["mapping", "model", "estimates"])
+def test_a_nul_in_an_input_path_is_a_data_error(tiny, tmp_path, capfd, target):
+    """`open` refuses such a path with a ValueError, not an OSError."""
+    files = dict(tiny)
+    files[target] = "bad\x00path"
+    assert main(_argv(target, files, str(tmp_path / "out"))) == 2
+    assert capfd.readouterr().err == "error: cannot read bad\x00path: embedded null byte\n"
+
+
+@pytest.mark.parametrize("command", ["simulate", "map-aps", "run"])
+def test_an_output_path_that_is_a_file_is_one_error_line(tiny, tmp_path, capfd, command):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    if command == "simulate":
+        argv = ["simulate", "--weeks", "1", "--out", str(taken)]
+    else:
+        argv = _command_argv(command, tiny, str(taken))
+    assert main(argv) == 1
+    out, err = capfd.readouterr()
+    assert err == f"error: cannot write {taken}: File exists\n"
+    assert multiprocessing.active_children() == []
+
+
+def _fail_after_the_first_day(failure):
+    """A `write_sessions_csv` for the writer process that fails once a day has arrived."""
+
+    def write(path, rows):
+        next(iter(rows))
+        if failure is None:
+            os._exit(3)  # as if the process were killed
+        raise failure
+
+    return write
+
+
+@pytest.mark.parametrize(
+    "failure, message",
+    [
+        (PermissionError(13, "Permission denied"), "error: cannot write {path}: Permission denied\n"),
+        (RuntimeError("boom"), "error: the session-log writer failed on {path}: RuntimeError('boom')\n"),
+        (None, "error: the session-log writer stopped before writing {path}\n"),
+    ],
+    ids=["OSError", "another error", "no word"],
+)
+def test_a_failing_session_writer_is_one_error_line(sim_config, tmp_path, capfd, monkeypatch, failure, message):
+    """The writer process fails; `simulate` reports it once, and no process outlives it."""
+    monkeypatch.setattr(simulate, "write_sessions_csv", _fail_after_the_first_day(failure))
+    config = tmp_path / "sim.cfg"
+    config.write_text("\n".join(sim_config) + "\n")
+    code = main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")])
+    out, err = capfd.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err == message.format(path=os.path.join(tmp_path / "out", "sessions.csv"))
+    assert multiprocessing.active_children() == []
+
+
+def test_a_failure_while_drawing_stops_the_writer(sim_config, tmp_path, capfd, monkeypatch):
+    """The parent fails after handing over a day; the writer is joined and the parent's error stands."""
+    drawn = simulate.simulate_sessions
+
+    def failing(campus, config, on_day):
+        def send(rows):
+            on_day(rows)
+            raise NumericalError("drawing failed")
+
+        return drawn(campus, config, send)
+
+    monkeypatch.setattr(simulate, "simulate_sessions", failing)
+    config = tmp_path / "sim.cfg"
+    config.write_text("\n".join(sim_config) + "\n")
+    code = main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")])
+    out, err = capfd.readouterr()
+    assert (code, out, err) == (3, "", "error: drawing failed\n")
+    assert multiprocessing.active_children() == []

@@ -4,11 +4,13 @@ import filecmp
 import hashlib
 import io
 import math
+import multiprocessing
 import os
 import random
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from datetime import datetime
 from pathlib import Path
 
@@ -19,7 +21,7 @@ from hypothesis import strategies as st
 import sim_oracle
 
 from roomsense.cli import main
-from roomsense.records import REPORT_HOUR, ConfigError, to_minutes
+from roomsense.records import REPORT_HOUR, TEACHING_DAY_START_MIN, ConfigError, to_minutes
 from roomsense.simulate import (
     CLASS_STARTS_PER_DAY,
     MAX_ROOMS,
@@ -195,6 +197,15 @@ class TestGenerateCampus:
             SimConfig(**{**FAST, name: shape(beyond)}).validate()
 
 
+def _weekly_courses(campus) -> list[Counter]:
+    """Each room's courses as a one-week timetable drew them: {(class minutes, enrolled seats): count}."""
+    courses = {room.room_id: Counter() for room in campus.rooms}
+    for event in campus.events:
+        minutes = to_minutes(event.end) - to_minutes(event.start)
+        courses[event.room_id][minutes, len(campus.rosters[event.class_id])] += 1
+    return [courses[room.room_id] for room in campus.rooms]
+
+
 class TestSimulatorWork:
     """The room count, the weekly classes and the estimated log size are bounded."""
 
@@ -280,10 +291,20 @@ class TestSimulatorWork:
     )
     # Every attendee brings one walk-in, and nothing else writes rows.
     @example(seed=0, days=1, capacities=[9], classes=2, rates=(0.0,) * 5, churn=1.0, attendance=1.0, walkins=1.0)
+    # Only class rows, from one class much longer and one much shorter than the mean.
+    @example(seed=231, days=1, capacities=[11], classes=1, rates=(0.0,) * 5, churn=1.0, attendance=1.0, walkins=0.0)
+    @example(seed=4, days=1, capacities=[19], classes=1, rates=(0.0,) * 5, churn=1.0, attendance=1.0, walkins=0.5)
+    # A packed day of mostly 60-minute classes.
+    @example(seed=26, days=1, capacities=[72, 126, 9, 57], classes=4, rates=(0.0,) * 5, churn=1.0,
+             attendance=1.0, walkins=0.0)
     def test_estimate_tracks_the_rows_written(
         self, seed, days, capacities, classes, rates, churn, attendance, walkins
     ):
-        """Counting every day, the estimate may run high only by the days without a class."""
+        """Counting every day, the estimate may run high only by the days without a class.
+
+        The estimate is given the class lengths and enrolments the timetable
+        drew, which can lie far from the expected ones on a small campus.
+        """
         classes = min(classes, days * CLASS_STARTS_PER_DAY)
         config = SimConfig(
             seed=seed, weeks=1, days_per_week=days, room_capacities=tuple(capacities),
@@ -294,7 +315,7 @@ class TestSimulatorWork:
         )
         campus = generate_campus(config)
         rows, _ = simulate_sessions(campus, config)
-        estimate = config.estimated_session_rows()
+        estimate = config.estimated_session_rows(_weekly_courses(campus))
         class_days = len({e.date for e in campus.events}) / days
         assert len(rows) <= 1.3 * estimate + 60
         assert len(rows) >= 0.6 * class_days * estimate - 60
@@ -500,7 +521,8 @@ def small_configs(draw) -> SimConfig:
         sticky_ap_prob=draw(st.sampled_from([0.0, 0.6, 1.0])),
         cross_room_attach_prob=draw(st.sampled_from([0.0, 0.015, 0.5, 1.0])),
         near_room_attach_prob=draw(st.sampled_from([0.0, 0.12, 1.0])),
-        arrival_mean=draw(st.sampled_from([8.0, -30.0])),
+        arrival_mean=draw(st.sampled_from([8.0, -30.0, -1000.0])),
+        early_arrival_limit=draw(st.sampled_from([15, 240])),
         depart_sd=draw(st.sampled_from([0.0, 4.0, 40.0])),
         bystander_rate_per_hour=draw(st.sampled_from([0.0, 2.0, 10.0])),
         walkway_bystander_rate_per_hour=draw(st.sampled_from([0.0, 8.0])),
@@ -515,9 +537,10 @@ def small_configs(draw) -> SimConfig:
 
 
 # Each example reaches one branch for certain: walk-ins, no churn, every
-# attendee in a neighbouring room, corner weights, several devices, and the
-# base config alone, some of whose sessions run past the 21:00 report time and
-# are cut there and marked ongoing.
+# attendee in a neighbouring room, corner weights, several devices, the base
+# config alone, some of whose sessions run past the 21:00 report time and are
+# cut there and marked ongoing, and every attendee of a seven-day week
+# arriving at the earliest a config allows, 240 minutes before class.
 BRANCH_BASE = dict(seed=3, weeks=1, room_capacities=(30, 12))
 BRANCHES = [
     dict(walkin_prob=0.3),
@@ -528,6 +551,7 @@ BRANCHES = [
          cross_room_attach_prob=0.0, near_room_attach_prob=0.0),
     dict(device_count_weights={1: 0.2, 2: 0.3, 3: 0.5}),
     dict(),
+    dict(days_per_week=7, early_arrival_limit=240, arrival_mean=-1000.0),
 ]
 
 
@@ -553,6 +577,7 @@ class TestSimulatorMatchesOracle:
     @example(config=SimConfig(**BRANCH_BASE, **BRANCHES[3]))
     @example(config=SimConfig(**BRANCH_BASE, **BRANCHES[4]))
     @example(config=SimConfig(**BRANCH_BASE, **BRANCHES[5]))
+    @example(config=SimConfig(**BRANCH_BASE, **BRANCHES[6]))
     def test_small_configs(self, config):
         self._check(config)
 
@@ -575,9 +600,35 @@ class TestSimulatorMatchesOracle:
         assert max(r[2] for r in rows) == 2
         _, rows, _ = self._check(SimConfig(**BRANCH_BASE, **BRANCHES[5]))
         assert any(r[5] for r in rows) and all(r[4] % 1440 <= REPORT_HOUR * 60 for r in rows)
+        _, rows, _ = self._check(SimConfig(**BRANCH_BASE, **BRANCHES[6]))
+        assert min(r[0] % 1440 for r in rows) == TEACHING_DAY_START_MIN - SIM_BOUNDS["early_arrival_limit"][1]
 
     def test_small_corpus(self):
         self._check(SimConfig(**FAST))
+
+
+class TestSessionWriterProcess:
+    """`simulate_corpus` hands each sorted day to a writer process."""
+
+    @pytest.mark.parametrize("branch", BRANCHES)
+    def test_writes_the_log_the_rows_make(self, tmp_path, branch):
+        config = SimConfig(**BRANCH_BASE, **branch)
+        simulate_corpus(config, tmp_path / "corpus")
+        rows, _ = simulate_sessions(generate_campus(config), config)
+        write_sessions_csv(tmp_path / "in_memory.csv", rows)
+        assert (tmp_path / "corpus" / "sessions.csv").read_bytes() == (tmp_path / "in_memory.csv").read_bytes()
+        assert multiprocessing.active_children() == []
+
+    def test_simulate_prints_its_one_summary_line(self, tmp_path):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(
+            [sys.executable, "-m", "roomsense.cli", "simulate", "--seed", "42", "--weeks", "1",
+             "--out", str(tmp_path)],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert done.stdout == f"simulated 21 classes, 59 APs, 2214 students -> {tmp_path}\n"
+        assert done.stderr == ""
 
 
 def _stdlib_calls(ops):

@@ -1,5 +1,6 @@
 """Session-log loading, validation and time-window queries."""
 import contextlib
+import csv
 import io
 import os
 import tempfile
@@ -926,11 +927,89 @@ def _round_trip(write, read, *args):
         return read(path)
 
 
+# Field values of every kind `csv.writer` frames: text holding its special
+# characters, None, and numbers and booleans, which it writes through `str`.
+FIELDS = st.one_of(
+    st.text(alphabet=st.sampled_from(["a", "7", " ", ",", '"', "\r", "\n", "\x00", "é", "€"]), max_size=4),
+    st.none(),
+    st.integers(),
+    st.floats(),
+    st.booleans(),
+)
+# Rows that `write_rows` must hand to `csv.writer`, each built from a row of
+# plain text: (the fields it needs, how it changes the row).
+GUARD_BREAKERS = {
+    "quote": (1, lambda row: ('a"b', *row[1:])),
+    "comma": (1, lambda row: ("a,b", *row[1:])),
+    "carriage return": (1, lambda row: ("a\rb", *row[1:])),
+    "line feed": (1, lambda row: ("a\nb", *row[1:])),
+    "NUL": (1, lambda row: ("a\x00b", *row[1:])),
+    "None": (1, lambda row: (None, *row[1:])),
+    "float subclass": (1, lambda row: (np.float64(0.5), *row[1:])),
+    "one empty field": (0, lambda row: ("",)),
+    "no fields": (0, lambda row: ()),
+    "one field more": (0, lambda row: (*row, "x")),
+    "one field fewer": (1, lambda row: row[1:]),
+}
+
+
+def _csv_writer_bytes(columns, rows) -> bytes:
+    """What a plain `csv.writer` writes for the header and rows."""
+    handle = io.StringIO(newline="")
+    writer = csv.writer(handle)
+    writer.writerow(columns)
+    writer.writerows(rows)
+    return handle.getvalue().encode()
+
+
+def _write_rows_bytes(columns, rows) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.csv")
+        store.write_rows(path, columns, iter(rows))
+        with open(path, "rb") as handle:
+            return handle.read()
+
+
 class TestWriteRows:
     def test_framing(self, tmp_path):
         path = tmp_path / "t.csv"
         store.write_rows(path, ("a", "b"), [("x,y", None), ('q"', 1), ("é", 2.5)])
         assert path.read_bytes() == 'a,b\r\n"x,y",\r\n"q""",1\r\né,2.5\r\n'.encode()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        width=st.integers(1, 4),
+        chunk=st.integers(1, 5),
+        data=st.data(),
+    )
+    def test_same_bytes_as_csv_writer(self, width, chunk, data):
+        """Rows of any fields, over several chunks, with a guard-breaking row at a chunk boundary."""
+        plain = st.tuples(*[st.one_of(st.text("ab é€", max_size=3), st.integers(), st.floats(), st.booleans())
+                            for _ in range(width)])
+        rows = data.draw(st.lists(st.one_of(plain, plain, st.lists(FIELDS, max_size=width + 1).map(tuple)),
+                                  min_size=2 * chunk, max_size=3 * chunk + 2), label="rows")
+        name = data.draw(st.sampled_from([n for n, (need, _) in GUARD_BREAKERS.items() if need <= width]),
+                         label="breaker")
+        # the header is the first row of the first chunk
+        at = data.draw(st.sampled_from([max(chunk - 2, 0), chunk - 1]), label="at")
+        rows.insert(at, GUARD_BREAKERS[name][1](data.draw(plain.map(lambda r: tuple(map(str, r))))))
+        columns = tuple(data.draw(st.lists(FIELDS.map(str), min_size=width, max_size=width), label="columns"))
+        try:
+            expected = _csv_writer_bytes(columns, rows)
+        except csv.Error as exc:  # before Python 3.11, a NUL cannot be written
+            with mock.patch.object(store, "_CHUNK_ROWS", chunk), pytest.raises(type(exc)):
+                _write_rows_bytes(columns, rows)
+            return
+        with mock.patch.object(store, "_CHUNK_ROWS", chunk):
+            assert _write_rows_bytes(columns, rows) == expected
+
+    @pytest.mark.parametrize("name", ["quote", "None", "one field more"])
+    def test_a_guard_breaker_either_side_of_a_full_chunk(self, name):
+        row = ("user", 1, 2.5, True)
+        for at in (store._CHUNK_ROWS - 2, store._CHUNK_ROWS - 1):
+            rows = [row] * (2 * store._CHUNK_ROWS + 3)
+            rows[at] = GUARD_BREAKERS[name][1](row)
+            assert _write_rows_bytes(("a", "b", "c", "d"), rows) == _csv_writer_bytes(("a", "b", "c", "d"), rows)
 
     def test_skipped_sweep_row_leaves_the_rates_empty(self, tmp_path):
         path = tmp_path / "sweep.csv"
