@@ -264,8 +264,7 @@ def test_an_output_path_that_is_a_file_is_one_error_line(tiny, tmp_path, capfd, 
     else:
         argv = _command_argv(command, tiny, str(taken))
     assert main(argv) == 1
-    out, err = capfd.readouterr()
-    assert err == f"error: cannot write {taken}: File exists\n"
+    assert capfd.readouterr() == ("", f"error: cannot write {taken}: File exists\n")
     assert multiprocessing.active_children() == []
 
 
@@ -296,10 +295,8 @@ def test_a_failing_session_writer_is_one_error_line(sim_config, tmp_path, capfd,
     config = tmp_path / "sim.cfg"
     config.write_text("\n".join(sim_config) + "\n")
     code = main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")])
-    out, err = capfd.readouterr()
     assert code == 1
-    assert out == ""
-    assert err == message.format(path=os.path.join(tmp_path / "out", "sessions.csv"))
+    assert capfd.readouterr() == ("", message.format(path=os.path.join(tmp_path / "out", "sessions.csv")))
     assert multiprocessing.active_children() == []
 
 
@@ -318,6 +315,5 @@ def test_a_failure_while_drawing_stops_the_writer(sim_config, tmp_path, capfd, m
     config = tmp_path / "sim.cfg"
     config.write_text("\n".join(sim_config) + "\n")
     code = main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")])
-    out, err = capfd.readouterr()
-    assert (code, out, err) == (3, "", "error: drawing failed\n")
+    assert (code, *capfd.readouterr()) == (3, "", "error: drawing failed\n")
     assert multiprocessing.active_children() == []
