@@ -84,6 +84,8 @@ class PipelineConfig:
             raise ConfigError(
                 f"unknown algorithm {self.algorithm!r}, expected one of {', '.join(ALGORITHMS)}"
             )
+        if "\0" in self.output_dir:
+            raise ConfigError(f"output_dir {self.output_dir!r} holds a NUL byte")
         if len(self.delimiter) != 1:
             raise ConfigError(f"delimiter {self.delimiter!r} is not a single character")
         if self.use_room_aps and not self.inventory:

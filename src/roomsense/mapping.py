@@ -7,9 +7,9 @@ entry/exit flux):
 - share of all enrolled-student connections captured by this AP, and
 - share of this AP's connections that come from enrolled students.
 
-The per-AP series are resampled to a fixed length, concatenated, and split
-into two clusters; the cluster dominated by enrolled traffic is the mapped
-set for the class.
+Both series of every AP are resampled to a fixed length and concatenated
+into one feature row; the rows are split into two clusters, and the cluster
+dominated by enrolled traffic is the mapped set for the class.
 """
 from __future__ import annotations
 
@@ -31,24 +31,12 @@ ALGORITHMS = ("kmeans", "hierarchical", "em-gmm")
 
 
 @dataclass
-class ApFeatureSeries:
-    """Per-AP temporal features for one class at a fixed sampling resolution."""
-
-    ap_name: str
-    resolution: int
-    times: np.ndarray  # minutes since epoch
-    frac_class: np.ndarray  # % of all enrolled connections captured, per sample
-    class_frac: np.ndarray  # % of this AP's connections that are enrolled, per sample
-
-
-@dataclass
 class MappingResult:
     """Two-way split of the featured APs for one class."""
 
     class_id: str
     mapped: frozenset[str]
     not_mapped: frozenset[str]
-    algorithm: str
     scores: dict[str, float]
 
     @property
@@ -72,11 +60,13 @@ def sample_times(event: ClassEvent, resolution: int) -> np.ndarray:
 
 def compute_ap_features(
     store: SessionStore, event: ClassEvent, enrolled: frozenset[str], resolution: int
-) -> list[ApFeatureSeries]:
-    """Feature series for every AP with enrolled activity during the class, by AP name.
+) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """(AP names, fracClass, classFrac) of every AP with enrolled activity during the class.
 
-    APs that never hold an enrolled connection at any sample instant carry
-    identically-zero features and are omitted (implicitly not mapped).
+    The two share matrices hold one row per AP, in name order, and one column
+    per sample instant. APs that never hold an enrolled connection at any
+    sample instant carry identically-zero features and are omitted
+    (implicitly not mapped).
     """
     times = sample_times(event, resolution)
     totals, members = store.user_counts_at(times, store.user_ids(enrolled))
@@ -88,48 +78,31 @@ def compute_ap_features(
         frac_class = np.where(enrolled_sum > 0, 100.0 * members / enrolled_sum, 0.0)
         class_frac = np.where(totals > 0, 100.0 * members / totals, 0.0)
 
-    ap_names = store.table.ap_names
-    return [
-        ApFeatureSeries(ap_names[code], resolution, times, frac_class[i], class_frac[i])
-        for i, code in enumerate(featured.tolist())
-    ]
-
-
-def resample_series(values, target_len: int) -> np.ndarray:
-    """Linear interpolation onto `target_len` points over normalized index [0, 1]."""
-    vals = np.asarray(values, dtype=float)
-    if vals.size == 0:
-        raise ValueError("cannot resample an empty series")
-    if vals.size == 1:
-        return np.full(target_len, vals[0])
-    src = np.linspace(0.0, 1.0, vals.size)
-    dst = np.linspace(0.0, 1.0, target_len)
-    return np.interp(dst, src, vals)
+    ap_names = store.table.ap_names  # code order is name order
+    return [ap_names[code] for code in featured.tolist()], frac_class, class_frac
 
 
 def build_feature_matrix(
-    series: list[ApFeatureSeries], resample_len: int = DEFAULT_RESAMPLE_LEN
-) -> tuple[np.ndarray, list[str]]:
-    """Rows sorted by AP name; columns = resampled fracClass ++ resampled classFrac."""
-    ordered = sorted(series, key=lambda s: s.ap_name)
-    rows = [
-        np.concatenate(
-            [resample_series(s.frac_class, resample_len), resample_series(s.class_frac, resample_len)]
-        )
-        for s in ordered
-    ]
-    return np.array(rows), [s.ap_name for s in ordered]
+    frac_class: np.ndarray, class_frac: np.ndarray, resample_len: int = DEFAULT_RESAMPLE_LEN
+) -> np.ndarray:
+    """One row per AP: its fracClass ++ classFrac, each resampled to `resample_len` points.
+
+    Each row is linearly interpolated from its samples, spread evenly over
+    [0, 1], onto `resample_len` points spread the same way; a single sample
+    is repeated.
+    """
+    src = np.linspace(0.0, 1.0, frac_class.shape[1])
+    dst = np.linspace(0.0, 1.0, resample_len)
+    return np.array(
+        [
+            np.concatenate([np.interp(dst, src, shares), np.interp(dst, src, enrolled)])
+            for shares, enrolled in zip(frac_class, class_frac)
+        ]
+    )
 
 
-def label_clusters(
-    assignment: np.ndarray,
-    matrix: np.ndarray,
-    ap_names: list[str],
-    class_id: str,
-    algorithm: str,
-    scores: dict[str, float] | None = None,
-) -> MappingResult:
-    """Name the two clusters: the one dominating enrolled traffic is `mapped`.
+def label_clusters(assignment: np.ndarray, matrix: np.ndarray) -> int:
+    """The id of the cluster dominating enrolled traffic, whose APs are mapped.
 
     The mapped cluster is the one with the larger mean over the fracClass half
     of the feature vector; ties fall back to the classFrac half, then to the
@@ -148,32 +121,19 @@ def label_clusters(
     fa, ca, na = stats(a)
     fb, cb, nb = stats(b)
     if fa != fb:
-        mapped_label = a if fa > fb else b
-    elif ca != cb:
-        mapped_label = a if ca > cb else b
-    else:
-        mapped_label = a if na <= nb else b
-
-    mapped = frozenset(ap for ap, lab in zip(ap_names, assignment) if lab == mapped_label)
-    not_mapped = frozenset(ap_names) - mapped
-    return MappingResult(class_id, mapped, not_mapped, algorithm, scores or {})
+        return a if fa > fb else b
+    if ca != cb:
+        return a if ca > cb else b
+    return a if na <= nb else b
 
 
-def _margin_scores(matrix, assignment, ap_names, mapped: frozenset[str]) -> dict[str, float]:
+def _margin_scores(matrix: np.ndarray, is_mapped: np.ndarray) -> list[float]:
     """Distance margin to the rival centroid; positive means more mapped-like."""
-    centroids = {lab: matrix[assignment == lab].mean(axis=0) for lab in set(assignment.tolist())}
-    mapped_lab = next(
-        lab for ap, lab in zip(ap_names, assignment) if ap in mapped
-    ) if mapped else None
-    scores = {}
-    for ap, row in zip(ap_names, matrix):
-        dists = {lab: float(np.linalg.norm(row - c)) for lab, c in centroids.items()}
-        if mapped_lab is None:
-            scores[ap] = 0.0
-        else:
-            other = [d for lab, d in dists.items() if lab != mapped_lab]
-            scores[ap] = min(other) - dists[mapped_lab]
-    return scores
+    mapped = matrix[is_mapped].mean(axis=0)
+    rival = matrix[~is_mapped].mean(axis=0)
+    return [
+        float(np.linalg.norm(row - rival)) - float(np.linalg.norm(row - mapped)) for row in matrix
+    ]
 
 
 def map_class_aps(
@@ -187,23 +147,22 @@ def map_class_aps(
 ) -> tuple[MappingResult, tuple[np.ndarray, list[str]]]:
     """Full per-class mapping: features, clustering, cluster naming.
 
-    Returns the mapping and the clustered (feature matrix, AP names) of
-    `build_feature_matrix`. Degenerate classes are handled conservatively:
-    zero featured APs give an empty mapping, a single featured AP (which by
-    definition holds all enrolled connections) maps alone, and identical
-    feature rows map together.
+    Returns the mapping and the clustered feature matrix of
+    `build_feature_matrix` with its AP names. Degenerate classes are handled
+    conservatively: zero featured APs give an empty mapping, a single
+    featured AP (which by definition holds all enrolled connections) maps
+    alone, and identical feature rows map together.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    series = compute_ap_features(store, event, enrolled, resolution)
-    if not series:
-        empty = MappingResult(event.class_id, frozenset(), frozenset(), algorithm, {})
+    ap_names, frac_class, class_frac = compute_ap_features(store, event, enrolled, resolution)
+    if not ap_names:
+        empty = MappingResult(event.class_id, frozenset(), frozenset(), {})
         return empty, (np.empty((0, 2 * resample_len)), [])
-    features = matrix, ap_names = build_feature_matrix(series, resample_len)
+    matrix = build_feature_matrix(frac_class, class_frac, resample_len)
+    features = matrix, ap_names
     if len(ap_names) == 1:
-        result = MappingResult(
-            event.class_id, frozenset(ap_names), frozenset(), algorithm, {ap_names[0]: 0.0}
-        )
+        result = MappingResult(event.class_id, frozenset(ap_names), frozenset(), {ap_names[0]: 0.0})
         return result, features
 
     try:
@@ -221,23 +180,22 @@ def map_class_aps(
     except DegenerateDataError:
         # indistinguishable featured APs: all share enrolled traffic equally
         result = MappingResult(
-            event.class_id,
-            frozenset(ap_names),
-            frozenset(),
-            algorithm,
-            {ap: 0.0 for ap in ap_names},
+            event.class_id, frozenset(ap_names), frozenset(), {ap: 0.0 for ap in ap_names}
         )
         return result, features
 
-    result = label_clusters(assignment, matrix, ap_names, event.class_id, algorithm)
+    label = label_clusters(assignment, matrix)
+    is_mapped = assignment == label
     if posterior is not None:
-        mapped_lab = next(
-            lab for ap, lab in zip(ap_names, assignment) if ap in result.mapped
-        )
-        scores = {ap: float(posterior[i, mapped_lab]) for i, ap in enumerate(ap_names)}
+        scores = posterior[:, label].tolist()
     else:
-        scores = _margin_scores(matrix, assignment, ap_names, result.mapped)
-    result.scores.update(scores)
+        scores = _margin_scores(matrix, is_mapped)
+    result = MappingResult(
+        event.class_id,
+        frozenset(ap for ap, m in zip(ap_names, is_mapped) if m),
+        frozenset(ap for ap, m in zip(ap_names, is_mapped) if not m),
+        dict(zip(ap_names, scores)),
+    )
     return result, features
 
 

@@ -203,9 +203,7 @@ def read_mapping_csv(path) -> dict[str, mapping.MappingResult]:
         (entry["mapped"] if flag == "1" else entry["not"]).add(ap)
         entry["scores"][ap] = value
     return {
-        cid: mapping.MappingResult(
-            cid, frozenset(e["mapped"]), frozenset(e["not"]), "file", e["scores"]
-        )
+        cid: mapping.MappingResult(cid, frozenset(e["mapped"]), frozenset(e["not"]), e["scores"])
         for cid, e in results.items()
     }
 

@@ -1,9 +1,10 @@
 """The per-AP mapping queries and the per-user feature loop, kept as test oracles.
 
 These are the loops that `SessionStore.user_counts_at`,
-`mapping.compute_ap_features` and `userfeatures.extract_class_features`
-replaced with whole-class array operations. The oracle tests in
-test_oracles.py require the new code to return exactly what these return.
+`mapping.compute_ap_features`, `mapping.build_feature_matrix` and
+`userfeatures.extract_class_features` replaced with whole-class array
+operations. The oracle tests in test_oracles.py require the new code to
+return exactly what these return.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from roomsense.mapping import TRIM_MINUTES, ApFeatureSeries, sample_times
+from roomsense.mapping import TRIM_MINUTES, sample_times
 from roomsense.records import (
     TEACHING_DAY_END_MIN,
     TEACHING_DAY_START_MIN,
@@ -76,8 +77,8 @@ def user_counts_at(
 
 def compute_ap_features(
     store: SessionStore, event: ClassEvent, enrolled: frozenset[str], resolution: int
-) -> list[ApFeatureSeries]:
-    """Feature series for every AP with enrolled activity, one AP at a time."""
+) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """(AP names, fracClass, classFrac) of every AP with enrolled activity, one AP at a time."""
     times = sample_times(event, resolution)
     member_ids = store.user_ids(enrolled)
     window_lo = event.start + timedelta(minutes=TRIM_MINUTES)
@@ -96,12 +97,32 @@ def compute_ap_features(
         frac_class = np.where(enrolled_sum > 0, 100.0 * members / enrolled_sum, 0.0)
         class_frac = np.where(totals > 0, 100.0 * members / totals, 0.0)
 
-    series = []
-    for i, ap in enumerate(aps):
-        if members[i].sum() == 0:
-            continue
-        series.append(ApFeatureSeries(ap, resolution, times, frac_class[i], class_frac[i]))
-    return series
+    featured = [i for i in range(len(aps)) if members[i].sum() > 0]
+    return [aps[i] for i in featured], frac_class[featured], class_frac[featured]
+
+
+def resample_series(values, target_len: int) -> np.ndarray:
+    """Linear interpolation onto `target_len` points over normalized index [0, 1]."""
+    vals = np.asarray(values, dtype=float)
+    if vals.size == 0:
+        raise ValueError("cannot resample an empty series")
+    if vals.size == 1:
+        return np.full(target_len, vals[0])
+    src = np.linspace(0.0, 1.0, vals.size)
+    dst = np.linspace(0.0, 1.0, target_len)
+    return np.interp(dst, src, vals)
+
+
+def build_feature_matrix(
+    ap_names: list[str], frac_class: np.ndarray, class_frac: np.ndarray, resample_len: int
+) -> tuple[np.ndarray, list[str]]:
+    """Rows sorted by AP name, one AP at a time: resampled fracClass ++ resampled classFrac."""
+    ordered = sorted(zip(ap_names, frac_class, class_frac), key=lambda s: s[0])
+    rows = [
+        np.concatenate([resample_series(f, resample_len), resample_series(c, resample_len)])
+        for _, f, c in ordered
+    ]
+    return np.array(rows), [ap for ap, _, _ in ordered]
 
 
 def _overlap(lo: int, hi: int, start: int, end: int) -> tuple[int, int] | None:

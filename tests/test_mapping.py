@@ -11,7 +11,6 @@ from roomsense.mapping import (
     evaluate_mapping,
     label_clusters,
     map_class_aps,
-    resample_series,
     resolution_sweep,
     sample_times,
 )
@@ -48,10 +47,12 @@ class TestSampleTimes:
 class TestComputeApFeatures:
     def test_single_ap_holds_all_connections(self, store_builder):
         store = record_store(span_sessions("ap1", ["e1", "e2", "e3", "e4", "e5"]))
-        series = compute_ap_features(store, event(), frozenset(["e1", "e2", "e3", "e4", "e5"]), 10)
-        assert len(series) == 1
-        assert np.allclose(series[0].frac_class, 100.0)
-        assert np.allclose(series[0].class_frac, 100.0)
+        names, frac_class, class_frac = compute_ap_features(
+            store, event(), frozenset(["e1", "e2", "e3", "e4", "e5"]), 10
+        )
+        assert names == ["ap1"]
+        assert np.allclose(frac_class, 100.0)
+        assert np.allclose(class_frac, 100.0)
 
     def test_class_frac_60_percent(self):
         enrolled = [f"e{i}" for i in range(6)]
@@ -59,8 +60,8 @@ class TestComputeApFeatures:
         store = record_store(
             span_sessions("ap1", enrolled) + span_sessions("ap1", outsiders, prefix="x")
         )
-        series = compute_ap_features(store, event(), frozenset(enrolled), 10)
-        assert np.allclose(series[0].class_frac, 60.0)
+        _, _, class_frac = compute_ap_features(store, event(), frozenset(enrolled), 10)
+        assert np.allclose(class_frac[0], 60.0)
 
     def test_frac_class_split_50_30_20(self):
         e = [f"e{i}" for i in range(10)]
@@ -69,10 +70,11 @@ class TestComputeApFeatures:
             + span_sessions("ap2", e[5:8], prefix="n")
             + span_sessions("ap3", e[8:], prefix="o")
         )
-        series = {s.ap_name: s for s in compute_ap_features(store, event(), frozenset(e), 10)}
-        assert np.allclose(series["ap1"].frac_class, 50.0)
-        assert np.allclose(series["ap2"].frac_class, 30.0)
-        assert np.allclose(series["ap3"].frac_class, 20.0)
+        names, frac_class, _ = compute_ap_features(store, event(), frozenset(e), 10)
+        assert names == ["ap1", "ap2", "ap3"]
+        assert np.allclose(frac_class[0], 50.0)
+        assert np.allclose(frac_class[1], 30.0)
+        assert np.allclose(frac_class[2], 20.0)
 
     def test_frac_class_sums_to_100_or_0(self):
         e = ["e1", "e2"]
@@ -80,8 +82,8 @@ class TestComputeApFeatures:
             span_sessions("ap1", e, start="10:00", end="10:30")  # gone by 10:40
             + span_sessions("ap2", ["b1"], prefix="q")
         )
-        series = compute_ap_features(store, event(), frozenset(e), 10)
-        total = np.sum([s.frac_class for s in series], axis=0)
+        _, frac_class, _ = compute_ap_features(store, event(), frozenset(e), 10)
+        total = frac_class.sum(axis=0)
         assert all(abs(t - 100.0) < 1e-9 or abs(t) < 1e-9 for t in total)
         assert any(abs(t) < 1e-9 for t in total)  # samples after the enrolled left
 
@@ -89,51 +91,60 @@ class TestComputeApFeatures:
         store = record_store(
             span_sessions("ap1", ["e1"]) + span_sessions("ap2", ["b1"], prefix="z")
         )
-        series = compute_ap_features(store, event(), frozenset(["e1"]), 10)
-        assert [s.ap_name for s in series] == ["ap1"]
+        names, frac_class, class_frac = compute_ap_features(store, event(), frozenset(["e1"]), 10)
+        assert names == ["ap1"] and len(frac_class) == len(class_frac) == 1
 
     def test_class_frac_100_iff_all_enrolled(self):
         store = record_store(
             span_sessions("ap1", ["e1", "e2"]) + span_sessions("ap1", ["b1"], prefix="y")
         )
-        series = compute_ap_features(store, event(), frozenset(["e1", "e2"]), 10)
-        assert np.all(series[0].class_frac < 100.0)
-        assert np.allclose(series[0].class_frac, 200.0 / 3)
+        _, _, class_frac = compute_ap_features(store, event(), frozenset(["e1", "e2"]), 10)
+        assert np.all(class_frac[0] < 100.0)
+        assert np.allclose(class_frac[0], 200.0 / 3)
+
+
+def resample(values, target_len):
+    """Both halves of the one feature row of an AP whose two series are `values`."""
+    series = np.array([values], dtype=float)
+    row = build_feature_matrix(series, series, target_len)[0]
+    assert np.array_equal(row[:target_len], row[target_len:])
+    return row[:target_len]
 
 
 class TestResample:
     def test_linear_interpolation(self):
-        assert np.allclose(resample_series([0, 100], 3), [0, 50, 100])
+        assert np.allclose(resample([0, 100], 3), [0, 50, 100])
 
     def test_identity(self):
         vals = [3.0, 1.0, 4.0, 1.0]
-        assert np.allclose(resample_series(vals, 4), vals)
+        assert np.allclose(resample(vals, 4), vals)
 
     def test_endpoints_of_normalized_index(self):
-        assert np.allclose(resample_series([10, 30, 50, 70], 2), [10, 70])
+        assert np.allclose(resample([10, 30, 50, 70], 2), [10, 70])
 
     def test_length_one_replicates(self):
-        assert np.allclose(resample_series([42.0], 5), [42.0] * 5)
+        assert np.allclose(resample([42.0], 5), [42.0] * 5)
 
 
 class TestLabelClusters:
     def _matrix(self, rows):
         return np.array(rows, dtype=float)
 
+    def _mapped(self, assignment, matrix, names):
+        label = label_clusters(assignment, matrix)
+        return {ap for ap, lab in zip(names, assignment) if lab == label}
+
     def test_larger_frac_class_mean_wins(self):
         matrix = self._matrix([[30, 30, 90, 90], [0.5, 0.5, 10, 10]])
-        result = label_clusters(np.array([0, 1]), matrix, ["a", "b"], "c1", "kmeans")
-        assert result.mapped == {"a"}
+        assert self._mapped(np.array([0, 1]), matrix, ["a", "b"]) == {"a"}
 
     def test_tie_breaks_to_class_frac(self):
         matrix = self._matrix([[10, 10, 60, 60], [10, 10, 5, 5]])
-        result = label_clusters(np.array([0, 1]), matrix, ["a", "b"], "c1", "kmeans")
-        assert result.mapped == {"a"}
+        assert self._mapped(np.array([0, 1]), matrix, ["a", "b"]) == {"a"}
 
     def test_full_tie_smaller_cluster_mapped(self):
         matrix = self._matrix([[10, 10, 50, 50], [10, 10, 50, 50], [10, 10, 50, 50]])
-        result = label_clusters(np.array([0, 1, 1]), matrix, ["a", "b", "c"], "c1", "kmeans")
-        assert result.mapped == {"a"}
+        assert self._mapped(np.array([0, 1, 1]), matrix, ["a", "b", "c"]) == {"a"}
 
     def test_invariant_under_cluster_id_swap(self):
         rng = np.random.default_rng(0)
@@ -141,9 +152,7 @@ class TestLabelClusters:
         names = list("abcdefg")
         assignment = np.array([0, 0, 0, 1, 1, 1, 1])
         swapped = 1 - assignment
-        a = label_clusters(assignment, matrix, names, "c1", "kmeans")
-        b = label_clusters(swapped, matrix, names, "c1", "kmeans")
-        assert a.mapped == b.mapped
+        assert self._mapped(assignment, matrix, names) == self._mapped(swapped, matrix, names)
 
 
 def toy_inventory():
@@ -156,17 +165,13 @@ def toy_inventory():
 class TestEvaluateMapping:
     def test_perfect_mapping(self):
         inventory = toy_inventory()
-        result = MappingResult(
-            "c1", frozenset(f"in{i}" for i in range(4)), frozenset(), "kmeans", {}
-        )
+        result = MappingResult("c1", frozenset(f"in{i}" for i in range(4)), frozenset(), {})
         scored = evaluate_mapping([result], inventory, {"c1": event()}, adjacency=False)
         assert scored.tp_rate == 1.0 and scored.tn_rate == 1.0
 
     def test_75_tp_100_tn(self):
         inventory = toy_inventory()
-        result = MappingResult(
-            "c1", frozenset(["in0", "in1", "in2"]), frozenset(["in3"]), "kmeans", {}
-        )
+        result = MappingResult("c1", frozenset(["in0", "in1", "in2"]), frozenset(["in3"]), {})
         scored = evaluate_mapping([result], inventory, {"c1": event()}, adjacency=False)
         assert scored.tp_rate == pytest.approx(0.75)
         assert scored.tn_rate == pytest.approx(1.0)
@@ -174,13 +179,13 @@ class TestEvaluateMapping:
 
     def test_unfeatured_inventory_aps_count_as_not_mapped(self):
         inventory = toy_inventory()
-        result = MappingResult("c1", frozenset(["in0"]), frozenset(), "kmeans", {})
+        result = MappingResult("c1", frozenset(["in0"]), frozenset(), {})
         scored = evaluate_mapping([result], inventory, {"c1": event()}, adjacency=False)
         assert scored.tp == 1 and scored.fn == 3 and scored.tn == 60
 
     def test_featured_ap_missing_from_inventory_unevaluable(self):
         inventory = toy_inventory()
-        result = MappingResult("c1", frozenset(["ghost"]), frozenset(), "kmeans", {})
+        result = MappingResult("c1", frozenset(["ghost"]), frozenset(), {})
         scored = evaluate_mapping([result], inventory, {"c1": event()}, adjacency=False)
         assert scored.unevaluable == ["ghost"]
 
@@ -191,7 +196,7 @@ class TestEvaluateMapping:
             "far0": ApLocation(None, "bldB", 2),
         }
         inventory = ApInventory(locations)
-        result = MappingResult("c1", frozenset(["in0", "cor0"]), frozenset(), "kmeans", {})
+        result = MappingResult("c1", frozenset(["in0", "cor0"]), frozenset(), {})
         with_adj = evaluate_mapping([result], inventory, {"c1": event()}, adjacency=True)
         without = evaluate_mapping([result], inventory, {"c1": event()}, adjacency=False)
         assert with_adj.tp == 2 and with_adj.fp == 0
@@ -208,7 +213,7 @@ class TestConsistency:
             room = "room1" if i < n_correct else "room2"
             # mapped in every class: correct for room1 classes, wrong otherwise
             events[cid] = event(class_id=cid, room=room)
-            results.append(MappingResult(cid, frozenset(["in0"]), frozenset(), "kmeans", {}))
+            results.append(MappingResult(cid, frozenset(["in0"]), frozenset(), {}))
         # room2 needs a location too
         inventory = ApInventory(
             {"in0": ApLocation("room1", "bldA", 1), "in1": ApLocation("room2", "bldA", 2)}
@@ -306,13 +311,11 @@ class TestResolutionSweep:
 class TestFeatureInvariantsOnSyntheticCorpus:
     def test_bounds_and_normalization(self, corpus42):
         for event in corpus42.events[:12]:
-            series = compute_ap_features(
+            names, frac_class, class_frac = compute_ap_features(
                 corpus42.store, event, corpus42.rosters[event.class_id], 10
             )
-            assert series, event.class_id
-            share_sum = np.sum([s.frac_class for s in series], axis=0)
-            for s in series:
-                assert np.all(s.frac_class >= 0) and np.all(s.frac_class <= 100 + 1e-9)
-                assert np.all(s.class_frac >= 0) and np.all(s.class_frac <= 100 + 1e-9)
-            for total in share_sum:
+            assert names, event.class_id
+            assert np.all(frac_class >= 0) and np.all(frac_class <= 100 + 1e-9)
+            assert np.all(class_frac >= 0) and np.all(class_frac <= 100 + 1e-9)
+            for total in frac_class.sum(axis=0):
                 assert abs(total - 100.0) < 1e-9 or abs(total) < 1e-9

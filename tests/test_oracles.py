@@ -7,12 +7,19 @@ from datetime import timedelta
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import query_oracle
 
-from roomsense.mapping import SWEEP_RESOLUTIONS, compute_ap_features, sample_times
+from roomsense.mapping import (
+    DEFAULT_RESAMPLE_LEN,
+    SWEEP_RESOLUTIONS,
+    build_feature_matrix,
+    compute_ap_features,
+    sample_times,
+)
 from roomsense.pipeline import map_stage
 from roomsense.records import ClassEvent, parse_stamp, to_minutes
 from roomsense.userfeatures import FEATURE_NAMES, extract_class_features
@@ -31,12 +38,30 @@ def class_events(draw):
 
 
 def assert_same_series(new, old):
-    assert [s.ap_name for s in new] == [s.ap_name for s in old]
-    for a, b in zip(new, old):
-        assert a.resolution == b.resolution
-        assert np.array_equal(a.times, b.times)
-        assert np.array_equal(a.frac_class, b.frac_class)
-        assert np.array_equal(a.class_frac, b.class_frac)
+    """The same AP names and the same two share matrices, exactly."""
+    new_names, new_frac_class, new_class_frac = new
+    old_names, old_frac_class, old_class_frac = old
+    assert new_names == old_names
+    assert np.array_equal(new_frac_class, old_frac_class)
+    assert np.array_equal(new_class_frac, old_class_frac)
+
+
+def assert_same_matrix(frac_class, class_frac, resample_len):
+    """`build_feature_matrix` gives exactly the per-AP sort-and-resample matrix."""
+    names = [f"ap{i:03d}" for i in range(len(frac_class))]
+    expected, ordered = query_oracle.build_feature_matrix(
+        names, frac_class, class_frac, resample_len
+    )
+    assert ordered == names
+    assert np.array_equal(build_feature_matrix(frac_class, class_frac, resample_len), expected)
+
+
+@st.composite
+def share_matrices(draw):
+    """fracClass and classFrac matrices of 1-6 APs by 1-40 samples."""
+    shape = (draw(st.integers(1, 6)), draw(st.integers(1, 40)))
+    shares = arrays(np.float64, shape, elements=st.floats(0.0, 100.0))
+    return draw(shares), draw(shares)
 
 
 class TestCountsMatchPerApOracle:
@@ -103,6 +128,17 @@ class TestCountsMatchPerApOracle:
         assert total.tolist() == members.tolist() == [[0, 0]]
 
 
+class TestFeatureMatrixMatchesPerApResampling:
+    @settings(max_examples=300, deadline=None)
+    @given(shares=share_matrices(), resample_len=st.integers(1, 100))
+    @example(shares=(np.array([[42.0], [7.5]]), np.array([[100.0], [0.0]])), resample_len=5)
+    @example(shares=(np.array([[0.0, 50.0, 100.0]]), np.array([[9.0, 3.0, 1.0]])), resample_len=1)
+    @example(shares=(np.array([[10.0, 30.0], [5.0, 0.0]]), np.array([[1.0, 2.0], [3.0, 4.0]])),
+             resample_len=7)
+    def test_generated_matrices(self, shares, resample_len):
+        assert_same_matrix(*shares, resample_len)
+
+
 def assert_same_features(new, old):
     assert new.users == old.users
     assert new.matrix.shape == old.matrix.shape == (len(old.users), len(FEATURE_NAMES))
@@ -128,10 +164,12 @@ class TestSeed42Corpus:
             if event.duration_minutes < 20 + resolution:
                 continue
             roster = corpus42.rosters[event.class_id]
+            new = compute_ap_features(corpus42.store, event, roster, resolution)
             assert_same_series(
-                compute_ap_features(corpus42.store, event, roster, resolution),
-                query_oracle.compute_ap_features(corpus42.store, event, roster, resolution),
+                new, query_oracle.compute_ap_features(corpus42.store, event, roster, resolution)
             )
+            if new[0]:
+                assert_same_matrix(new[1], new[2], DEFAULT_RESAMPLE_LEN)
 
     def test_user_features_under_the_pipeline_mapping(self, corpus42, corpus42_dir):
         results, _ = map_stage(corpus42, pipeline_config(corpus42_dir))

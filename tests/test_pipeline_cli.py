@@ -83,39 +83,70 @@ class TestRunPipeline:
         assert report["train_classes"] > 0 and report["test_classes"] > 0
 
 
+# The stages that take each `run` option.
+_OPTION_STAGES = {
+    "--algorithm": ("map-aps",),
+    "--resolution": ("map-aps",),
+    "--resample-len": ("map-aps",),
+    "--no-adjacency": ("map-aps",),
+    "--train-ratio": ("train", "evaluate"),
+    "--use-room-aps": ("train", "estimate"),
+}
+
+# Option sets of `run`, each a list of (flag, value...) tuples.
+_OPTION_SETS = {
+    "default": [],
+    "hierarchical-5min": [("--algorithm", "hierarchical"), ("--resolution", "5")],
+    "em-gmm-resample-30": [("--algorithm", "em-gmm"), ("--resample-len", "30")],
+    "half-train-no-adjacency": [("--train-ratio", "0.5"), ("--no-adjacency",)],
+    "room-aps": [("--use-room-aps",)],
+}
+
+
+def _options(option_set, stage=None):
+    """The option set's arguments, or only those `stage` takes."""
+    return [
+        arg for option in option_set
+        if stage is None or stage in _OPTION_STAGES[option[0]]
+        for arg in option
+    ]
+
+
 class TestStageComposability:
-    def test_staged_files_match_single_process_run(self, small_run, tmp_path):
-        corpus_dir, _, run_paths = small_run
-        stage = tmp_path / "staged"
+    @pytest.mark.parametrize("option_set", _OPTION_SETS.values(), ids=_OPTION_SETS.keys())
+    def test_staged_files_match_single_process_run(self, small_corpus_dir, tmp_path, option_set):
+        corpus_dir = small_corpus_dir
+        run, stage = tmp_path / "run", tmp_path / "staged"
         base = [
             "--sessions", f"{corpus_dir}/sessions.csv",
             "--timetable", f"{corpus_dir}/timetable.csv",
             "--rosters", f"{corpus_dir}/roster.csv",
+            "--inventory", f"{corpus_dir}/inventory.csv",
         ]
+        truth = ["--ground-truth-counts", f"{corpus_dir}/ground_truth_counts.csv"]
         assert main(
-            ["map-aps", *base, "--inventory", f"{corpus_dir}/inventory.csv",
-             "--seed", "7", "--out", str(stage)]
+            ["run", *base, *truth, "--seed", "7", *_options(option_set), "--output-dir", str(run)]
         ) == 0
         assert main(
-            ["train", *base,
-             "--ground-truth-counts", f"{corpus_dir}/ground_truth_counts.csv",
-             "--mapping", str(stage / "mapping.csv"), "--seed", "7", "--out", str(stage)]
+            ["map-aps", *base, "--seed", "7", *_options(option_set, "map-aps"), "--out", str(stage)]
         ) == 0
         assert main(
-            ["estimate", *base,
-             "--ground-truth-counts", f"{corpus_dir}/ground_truth_counts.csv",
-             "--mapping", str(stage / "mapping.csv"),
-             "--model", str(stage / "model.txt"), "--out", str(stage)]
+            ["train", *base, *truth, "--mapping", str(stage / "mapping.csv"), "--seed", "7",
+             *_options(option_set, "train"), "--out", str(stage)]
         ) == 0
         assert main(
-            ["evaluate", "--estimates", str(stage / "estimates.csv"),
-             "--seed", "7", "--out", str(stage)]
+            ["estimate", *base, *truth, "--mapping", str(stage / "mapping.csv"),
+             "--model", str(stage / "model.txt"), *_options(option_set, "estimate"),
+             "--out", str(stage)]
+        ) == 0
+        assert main(
+            ["evaluate", "--estimates", str(stage / "estimates.csv"), "--seed", "7",
+             *_options(option_set, "evaluate"), "--out", str(stage)]
         ) == 0
 
-        assert filecmp.cmp(stage / "mapping.csv", run_paths["mapping"], shallow=False)
-        assert filecmp.cmp(stage / "model.txt", run_paths["model"], shallow=False)
-        assert filecmp.cmp(stage / "estimates.csv", run_paths["estimates"], shallow=False)
-        assert filecmp.cmp(stage / "evaluation.json", run_paths["evaluation"], shallow=False)
+        for name in ("mapping.csv", "pca.csv", "mapping_report.json", "model.txt",
+                     "estimates.csv", "evaluation.json"):
+            assert filecmp.cmp(stage / name, run / name, shallow=False), name
 
     def test_class_without_mapping_rows_maps_no_ap(self, small_run, tmp_path):
         """A class whose mapping featured no AP has no `mapping.csv` row."""
@@ -580,6 +611,7 @@ class TestMalformedInputs:
             "config-algorithm",
             "negative-seed",
             "huge-resample-len",
+            "config-output-nul",
         ],
     )
     def test_error_line_and_exit_code(self, small_run, tmp_path, capsys, case):
@@ -644,16 +676,23 @@ class TestMalformedInputs:
             bad, line = self._edited(paths["model"], tmp_path / "model.txt", "slope =", "slope = nan")
             argv = ["estimate", *corpus, "--mapping", paths["mapping"], "--model", bad]
             fragment = "slope is not finite"
-        elif case == "config-algorithm":
+        elif case in ("config-algorithm", "config-output-nul"):
+            # a shell cannot pass a NUL in argv, but a config file can hold one
+            tail, fragment = {
+                "config-algorithm": (
+                    f"output_dir = {tmp_path / 'out'}\nalgorithm = bogus\n", "'bogus'"
+                ),
+                "config-output-nul": (f"output_dir = {tmp_path / 'a'}\0b\n", "holds a NUL byte"),
+            }[case]
             config = tmp_path / "run.cfg"
             config.write_text(
                 "".join(f"{key} = {corpus_dir}/{name}\n" for key, name in (
                     ("sessions", "sessions.csv"), ("timetable", "timetable.csv"),
                     ("rosters", "roster.csv"), ("ground_truth_counts", "ground_truth_counts.csv"),
                 ))
-                + f"output_dir = {tmp_path / 'out'}\nalgorithm = bogus\n"
+                + tail
             )
-            argv, code, fragment = ["run", "--config", str(config)], 1, "'bogus'"
+            argv, code = ["run", "--config", str(config)], 1
         elif case == "negative-seed":
             argv, code, fragment = ["map-aps", *corpus, "--seed", "-1"], 1, "seed -1"
         elif case == "huge-resample-len":

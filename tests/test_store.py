@@ -1034,14 +1034,13 @@ class TestWriteRows:
                 cid,
                 frozenset(ap for ap, (flag, _) in aps.items() if flag),
                 frozenset(ap for ap, (flag, _) in aps.items() if not flag),
-                "kmeans",
                 {ap: score for ap, (_, score) in aps.items()},
             )
             for cid, aps in classes.items()
         }
         expected = {
             cid: MappingResult(
-                cid, r.mapped, r.not_mapped, "file",
+                cid, r.mapped, r.not_mapped,
                 {ap: float(f"{score:.6f}") for ap, score in r.scores.items()},
             )
             for cid, r in results.items()
