@@ -6,6 +6,9 @@ writes, and `read_key_values` and `write_key_values` every `key = value` file.
 columns. A canonical log is parsed in blocks: `_CanonicalBlocks.split` and
 `parse` turn one block into columns, `parse` on a worker thread, and `merge`
 appends the blocks to the table in file order, on the calling thread only.
+The table of a canonical log is kept beside it in a snapshot file, keyed by
+the log's bytes (`_Snapshot`), so a later load of the same bytes reads the
+table back instead of parsing the log again.
 `SessionStore` answers both time-window queries with one `_IntervalIndex`
 layout and search: it indexes the raw sessions for `sessions_overlapping` when
 it is built, and the merged intervals that `user_counts_at` reads on its
@@ -17,8 +20,9 @@ import codecs
 import csv
 import os
 import stat
+import tempfile
 from array import array
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from datetime import datetime
 from functools import cached_property
@@ -342,8 +346,11 @@ _KEEP_BYTES = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=_WORD)  # a w
 _MIX = np.uint64(0x9E3779B97F4A7C15)  # odd multiplier that mixes a field's words into one sort key
 
 
-def _load_canonical(path, delimiter: str) -> SessionTable | None:
+def _load_canonical(path, delimiter: str, snapshot: _Snapshot | None = None) -> SessionTable | None:
     """The `SessionTable` of a session log in canonical form, or None for any other file.
+
+    With a `snapshot`, a regular file is first looked up in it, and a table
+    parsed from the file is stored in it under the hash of the bytes parsed.
 
     Canonical form is printable ASCII without `"`, plus the delimiter (one of
     `,;|` or tab) and one kind of line end, LF or CRLF. The header passes
@@ -371,7 +378,15 @@ def _load_canonical(path, delimiter: str) -> SessionTable | None:
                 return None  # the row loop could not read a pipe again
             if codecs.lookup(handle.encoding).name not in ("utf-8", "ascii"):
                 return None
+            digest = None
+            if snapshot is not None:
+                table = snapshot.read(handle.buffer)
+                if table is not None:
+                    return table
+                digest = snapshot.digest()
             header = handle.buffer.readline(_MAX_LINE_BYTES + 1)
+            if digest is not None:
+                digest.update(header)
             if len(header) > _MAX_LINE_BYTES:
                 return None
             parser = _CanonicalBlocks.start(path, header.removesuffix(b"\n"), delimiter, file_stat.st_size)
@@ -382,7 +397,7 @@ def _load_canonical(path, delimiter: str) -> SessionTable | None:
 
             with ThreadPoolExecutor(max_workers=1) as pool:
                 ahead = None  # the worker's parse of the block before this one
-                for block in _line_blocks(handle.buffer):
+                for block in _line_blocks(handle.buffer, digest):
                     fields = None if block is None else parser.split(*block)
                     if ahead is not None and not parser.merge(ahead.result()):
                         return None
@@ -392,24 +407,31 @@ def _load_canonical(path, delimiter: str) -> SessionTable | None:
                     ahead = pool.submit(parser.parse, fields)
                 if ahead is not None and not parser.merge(ahead.result()):
                     return None
-            return parser.table()
+            table = parser.table()
+            if snapshot is not None:
+                snapshot.write(digest, table)
+            return table
     except OSError:
         return None
 
 
-def _line_blocks(raw):
+def _line_blocks(raw, digest=None):
     """The rest of `raw` in blocks of whole lines, each about `_BLOCK_BYTES` long.
 
     A block is (buffer, size): its lines are the first `size` bytes of the
     buffer, followed by at least `_TEXT_BYTES` spare bytes. Only the last
     block may end without a line end. None stands for the rest of the file
-    when a line is longer than `_MAX_LINE_BYTES`.
+    when a line is longer than `_MAX_LINE_BYTES`. Every byte read is fed to
+    `digest`, if one is given.
     """
     pending = b""
     while True:
         data = bytearray(len(pending) + _BLOCK_BYTES + _TEXT_BYTES)
         data[: len(pending)] = pending
-        read = raw.readinto(memoryview(data)[len(pending) : len(pending) + _BLOCK_BYTES])
+        fresh = memoryview(data)[len(pending) : len(pending) + _BLOCK_BYTES]
+        read = raw.readinto(fresh)
+        if digest is not None:
+            digest.update(fresh[:read])
         size = len(pending) + read
         if not read:
             if size:
@@ -717,17 +739,114 @@ class _CanonicalBlocks:
         return SessionTable(user_names, mac_names, ap_names, user, mac, ap, start, end, rssi)
 
 
+# The snapshot file of a session log is the log's path plus this suffix.
+SNAPSHOT_SUFFIX = ".roomsense.npz"
+# Part of every snapshot key: raise it when the file layout or the table a
+# log parses to changes, and every older snapshot is a miss.
+_SNAPSHOT_VERSION = 1
+_NAME_LISTS = ("user_names", "mac_names", "ap_names")
+_COLUMNS = ("user", "mac", "ap", "start", "end", "rssi")  # the codes first, in `_NAME_LISTS` order
+
+
+class _Snapshot:
+    """The snapshot beside a session log: the log's canonical `SessionTable`.
+
+    One uncompressed `np.savez` file holds the key, the six int64 columns and
+    the three name lists as `S` arrays. The key is the hex SHA-256 of
+    `_SNAPSHOT_VERSION`, the delimiter, the csv field size limit and the
+    log's bytes, so a snapshot stands for exactly the bytes its table was
+    parsed from. It is only ever a cache: a snapshot that cannot be read or
+    checked is a miss, and one that cannot be written is left unwritten.
+    """
+
+    def __init__(self, log, delimiter: str):
+        self.path = os.fsdecode(log) + SNAPSHOT_SUFFIX
+        self.salt = f"roomsense snapshot {_SNAPSHOT_VERSION}\n{delimiter}\n{csv.field_size_limit()}\n".encode()
+
+    def digest(self):
+        """A SHA-256 of the key's other parts, to be fed the log's bytes."""
+        # imported here: its OpenSSL library adds 4 MB to a command that reads no session log
+        import hashlib
+
+        return hashlib.sha256(self.salt)
+
+    def read(self, raw) -> SessionTable | None:
+        """The table stored for the bytes of the binary file `raw`, or None; `raw` is rewound.
+
+        The log is hashed only when a snapshot file is there to compare with.
+        """
+        try:
+            fd = os.open(self.path, os.O_RDONLY | os.O_NONBLOCK)  # a FIFO at the path must not block
+        except OSError:
+            return None
+        try:
+            with open(fd, "rb") as handle:
+                if not stat.S_ISREG(os.fstat(fd).st_mode):
+                    return None
+                with np.load(handle, allow_pickle=False) as stored:
+                    key = stored["key"].tobytes()
+                    digest = self.digest()
+                    block = bytearray(_BLOCK_BYTES)
+                    while read := raw.readinto(block):
+                        digest.update(memoryview(block)[:read])
+                    if key != digest.hexdigest().encode():
+                        return None
+                    return _stored_table(stored)
+        except Exception:  # whatever the snapshot's bytes make numpy or zipfile raise, the log is parsed
+            return None
+        finally:
+            raw.seek(0)
+
+    def write(self, digest, table: SessionTable) -> None:
+        """Store `table` under the key that `digest` has hashed: a temporary file
+        beside the snapshot, then `os.replace`. An `OSError` leaves the snapshot as
+        it was: a read-only directory, a full disk or a directory at its path."""
+        folder, name = os.path.split(self.path)
+        try:
+            fd, temp = tempfile.mkstemp(prefix=name + ".", suffix=".tmp", dir=folder)
+        except OSError:
+            return
+        try:
+            with open(fd, "wb") as handle:
+                np.savez(
+                    handle,
+                    key=np.array(digest.hexdigest().encode()),
+                    **{column: getattr(table, column) for column in _COLUMNS},
+                    **{names: np.array(getattr(table, names), dtype=bytes) for names in _NAME_LISTS},
+                )
+            os.replace(temp, self.path)
+        except OSError:
+            with suppress(OSError):
+                os.remove(temp)
+
+
+def _stored_table(stored) -> SessionTable | None:
+    """The table of a snapshot's arrays, or None when they do not form one:
+    six int64 columns of one length, and codes that index their `S` name lists."""
+    names = [stored[key] for key in _NAME_LISTS]
+    columns = [stored[key] for key in _COLUMNS]
+    if columns[0].ndim != 1 or any(c.dtype != np.int64 or c.shape != columns[0].shape for c in columns):
+        return None
+    if any(texts.dtype.kind != "S" or texts.ndim != 1 for texts in names):
+        return None
+    for codes, texts in zip(columns, names):
+        if codes.size and not 0 <= codes.min() <= codes.max() < len(texts):
+            return None
+    return SessionTable(*(texts.astype(str).tolist() for texts in names), *columns)
+
+
 def load_sessions(path, delimiter: str = ",") -> tuple[SessionTable, LoadReport]:
     """Load and validate a session-log file into a `SessionTable`.
 
     Ongoing (`Ass`) sessions end at the 9pm report time on their own date.
     Bytes, SNR and Retries are validated but not kept.
 
-    A log in canonical form is parsed with numpy, block by block; any other
-    file is read from its first line by the row loop, which alone rejects
-    rows and warns.
+    A log in canonical form is parsed with numpy, block by block, and its
+    table kept in a snapshot beside it; a later load of the same bytes reads
+    that snapshot instead. Any other file is read from its first line by the
+    row loop, which alone rejects rows and warns.
     """
-    table = _load_canonical(path, delimiter)
+    table = _load_canonical(path, delimiter, _Snapshot(path, delimiter))
     if table is not None:
         return table, LoadReport(rows_read=len(table))
     return _load_rows(path, delimiter)

@@ -5,6 +5,9 @@ needing it shares a single session-scoped copy.
 """
 from __future__ import annotations
 
+import contextlib
+import os
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -13,7 +16,7 @@ from roomsense.config import PipelineConfig
 from roomsense.pipeline import LoadedCorpus, load_corpus, run_pipeline
 from roomsense.records import parse_stamp, to_minutes
 from roomsense.simulate import SimConfig, simulate_corpus
-from roomsense.store import RSSI_MISSING, SessionStore, SessionTable
+from roomsense.store import RSSI_MISSING, SNAPSHOT_SUFFIX, SessionStore, SessionTable
 
 from session_oracle import STATUS_DISASSOCIATED, SessionRecord
 
@@ -46,6 +49,12 @@ def make_session(
         rssi=rssi,
         status=STATUS_DISASSOCIATED,
     )
+
+
+def without_snapshot(log) -> None:
+    """Delete the snapshot beside a session log, so that the next `load_sessions` parses the log."""
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(os.fspath(log) + SNAPSHOT_SUFFIX)
 
 
 def _codes(names: list[str]) -> tuple[list[str], np.ndarray]:

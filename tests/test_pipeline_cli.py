@@ -3,10 +3,13 @@
 Covers stage composability through files, exit codes, and the documented
 report formats.
 """
+import contextlib
 import csv
 import filecmp
+import io
 import json
 import os
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -25,9 +28,9 @@ from roomsense.pipeline import (
     run_pipeline,
 )
 from roomsense.records import ConfigError
-from roomsense.simulate import SimConfig
-from roomsense.store import read_key_values
-from conftest import pipeline_config
+from roomsense.simulate import SimConfig, simulate_corpus
+from roomsense.store import SNAPSHOT_SUFFIX, read_key_values
+from conftest import pipeline_config, without_snapshot
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +115,57 @@ def _options(option_set, stage=None):
     ]
 
 
+@st.composite
+def staged_examples(draw):
+    """(tiny simulator config, delimiter, `run` option set, pipeline seed)."""
+    config = SimConfig(
+        seed=draw(st.integers(0, 2**32 - 1)),
+        weeks=draw(st.integers(1, 2)),
+        days_per_week=draw(st.integers(1, 3)),
+        room_capacities=tuple(draw(st.lists(st.sampled_from([12, 42, 60]), min_size=1, max_size=3))),
+        classes_per_room_per_week=draw(st.integers(1, 3)),
+        walkway_ap_count=draw(st.integers(1, 2)),
+    )
+    valued = {
+        "--algorithm": st.sampled_from(ALGORITHMS),
+        "--resolution": st.sampled_from(["5", "10", "30"]),
+        "--resample-len": st.sampled_from(["4", "8", "30"]),
+        "--train-ratio": st.sampled_from(["0.3", "0.5", "0.7"]),
+    }
+    option_set = [(flag, draw(values)) for flag, values in valued.items() if draw(st.booleans())]
+    option_set += [(flag,) for flag in ("--no-adjacency", "--use-room-aps") if draw(st.booleans())]
+    return config, draw(st.sampled_from([",", ";", "|", "\t"])), option_set, draw(st.integers(0, 99))
+
+
+def _stage_argvs(base, out, option_set, seed):
+    """The four stage commands that `run` with `option_set` stands for, writing to `out`."""
+    mapping = ["--mapping", str(out / "mapping.csv")]
+    return [
+        ["map-aps", *base, "--seed", str(seed), *_options(option_set, "map-aps"), "--out", str(out)],
+        ["train", *base, *mapping, "--seed", str(seed), *_options(option_set, "train"), "--out", str(out)],
+        ["estimate", *base, *mapping, "--model", str(out / "model.txt"), *_options(option_set, "estimate"),
+         "--out", str(out)],
+        ["evaluate", "--estimates", str(out / "estimates.csv"), "--seed", str(seed),
+         *_options(option_set, "evaluate"), "--out", str(out)],
+    ]
+
+
+def _outcome(argv) -> tuple[int, str]:
+    """(exit code, `error:` line or "") of one command through `main`."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert "Traceback" not in err.getvalue()
+    return code, err.getvalue().splitlines()[0] if code else ""
+
+
+_REPORTS = ("mapping.csv", "pca.csv", "mapping_report.json", "model.txt", "estimates.csv", "evaluation.json")
+
+
+def _reports(out: Path) -> dict[str, bytes]:
+    return {name: (out / name).read_bytes() for name in _REPORTS}
+
+
 class TestStageComposability:
     @pytest.mark.parametrize("option_set", _OPTION_SETS.values(), ids=_OPTION_SETS.keys())
     def test_staged_files_match_single_process_run(self, small_corpus_dir, tmp_path, option_set):
@@ -147,6 +201,47 @@ class TestStageComposability:
         for name in ("mapping.csv", "pca.csv", "mapping_report.json", "model.txt",
                      "estimates.csv", "evaluation.json"):
             assert filecmp.cmp(stage / name, run / name, shallow=False), name
+
+    @settings(max_examples=25, deadline=None)
+    @given(example=staged_examples())
+    def test_staged_equals_run_cold_and_warm(self, example):
+        """On tiny corpora in any canonical delimiter, the stages end as `run` does: the
+        same six reports, or the same exit code and `error:` line. So does a second
+        pass that reads the snapshots of the session log that the first pass left."""
+        config, delimiter, option_set, seed = example
+        with tempfile.TemporaryDirectory() as tmp:
+            corpus = Path(tmp, "corpus")
+            simulate_corpus(config, corpus)
+            for name in ("sessions.csv", "timetable.csv", "roster.csv", "inventory.csv",
+                         "ground_truth_counts.csv"):
+                with open(corpus / name, newline="") as handle:
+                    rows = list(csv.reader(handle))
+                with open(corpus / name, "w", newline="") as handle:
+                    csv.writer(handle, delimiter=delimiter).writerows(rows)
+            log = corpus / "sessions.csv"
+            passes = []
+            for warm in (False, True):
+                assert Path(f"{log}{SNAPSHOT_SUFFIX}").exists() == warm
+                out = Path(tmp, "warm" if warm else "cold")
+                base = [*_corpus_args(corpus), "--inventory", str(corpus / "inventory.csv"),
+                        "--delimiter", delimiter]
+                if not warm:
+                    without_snapshot(log)
+                ran = _outcome(["run", *base, "--seed", str(seed), *_options(option_set),
+                                "--output-dir", str(out / "run")])
+                staged = []
+                for argv in _stage_argvs(base, out / "staged", option_set, seed):
+                    if not warm and "--sessions" in argv:
+                        without_snapshot(log)
+                    staged.append(_outcome(argv))
+                    if staged[-1][0]:
+                        break
+                assert staged[-1] == ran
+                reports = [_reports(out / "run"), _reports(out / "staged")] if not ran[0] else []
+                if reports:
+                    assert reports[0] == reports[1]
+                passes.append((ran, staged, reports))
+            assert passes[0] == passes[1]
 
     def test_class_without_mapping_rows_maps_no_ap(self, small_run, tmp_path):
         """A class whose mapping featured no AP has no `mapping.csv` row."""

@@ -3,6 +3,7 @@ import contextlib
 import csv
 import io
 import os
+import shutil
 import tempfile
 import threading
 from datetime import datetime, timedelta
@@ -57,7 +58,7 @@ from roomsense.store import (
     read_rows,
 )
 
-from conftest import DAY, make_session, record_store, small_logs
+from conftest import DAY, make_session, record_store, small_logs, without_snapshot
 from query_oracle import merge_intervals
 
 SESSIONS_HEADER = (
@@ -305,7 +306,9 @@ class TestLoaderMatchesOracle:
             assert_matches_oracle(path)
 
     def test_seed42_corpus(self, corpus42_dir):
-        assert_matches_oracle(os.path.join(corpus42_dir, "sessions.csv"))
+        path = os.path.join(corpus42_dir, "sessions.csv")
+        without_snapshot(path)
+        assert_matches_oracle(path)
 
 
 def _closed_or_ongoing(draw, assoc: datetime) -> tuple[str, str, str]:
@@ -426,7 +429,9 @@ class TestCanonicalPath:
             raise AssertionError("a canonical log reached the row loop")
 
         monkeypatch.setattr(store, "_load_rows", row_loop)
-        table, report = load_sessions(os.path.join(corpus42_dir, "sessions.csv"))
+        path = os.path.join(corpus42_dir, "sessions.csv")
+        without_snapshot(path)
+        table, report = load_sessions(path)
         assert len(table) == report.rows_read > 0
         assert not report.rejects and not report.warnings
 
@@ -437,6 +442,7 @@ class TestCanonicalPath:
         path = tmp_path / "sessions.csv"
         path.write_bytes(data if final_line_end else data.rstrip(b"\r\n"))
         expected = load_sessions(path)
+        without_snapshot(path)
         monkeypatch.setattr(store, "_BLOCK_BYTES", 37)
         monkeypatch.setattr(store, "_load_rows", None)  # the numpy path must take this log
         table, report = load_sessions(path)
@@ -495,16 +501,20 @@ class TestThreadedParse:
 
         monkeypatch.setattr(store._CanonicalBlocks, "parse", fail_on_third)
         monkeypatch.setattr(store, "_BLOCK_BYTES", 4096)
+        path = os.path.join(small_corpus_dir, "sessions.csv")
+        without_snapshot(path)
         running = _parse_threads()
         with pytest.raises(RuntimeError, match="parse failed"):
-            load_sessions(os.path.join(small_corpus_dir, "sessions.csv"))
+            load_sessions(path)
         assert _parse_threads() == running
         assert threading.main_thread() not in calls  # every block was parsed by the worker
 
-    def test_colliding_sort_keys_change_nothing(self, small_corpus_dir, monkeypatch):
+    def test_colliding_sort_keys_change_nothing(self, small_corpus_dir, tmp_path, monkeypatch):
         """With a mixing factor of 0, a multi-word field's key is its last word alone."""
-        path = os.path.join(small_corpus_dir, "sessions.csv")
+        path = tmp_path / "sessions.csv"  # the snapshot of this parse stays out of the shared corpus
+        shutil.copyfile(os.path.join(small_corpus_dir, "sessions.csv"), path)
         expected = load_sessions(path)
+        without_snapshot(path)
         monkeypatch.setattr(store, "_MIX", np.uint64(0))
         monkeypatch.setattr(store, "_BLOCK_BYTES", 4096)
         monkeypatch.setattr(store, "_load_rows", None)  # the numpy path must take this log
