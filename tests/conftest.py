@@ -51,6 +51,13 @@ def make_session(
     )
 
 
+# Two rooms, four classes: a whole `run` takes a few tens of milliseconds.
+TINY = SimConfig(
+    seed=5, weeks=1, days_per_week=2, room_capacities=(42, 60),
+    classes_per_room_per_week=2, walkway_ap_count=2,
+)
+
+
 def without_snapshot(log) -> None:
     """Delete the snapshot beside a session log, so that the next `load_sessions` parses the log."""
     with contextlib.suppress(FileNotFoundError):

@@ -22,13 +22,10 @@ from roomsense import simulate
 from roomsense.cli import build_parser, main
 from roomsense.config import echo_config
 from roomsense.records import NumericalError
-from roomsense.simulate import SIM_BOUNDS, SimConfig, simulate_corpus
+from roomsense.simulate import SIM_BOUNDS, simulate_corpus
 
-# Two rooms, four classes: a whole `run` takes a few tens of milliseconds.
-TINY = SimConfig(
-    seed=5, weeks=1, days_per_week=2, room_capacities=(42, 60),
-    classes_per_room_per_week=2, walkway_ap_count=2,
-)
+from conftest import TINY
+
 CORPUS = {
     "sessions": "sessions.csv",
     "timetable": "timetable.csv",

@@ -198,8 +198,7 @@ class TestStageComposability:
              *_options(option_set, "evaluate"), "--out", str(stage)]
         ) == 0
 
-        for name in ("mapping.csv", "pca.csv", "mapping_report.json", "model.txt",
-                     "estimates.csv", "evaluation.json"):
+        for name in _REPORTS:
             assert filecmp.cmp(stage / name, run / name, shallow=False), name
 
     @settings(max_examples=25, deadline=None)

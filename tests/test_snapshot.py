@@ -22,10 +22,10 @@ from hypothesis import strategies as st
 
 from roomsense import store
 from roomsense.cli import main
-from roomsense.simulate import SimConfig, simulate_corpus
+from roomsense.simulate import simulate_corpus
 from roomsense.store import SNAPSHOT_SUFFIX, load_sessions
 
-from conftest import without_snapshot
+from conftest import TINY, without_snapshot
 
 NAME_LISTS = ("user_names", "mac_names", "ap_names")
 COLUMNS = ("user", "mac", "ap", "start", "end", "rssi")
@@ -271,11 +271,6 @@ class TestUntrustedSnapshot:
         assert os.listdir(tmp_path) == ["sessions.csv"]
 
 
-# Two rooms, four classes: a whole `run` takes a few tens of milliseconds.
-TINY = SimConfig(
-    seed=5, weeks=1, days_per_week=2, room_capacities=(42, 60),
-    classes_per_room_per_week=2, walkway_ap_count=2,
-)
 CORPUS_FLAGS = (("--sessions", "sessions.csv"), ("--timetable", "timetable.csv"), ("--rosters", "roster.csv"),
                 ("--inventory", "inventory.csv"), ("--ground-truth-counts", "ground_truth_counts.csv"))
 
