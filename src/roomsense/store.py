@@ -379,8 +379,10 @@ def _load_canonical(path, delimiter: str, snapshot: _Snapshot | None = None) -> 
             if codecs.lookup(handle.encoding).name not in ("utf-8", "ascii"):
                 return None
             digest = None
+            if snapshot is not None and not snapshot.is_beside(file_stat):
+                snapshot = None  # no name leads to the file opened: a deleted file or a memfd
             if snapshot is not None:
-                table = snapshot.read(handle.buffer)
+                table = snapshot.read(handle.buffer, file_stat.st_uid)
                 if table is not None:
                     return table
                 digest = snapshot.digest()
@@ -739,10 +741,12 @@ class _CanonicalBlocks:
         return SessionTable(user_names, mac_names, ap_names, user, mac, ap, start, end, rssi)
 
 
-# The snapshot file of a session log is the log's path plus this suffix.
+# The snapshot file of a session log is the path the log resolves to plus this suffix.
 SNAPSHOT_SUFFIX = ".roomsense.npz"
 # Part of every snapshot key: raise it when the file layout or the table a
-# log parses to changes, and every older snapshot is a miss.
+# log parses to changes, and every older snapshot is a miss. A golden test
+# pins it with the table of a fixed log, so a changed parse that leaves it
+# as it is fails that test.
 _SNAPSHOT_VERSION = 1
 _NAME_LISTS = ("user_names", "mac_names", "ap_names")
 _COLUMNS = ("user", "mac", "ap", "start", "end", "rssi")  # the codes first, in `_NAME_LISTS` order
@@ -753,15 +757,29 @@ class _Snapshot:
 
     One uncompressed `np.savez` file holds the key, the six int64 columns and
     the three name lists as `S` arrays. The key is the hex SHA-256 of
-    `_SNAPSHOT_VERSION`, the delimiter, the csv field size limit and the
-    log's bytes, so a snapshot stands for exactly the bytes its table was
-    parsed from. It is only ever a cache: a snapshot that cannot be read or
-    checked is a miss, and one that cannot be written is left unwritten.
+    `_SNAPSHOT_VERSION`, the delimiter, the csv field size limit, the
+    constants the parse writes into the table (`REPORT_HOUR`, `RSSI_MISSING`)
+    and the log's bytes, so a snapshot stands for exactly the bytes its table
+    was parsed from. It lies beside the file the log's path resolves to. It is
+    only ever a cache: a snapshot that cannot be read, checked or trusted is a
+    miss, and one that cannot be written is left unwritten.
     """
 
     def __init__(self, log, delimiter: str):
-        self.path = os.fsdecode(log) + SNAPSHOT_SUFFIX
-        self.salt = f"roomsense snapshot {_SNAPSHOT_VERSION}\n{delimiter}\n{csv.field_size_limit()}\n".encode()
+        self.log = os.path.realpath(os.fsdecode(log))  # beside the file, not beside a link to it
+        self.path = self.log + SNAPSHOT_SUFFIX
+        self.salt = (
+            f"roomsense snapshot {_SNAPSHOT_VERSION}\n{delimiter}\n{csv.field_size_limit()}\n"
+            f"{REPORT_HOUR}\n{RSSI_MISSING}\n"
+        ).encode()
+
+    def is_beside(self, log_stat: os.stat_result) -> bool:
+        """Whether the log's resolved path names the file `log_stat` describes."""
+        try:
+            named = os.stat(self.log)
+        except OSError:
+            return False
+        return (named.st_dev, named.st_ino) == (log_stat.st_dev, log_stat.st_ino)
 
     def digest(self):
         """A SHA-256 of the key's other parts, to be fed the log's bytes."""
@@ -770,10 +788,13 @@ class _Snapshot:
 
         return hashlib.sha256(self.salt)
 
-    def read(self, raw) -> SessionTable | None:
+    def read(self, raw, log_owner: int) -> SessionTable | None:
         """The table stored for the bytes of the binary file `raw`, or None; `raw` is rewound.
 
         The log is hashed only when a snapshot file is there to compare with.
+        Anyone who can read the log can compute its key, so only a snapshot
+        owned by the log's owner (`log_owner`) or by this process's user, and
+        writable by no one else, is trusted.
         """
         try:
             fd = os.open(self.path, os.O_RDONLY | os.O_NONBLOCK)  # a FIFO at the path must not block
@@ -781,7 +802,10 @@ class _Snapshot:
             return None
         try:
             with open(fd, "rb") as handle:
-                if not stat.S_ISREG(os.fstat(fd).st_mode):
+                own = os.fstat(fd)
+                if not stat.S_ISREG(own.st_mode) or own.st_mode & 0o022:
+                    return None
+                if own.st_uid not in (log_owner, os.geteuid()):
                     return None
                 with np.load(handle, allow_pickle=False) as stored:
                     key = stored["key"].tobytes()
@@ -821,13 +845,16 @@ class _Snapshot:
 
 
 def _stored_table(stored) -> SessionTable | None:
-    """The table of a snapshot's arrays, or None when they do not form one:
-    six int64 columns of one length, and codes that index their `S` name lists."""
+    """The table of a snapshot's arrays, or None when they do not form one as
+    the parse does: six int64 columns of one length, strictly increasing `S`
+    name lists, codes that index them, and no session ending before it starts."""
     names = [stored[key] for key in _NAME_LISTS]
     columns = [stored[key] for key in _COLUMNS]
     if columns[0].ndim != 1 or any(c.dtype != np.int64 or c.shape != columns[0].shape for c in columns):
         return None
-    if any(texts.dtype.kind != "S" or texts.ndim != 1 for texts in names):
+    if any(texts.dtype.kind != "S" or texts.ndim != 1 or (texts[1:] <= texts[:-1]).any() for texts in names):
+        return None
+    if (columns[_COLUMNS.index("end")] < columns[_COLUMNS.index("start")]).any():
         return None
     for codes, texts in zip(columns, names):
         if codes.size and not 0 <= codes.min() <= codes.max() < len(texts):

@@ -7,6 +7,7 @@ nothing either.
 """
 import contextlib
 import csv
+import hashlib
 import io
 import os
 import shutil
@@ -123,6 +124,41 @@ class TestSnapshotHit:
             assert_same_load(load_sessions(path), other)
 
 
+# A log that the numpy parse takes: an ongoing session, which ends at the
+# report hour, a missing RSSI and SNR, a zero-length session, and names out
+# of order.
+GOLDEN_LOG = (
+    "User ID,MAC address,Association time,Disassociation time,Session duration,AP name,"
+    "Bytes Tx,Bytes Rcvd,SNR,RSSI,Status\n"
+    "u00025,02:00:00:00:19:00,03/03/2025 09:00,03/03/2025 10:31,91 min,wk03,157885,511875,28,-68,Disass\n"
+    "u00010,02:00:00:00:0a:00,03/03/2025 09:00,03/03/2025 10:14,74 min,room6-ap10,342250,634846,,-,Disass\n"
+    "u00010,02:00:00:00:0a:01,03/04/2025 20:49,-,11 min,wk03,53152,78958,-,-70,Ass\n"
+    "u00003,02:00:00:00:03:00,03/04/2025 13:05,03/04/2025 13:05,0 min,room6-ap10,1,2,37,-75,Disass\n"
+)
+# (`store._SNAPSHOT_VERSION`, `table_digest` of the table GOLDEN_LOG parses to).
+# A parse that changes this table must raise `store._SNAPSHOT_VERSION`, then
+# pin both anew: the key covers the log's bytes, not the code that parses
+# them, so snapshots written by the old parse would be read as the new one's.
+GOLDEN = (1, "1fb4b5a587d39f11e37a3d80697f4820ab90d075c9d16cb83cb13e8f3a9c4bf1")
+
+
+def table_digest(table) -> str:
+    digest = hashlib.sha256()
+    for names in NAME_LISTS:
+        digest.update("\n".join(getattr(table, names)).encode() + b"\0")
+    for column in COLUMNS:
+        digest.update(getattr(table, column).astype("<i8").tobytes())
+    return digest.hexdigest()
+
+
+def test_the_parse_of_a_fixed_log_is_pinned_with_the_snapshot_version(tmp_path):
+    path = tmp_path / "sessions.csv"
+    path.write_text(GOLDEN_LOG)
+    table = store._load_canonical(path, ",")
+    assert table is not None
+    assert (store._SNAPSHOT_VERSION, table_digest(table)) == GOLDEN
+
+
 def _flip(snapshot: bytes, at: int, mask: int) -> bytes:
     damaged = bytearray(snapshot)
     damaged[at % len(damaged)] ^= mask
@@ -149,7 +185,8 @@ class TestUntrustedSnapshot:
             Path(path + SNAPSHOT_SUFFIX).write_bytes(damaged)
             assert_same_load(load_sessions(path), parsed)
 
-    @pytest.mark.parametrize("case", ["other log", "other delimiter", "other version", "other field limit"])
+    @pytest.mark.parametrize("case", ["other log", "other delimiter", "other version", "other field limit",
+                                      "other report hour", "other missing RSSI"])
     def test_a_snapshot_of_other_input_is_a_miss(self, logs, monkeypatch, case):
         (log, parsed), (other_log, other) = logs.this, logs.other
         with log_dir(log) as path:
@@ -157,9 +194,11 @@ class TestUntrustedSnapshot:
                 store_snapshot(path, other_log, other[0])
             elif case == "other delimiter":
                 store_snapshot(path, log, other[0], delimiter=";")
-            elif case == "other version":
+            elif case in ("other version", "other report hour", "other missing RSSI"):
+                constant = {"other version": "_SNAPSHOT_VERSION", "other report hour": "REPORT_HOUR",
+                            "other missing RSSI": "RSSI_MISSING"}[case]
                 with monkeypatch.context() as patch:
-                    patch.setattr(store, "_SNAPSHOT_VERSION", store._SNAPSHOT_VERSION + 1)
+                    patch.setattr(store, constant, getattr(store, constant) + 1)
                     store_snapshot(path, log, other[0])
             else:
                 limit = csv.field_size_limit(csv.field_size_limit() // 2)
@@ -181,6 +220,9 @@ class TestUntrustedSnapshot:
         "negative code": lambda a: a["user"].__setitem__(0, -1),
         "str names": lambda a: a.update(mac_names=a["mac_names"].astype(str)),
         "pickled names": lambda a: a.update(user_names=np.array(list(a["user_names"]), dtype=object)),
+        "unsorted names": lambda a: a.update(ap_names=a["ap_names"][::-1]),
+        "repeated name": lambda a: a["mac_names"].__setitem__(1, a["mac_names"][0]),
+        "end before start": lambda a: a["end"].__setitem__(0, a["start"][0] - 1),
         "missing column": lambda a: a.pop("end"),
         "missing key": lambda a: a.pop("key"),
     }
@@ -194,6 +236,7 @@ class TestUntrustedSnapshot:
                 arrays = {name: stored[name] for name in stored.files}
             self.BAD_ARRAYS[case](arrays)
             np.savez(path + SNAPSHOT_SUFFIX, **arrays)
+            os.chmod(path + SNAPSHOT_SUFFIX, 0o600)  # trusted, so only the arrays make it a miss
             assert_same_load(load_sessions(path), parsed)
             refuse_to_parse(monkeypatch)  # the parse replaced the bad snapshot
             assert_same_load(load_sessions(path), parsed)
@@ -231,8 +274,8 @@ class TestUntrustedSnapshot:
         (log, parsed), (other_log, other) = logs.this, logs.other
         lookup = store._Snapshot.read
 
-        def rewrite_after_lookup(snapshot, raw):
-            found = lookup(snapshot, raw)
+        def rewrite_after_lookup(snapshot, raw, log_owner):
+            found = lookup(snapshot, raw, log_owner)
             with open(snapshot.path.removesuffix(SNAPSHOT_SUFFIX), "r+b") as handle:
                 handle.write(other_log)
                 handle.truncate()
@@ -247,6 +290,62 @@ class TestUntrustedSnapshot:
                 assert_same_load(load_sessions(path), other)
             Path(path).write_bytes(log)
             assert_same_load(load_sessions(path), parsed)
+
+    @pytest.mark.parametrize("mode", [0o620, 0o602, 0o666])
+    def test_a_snapshot_others_can_write_is_a_miss(self, logs, monkeypatch, mode):
+        (log, parsed), (_, other) = logs.this, logs.other
+        with log_dir(log) as path:
+            store_snapshot(path, log, other[0])
+            os.chmod(path + SNAPSHOT_SUFFIX, mode)
+            assert_same_load(load_sessions(path), parsed)
+            refuse_to_parse(monkeypatch)  # the parse replaced it with its own
+            assert_same_load(load_sessions(path), parsed)
+
+    @pytest.mark.parametrize("owner", ["stranger", "log's owner"])
+    def test_only_a_snapshot_of_this_user_or_the_logs_owner_is_read(self, logs, monkeypatch, owner):
+        (log, parsed), (_, other) = logs.this, logs.other
+        stranger = os.geteuid() + 4242
+        with log_dir(log) as path:
+            store_snapshot(path, log, other[0])
+            try:
+                os.chown(path + SNAPSHOT_SUFFIX, stranger, -1)
+                if owner == "log's owner":
+                    os.chown(path, stranger, -1)
+            except PermissionError:
+                pytest.skip("giving a file to another user needs root")
+            if owner == "stranger":
+                assert_same_load(load_sessions(path), parsed)
+            else:
+                refuse_to_parse(monkeypatch)
+                assert_same_load(load_sessions(path), other)
+
+    @pytest.mark.parametrize("via", ["link", "/dev/fd"])
+    def test_the_snapshot_lies_beside_the_file_the_path_leads_to(self, logs, monkeypatch, tmp_path, via):
+        log, parsed = logs.this
+        with log_dir(log) as path, open(path, "rb") as handle:
+            if via == "link":
+                name = tmp_path / "sessions.csv"
+                name.symlink_to(path)
+            else:
+                name = f"/dev/fd/{handle.fileno()}"
+            assert_same_load(load_sessions(name), parsed)
+            assert not os.path.lexists(os.fspath(name) + SNAPSHOT_SUFFIX)
+            assert sorted(os.listdir(os.path.dirname(path))) == ["sessions.csv", "sessions.csv" + SNAPSHOT_SUFFIX]
+            refuse_to_parse(monkeypatch)
+            assert_same_load(load_sessions(path), parsed)
+
+    def test_a_deleted_log_is_never_snapshotted(self, logs, monkeypatch):
+        log, parsed = logs.this
+
+        def refuse(*args):
+            raise AssertionError("a deleted log was hashed or snapshotted")
+
+        monkeypatch.setattr(store._Snapshot, "read", refuse)
+        monkeypatch.setattr(store._Snapshot, "write", refuse)
+        with log_dir(log) as path, open(path, "rb") as handle:
+            os.remove(path)
+            assert_same_load(load_sessions(f"/dev/fd/{handle.fileno()}"), parsed)
+            assert os.listdir(os.path.dirname(path)) == []
 
     def test_a_pipe_is_read_once_and_never_snapshotted(self, logs, monkeypatch, tmp_path):
         log, parsed = logs.this
