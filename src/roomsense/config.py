@@ -86,6 +86,10 @@ class PipelineConfig:
             )
         if "\0" in self.output_dir:
             raise ConfigError(f"output_dir {self.output_dir!r} holds a NUL byte")
+        try:
+            os.fsencode(self.output_dir)
+        except UnicodeEncodeError:  # a config file's `output_dir = outé` in an ASCII locale
+            raise ConfigError(f"output_dir {self.output_dir!r} is not a name the OS can hold") from None
         if len(self.delimiter) != 1:
             raise ConfigError(f"delimiter {self.delimiter!r} is not a single character")
         if self.use_room_aps and not self.inventory:
@@ -133,6 +137,20 @@ def sim_config_from(values: dict, overrides: dict | None = None) -> SimConfig:
     config = _config_from(SimConfig(), "simulator", _SIM_PARSERS, values, overrides)
     config.validate()
     return config
+
+
+def check_echo(config) -> None:
+    """Refuse, as `ConfigError`, a text setting that the UTF-8 echo cannot hold:
+    a path whose bytes are not UTF-8 reaches Python as lone surrogates."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, str):
+            try:
+                value.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ConfigError(
+                    f"{f.name} {value!r} is not UTF-8 text, so the config echo cannot hold it"
+                ) from None
 
 
 def echo_config(path, config) -> None:

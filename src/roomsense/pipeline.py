@@ -14,7 +14,7 @@ import numpy as np
 
 from . import estimation, mapping, model as model_mod, userfeatures
 from .clustering import pca_project
-from .config import PipelineConfig, echo_config
+from .config import PipelineConfig, check_echo, echo_config
 from .records import ApInventory, ClassEvent, DataValidationError
 from .simulate import load_ground_truth_counts
 from .store import (
@@ -199,7 +199,13 @@ def read_mapping_csv(path) -> dict[str, mapping.MappingResult]:
             raise DataValidationError(
                 f"{path}: line {line_no}: score {score!r} is not a number"
             ) from None
+        if flag not in ("0", "1"):
+            raise DataValidationError(f"{path}: line {line_no}: mapped {flag!r} is not 0 or 1")
         entry = results.setdefault(class_id, {"mapped": set(), "not": set(), "scores": {}})
+        if ap in entry["scores"]:
+            raise DataValidationError(
+                f"{path}: line {line_no}: duplicate ap_name {ap} for class_id {class_id}"
+            )
         (entry["mapped"] if flag == "1" else entry["not"]).add(ap)
         entry["scores"][ap] = value
     return {
@@ -285,9 +291,12 @@ def write_estimates_csv(path, estimates: list[estimation.OccupancyEstimate]) -> 
 
 
 def read_estimates_csv(path) -> list[estimation.OccupancyEstimate]:
-    estimates = []
+    estimates, seen = [], set()
     for line_no, fields in read_rows(path, ",", ESTIMATE_COLUMNS):
         _check_row(path, line_no, fields, ESTIMATE_COLUMNS)
+        if fields[0] in seen:
+            raise DataValidationError(f"{path}: line {line_no}: duplicate class_id {fields[0]}")
+        seen.add(fields[0])
         try:
             wifi, enrolled, lda, calibrated = (int(f) for f in fields[2:6])
             truth = int(fields[6]) if fields[6] else None
@@ -341,7 +350,7 @@ def write_map_reports(
 
 
 def write_json(path, payload: dict) -> None:
-    with open(path, "w") as handle:
+    with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
 
@@ -352,6 +361,7 @@ def run_pipeline(config: PipelineConfig) -> dict[str, str]:
     Returns the paths of the written report files.
     """
     config.validate(require_truth=True)
+    check_echo(config)
     os.makedirs(config.output_dir, exist_ok=True)
     corpus = load_corpus(config)
 

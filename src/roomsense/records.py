@@ -121,10 +121,6 @@ class ClassEvent:
         return to_minutes(self.end) - to_minutes(self.start)
 
     @property
-    def weekday(self) -> int:
-        return self.start.weekday()
-
-    @property
     def date(self) -> datetime:
         return day_start(self.start)
 

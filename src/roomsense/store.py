@@ -16,7 +16,6 @@ first call; every query is read-only.
 """
 from __future__ import annotations
 
-import codecs
 import csv
 import os
 import stat
@@ -98,7 +97,7 @@ def _open_rows(path, delimiter: str):
     a field beyond the csv module's size limit) names the file and its line.
     """
     try:
-        handle = open(path, "r", newline="")
+        handle = open(path, "r", encoding="utf-8", newline="")
     except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         raise DataValidationError(f"cannot read {path}: {exc}") from exc
     rows = csv.reader(handle, delimiter=delimiter)
@@ -106,18 +105,15 @@ def _open_rows(path, delimiter: str):
         try:
             yield rows
         except UnicodeDecodeError as exc:
-            line = _undecodable_line(path, handle.encoding)
-            raise DataValidationError(
-                f"{path}: line {line}: not valid {handle.encoding} text ({exc.reason})"
-            ) from exc
+            raise DataValidationError(_not_utf8(path, exc)) from exc
         except csv.Error as exc:
             raise DataValidationError(f"{path}: line {rows.line_num}: {exc}") from exc
         except OSError as exc:
             raise DataValidationError(f"cannot read {path}: {exc}") from exc
 
 
-def _undecodable_line(path, encoding: str) -> int:
-    """Line number of the first byte sequence in `path` that `encoding` cannot decode.
+def _not_utf8(path, exc: UnicodeDecodeError) -> str:
+    """The message for a text file that is not UTF-8, naming the line of its first bad byte.
 
     A text reader decodes in chunks, so its error does not say which line
     holds the bad byte; the file is decoded again as a whole to find it.
@@ -125,10 +121,12 @@ def _undecodable_line(path, encoding: str) -> int:
     with open(path, "rb") as handle:
         data = handle.read()
     try:
-        data.decode(encoding)
-    except UnicodeDecodeError as exc:
-        return data.count(b"\n", 0, exc.start) + 1
-    return 0
+        data.decode("utf-8")
+    except UnicodeDecodeError as whole:
+        line = data.count(b"\n", 0, whole.start) + 1
+    else:
+        line = 0
+    return f"{path}: line {line}: not valid UTF-8 text ({exc.reason})"
 
 
 def _check_header(path, header, expected) -> None:
@@ -173,7 +171,7 @@ def write_rows(path, columns, rows) -> None:
     Rows are framed `_CHUNK_ROWS` at a time. A chunk that `_plain_text` can
     frame is written as one string; any other chunk goes through `csv.writer`.
     """
-    with open(path, "w", newline="") as handle:
+    with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         rows = chain([columns], rows)
         while chunk := list(islice(rows, _CHUNK_ROWS)):
@@ -218,13 +216,15 @@ def read_key_values(path, error: type[RoomsenseError]) -> dict[str, tuple[int, s
     """(line number, value) of each key of a `key = value` file; a later line for a key wins.
 
     Blank and `#` lines are skipped. Keys are stripped of whitespace and values
-    of spaces only, so a value may be a tab. An unreadable file or a line
-    without `=` raises `error`, naming the file and the line.
+    of spaces only, so a value may be a tab. An unreadable file, text that is
+    not UTF-8 or a line without `=` raises `error`, naming the file and the line.
     """
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             lines = handle.readlines()
-    except (OSError, ValueError) as exc:  # ValueError: undecodable text, or a NUL in the path
+    except UnicodeDecodeError as exc:
+        raise error(_not_utf8(path, exc)) from exc
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         raise error(f"cannot read {path}: {exc}") from exc
     values = {}
     for line_no, line in enumerate(lines, start=1):
@@ -241,7 +241,7 @@ def write_key_values(path, pairs, comment: str = "") -> None:
     """Write a `# comment` line if `comment` is given, then a `key = value` line per pair."""
     lines = [f"# {comment}"] if comment else []
     lines += [f"{key} = {value}" for key, value in pairs]
-    with open(path, "w") as handle:
+    with open(path, "w", encoding="utf-8") as handle:
         handle.write("\n".join(lines) + "\n")
 
 
@@ -372,21 +372,19 @@ def _load_canonical(path, delimiter: str, snapshot: _Snapshot | None = None) -> 
     if delimiter not in _CANONICAL_DELIMITERS:
         return None
     try:
-        with open(path, "r", newline="") as handle:  # as the row loop opens it
+        with open(path, "rb") as handle:
             file_stat = os.fstat(handle.fileno())
             if not stat.S_ISREG(file_stat.st_mode):
                 return None  # the row loop could not read a pipe again
-            if codecs.lookup(handle.encoding).name not in ("utf-8", "ascii"):
-                return None
             digest = None
             if snapshot is not None and not snapshot.is_beside(file_stat):
                 snapshot = None  # no name leads to the file opened: a deleted file or a memfd
             if snapshot is not None:
-                table = snapshot.read(handle.buffer, file_stat.st_uid)
+                table = snapshot.read(handle, file_stat.st_uid)
                 if table is not None:
                     return table
                 digest = snapshot.digest()
-            header = handle.buffer.readline(_MAX_LINE_BYTES + 1)
+            header = handle.readline(_MAX_LINE_BYTES + 1)
             if digest is not None:
                 digest.update(header)
             if len(header) > _MAX_LINE_BYTES:
@@ -399,7 +397,7 @@ def _load_canonical(path, delimiter: str, snapshot: _Snapshot | None = None) -> 
 
             with ThreadPoolExecutor(max_workers=1) as pool:
                 ahead = None  # the worker's parse of the block before this one
-                for block in _line_blocks(handle.buffer, digest):
+                for block in _line_blocks(handle, digest):
                     fields = None if block is None else parser.split(*block)
                     if ahead is not None and not parser.merge(ahead.result()):
                         return None

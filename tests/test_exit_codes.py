@@ -148,7 +148,7 @@ BOUNDED_KEYS = sorted({*SIM_BOUNDS, "classes_per_room_per_week"} - {"room_ap_cou
 def _simulate(lines: list[str], scratch: str) -> tuple[int, str]:
     """(exit code, stderr) of `simulate --config` on a file of `lines`."""
     config = Path(scratch) / "sim.cfg"
-    config.write_text("\n".join(lines) + "\n")
+    config.write_text("\n".join(lines) + "\n", encoding="utf-8")
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(["simulate", "--config", str(config), "--out", str(Path(scratch) / "out")])

@@ -9,6 +9,8 @@ import filecmp
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -30,7 +32,7 @@ from roomsense.pipeline import (
 from roomsense.records import ConfigError
 from roomsense.simulate import SimConfig, simulate_corpus
 from roomsense.store import SNAPSHOT_SUFFIX, read_key_values
-from conftest import pipeline_config, without_snapshot
+from conftest import TINY, pipeline_config, without_snapshot
 
 
 @pytest.fixture(scope="module")
@@ -317,6 +319,99 @@ class TestStageComposability:
         assert report["counts"] == {"tp": tp, "fn": fn, "tn": tn, "fp": fp}
         assert report["tp_rate"] == pytest.approx(tp / (tp + fn), abs=1e-6)
         assert report["tn_rate"] == pytest.approx(tn / (tn + fp), abs=1e-6)
+
+
+# Python's text encoding under each locale: ASCII once locale coercion and UTF-8
+# mode are off, and UTF-8.
+ASCII_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+UTF8_LOCALE = {"LC_ALL": "C.UTF-8"}
+# Data-row renames that give user, room, class and AP names non-ASCII letters.
+_ACCENTS = (("u0", "\u00fc0"), ("room", "sal\u00f3n"), ("bldA", "b\u00e2tA"), ("wk", "w\u00e9"))
+
+
+def _cli(locale: dict, argv, cwd) -> subprocess.CompletedProcess:
+    """`python -m roomsense.cli` in a child process under `locale`; `argv` may hold bytes."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, **locale,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run(
+        [sys.executable, "-m", "roomsense.cli", *argv], cwd=cwd, env=env, capture_output=True
+    )
+
+
+class TestAnyLocale:
+    """Every file is read and written as UTF-8, whatever the locale."""
+
+    @pytest.fixture(scope="class")
+    def accented(self, tmp_path_factory) -> Path:
+        """A directory holding `corpus/`: the tiny corpus with non-ASCII names in every data file."""
+        root = tmp_path_factory.mktemp("accented")
+        simulate_corpus(TINY, root / "plain")
+        (root / "corpus").mkdir()
+        for name in ("sessions.csv", "timetable.csv", "roster.csv", "inventory.csv", "ground_truth_counts.csv"):
+            header, body = (root / "plain" / name).read_bytes().decode("ascii").split("\n", 1)
+            for old, new in _ACCENTS:
+                body = body.replace(old, new)
+            (root / "corpus" / name).write_bytes(f"{header}\n{body}".encode("utf-8"))
+        return root
+
+    def test_same_reports_in_an_ascii_and_a_utf8_locale(self, accented):
+        """`run` and the four stages exit 0 and write the same bytes and stdout in both locales."""
+        base = [arg for flag, name in (("--sessions", "sessions"), ("--timetable", "timetable"),
+                                       ("--rosters", "roster"), ("--inventory", "inventory"))
+                for arg in (flag, f"../corpus/{name}.csv")]
+        truth = ["--ground-truth-counts", "../corpus/ground_truth_counts.csv"]
+        argvs = [["run", *base, *truth, "--seed", "5", "--output-dir", "run"],
+                 *_stage_argvs([*base, *truth], Path("staged"), [], 5)]
+        written = {}
+        for label, locale in (("ascii", ASCII_LOCALE), ("utf8", UTF8_LOCALE)):
+            cwd = accented / label
+            cwd.mkdir()
+            outcomes = [_cli(locale, argv, cwd) for argv in argvs]
+            assert [(p.returncode, p.stderr) for p in outcomes] == [(0, b"")] * len(argvs), label
+            files = {str(p.relative_to(cwd)): p.read_bytes() for p in sorted(cwd.rglob("*")) if p.is_file()}
+            written[label] = [p.stdout for p in outcomes], files
+        stdout, files = written["ascii"]
+        assert written["utf8"] == (stdout, files)
+        assert {name: files[f"staged/{name}"] for name in _REPORTS} == {
+            name: files[f"run/{name}"] for name in _REPORTS
+        }
+        assert "sal\u00f3n1c1-w01,b\u00e2tA".encode("utf-8") in files["run/mapping.csv"]
+
+    @pytest.mark.parametrize(
+        "locale, output_dir, message",
+        [
+            (UTF8_LOCALE, b"out\xe9", "error: output_dir 'out\\udce9' is not UTF-8 text"),
+            (ASCII_LOCALE, None, "error: output_dir 'out\\xe9' is not a name the OS can hold"),
+        ],
+        ids=["argv-not-utf8", "config-not-nameable"],
+    )
+    def test_an_output_dir_that_cannot_be_echoed_or_named_is_a_config_error(
+        self, accented, tmp_path, locale, output_dir, message
+    ):
+        """Refused with exit 1 before any report is written: a path whose bytes the
+        UTF-8 `config.txt` cannot hold, and a `--config` path the OS cannot name."""
+        corpus = accented / "plain"
+        settings = [(key, corpus / name) for key, name in (
+            ("sessions", "sessions.csv"), ("timetable", "timetable.csv"), ("rosters", "roster.csv"),
+            ("ground_truth_counts", "ground_truth_counts.csv"),
+        )]
+        if output_dir is None:
+            config = tmp_path / "run.cfg"
+            config.write_text(
+                "".join(f"{key} = {path}\n" for key, path in settings) + "output_dir = out\u00e9\n",
+                encoding="utf-8",
+            )
+            argv = ["run", "--config", str(config)]
+        else:
+            argv = ["run", *(arg for key, path in settings
+                             for arg in ("--" + key.replace("_", "-"), str(path))),
+                    b"--output-dir", output_dir]
+        outcome = _cli(locale, argv, tmp_path)
+        assert outcome.returncode == 1
+        assert outcome.stdout == b""
+        assert outcome.stderr.decode("ascii").startswith(message)
+        assert sorted(p.name for p in tmp_path.iterdir()) == (["run.cfg"] if output_dir is None else [])
 
 
 class TestCli:
@@ -690,12 +785,17 @@ class TestMalformedInputs:
             "model-shape",
             "mapping-score",
             "estimates-count",
+            "mapping-flag",
+            "mapping-duplicate",
+            "estimates-duplicate",
             "mapping-short-row",
             "estimates-short-row",
             "mapping-blank-class",
             "estimates-blank-class",
             "sessions-byte",
             "sessions-field",
+            "config-byte",
+            "model-byte",
             "config-jobs",
             "sim-config-report-hour",
             "model-no-equals",
@@ -735,6 +835,22 @@ class TestMalformedInputs:
                 ",".join(first_row),
             )
             argv = ["evaluate", "--estimates", bad]
+        elif case == "mapping-flag":
+            first_row = Path(paths["mapping"]).read_text().splitlines()[1].split(",")
+            first_row[2] = "yes"
+            bad, line = self._edited(
+                paths["mapping"], tmp_path / "mapping.csv", ",".join(first_row[:2]) + ",",
+                ",".join(first_row),
+            )
+            argv, fragment = ["train", *corpus, "--mapping", bad], "mapped 'yes' is not 0 or 1"
+        elif case.endswith("-duplicate"):  # the second row repeated as the third
+            report = case.split("-", 1)[0]
+            rows = Path(paths[report]).read_text().splitlines()
+            bad, line = self._edited(paths[report], tmp_path / f"{report}.csv", rows[2], rows[1])
+            if report == "mapping":
+                argv, fragment = ["train", *corpus, "--mapping", bad], "duplicate ap_name"
+            else:
+                argv, fragment = ["evaluate", "--estimates", bad], "duplicate class_id"
         elif case.startswith(("mapping-", "estimates-")):
             report = case.split("-", 1)[0]
             first_row = Path(paths[report]).read_text().splitlines()[1]
@@ -752,6 +868,13 @@ class TestMalformedInputs:
             row = b"u1,m1,\xff" if case == "sessions-byte" else b"u1," + b"x" * 200_000
             bad, line = self._sessions_with(corpus_dir, tmp_path / "sessions.csv", row)
             argv = ["map-aps", *_corpus_args(corpus_dir, sessions=bad)]
+        elif case in ("config-byte", "model-byte"):  # Latin-1 text, not UTF-8
+            bad, line, fragment = str(tmp_path / "bad.txt"), 2, "not valid UTF-8 text"
+            Path(bad).write_bytes(b"# by hand\nseed = caf\xe9\n")
+            if case == "config-byte":
+                argv, code = ["run", "--config", bad], 1
+            else:
+                argv = ["estimate", *corpus, "--mapping", paths["mapping"], "--model", bad]
         elif case == "config-jobs":
             config = tmp_path / "run.cfg"
             config.write_text(f"sessions = {corpus_dir}/sessions.csv\njobs = 2\n")
