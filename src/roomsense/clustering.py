@@ -40,6 +40,16 @@ def _as_matrix(matrix) -> np.ndarray:
     return X
 
 
+def _too_few_distinct(X: np.ndarray, k: int) -> bool:
+    """Whether `X` has fewer than `k` distinct rows.
+
+    For k=2 that is whether every row equals the first, which needs no sort.
+    """
+    if k == 2:
+        return X.shape[0] == 0 or bool((X == X[0]).all())
+    return np.unique(X, axis=0).shape[0] < k
+
+
 def _kmeanspp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     n = X.shape[0]
     centroids = np.empty((k, X.shape[1]))
@@ -64,7 +74,7 @@ def kmeans(matrix, k: int = 2, seed: int = 0, max_iter: int = 300) -> KMeansResu
     """
     X = _as_matrix(matrix)
     n = X.shape[0]
-    if np.unique(X, axis=0).shape[0] < k:
+    if _too_few_distinct(X, k):
         raise DegenerateDataError(f"need at least {k} distinct rows for k={k}")
     rng = np.random.default_rng(seed)
     centroids = _kmeanspp_init(X, k, rng)
@@ -75,13 +85,14 @@ def kmeans(matrix, k: int = 2, seed: int = 0, max_iter: int = 300) -> KMeansResu
     for n_iter in range(1, max_iter + 1):
         d2 = ((X[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         new_assignment = np.argmin(d2, axis=1)  # argmin returns the lowest index on ties
-        for j in range(k):
-            if not np.any(new_assignment == j):
-                farthest = int(np.argmax(d2[np.arange(n), new_assignment]))
-                new_assignment[farthest] = j
-                centroids[j] = X[farthest]
+        if np.bincount(new_assignment, minlength=k).min() == 0:
+            for j in range(k):
+                if not np.any(new_assignment == j):
+                    farthest = int(np.argmax(d2[np.arange(n), new_assignment]))
+                    new_assignment[farthest] = j
+                    centroids[j] = X[farthest]
         history.append(float(((X - centroids[new_assignment]) ** 2).sum()))
-        if np.array_equal(new_assignment, assignment):
+        if (new_assignment == assignment).all():
             break
         assignment = new_assignment
         for j in range(k):
@@ -168,7 +179,7 @@ def em_gmm(
     """
     X = _as_matrix(matrix)
     n, d = X.shape
-    if np.unique(X, axis=0).shape[0] < 2:
+    if _too_few_distinct(X, 2):
         raise DegenerateDataError("all rows identical; mixture is undefined")
 
     start = kmeans(X, k=k, seed=seed)

@@ -91,14 +91,28 @@ def build_feature_matrix(
     [0, 1], onto `resample_len` points spread the same way; a single sample
     is repeated.
     """
-    src = np.linspace(0.0, 1.0, frac_class.shape[1])
+    both = _resample(np.concatenate([frac_class, class_frac]), resample_len)
+    return np.hstack([both[: len(frac_class)], both[len(frac_class) :]])
+
+
+def _resample(series: np.ndarray, resample_len: int) -> np.ndarray:
+    """`np.interp` of every row of `series` onto `resample_len` points, all rows at once.
+
+    The rows' samples lie at `linspace(0, 1, n)`. As in `np.interp`, a point
+    on a sample takes the sample's value, and any other point takes
+    `slope * (point - left sample) + left value` of the samples around it.
+    The values must be finite.
+    """
+    n = series.shape[1]
+    if n == 1:
+        return np.repeat(series, resample_len, axis=1)
+    src = np.linspace(0.0, 1.0, n)
     dst = np.linspace(0.0, 1.0, resample_len)
-    return np.array(
-        [
-            np.concatenate([np.interp(dst, src, shares), np.interp(dst, src, enrolled)])
-            for shares, enrolled in zip(frac_class, class_frac)
-        ]
-    )
+    at = np.searchsorted(src, dst, side="right") - 1  # the last sample at or before each point
+    left = np.minimum(at, n - 2)  # the left sample of the gap a point between samples lies in
+    value = series[:, left]
+    slope = (series[:, left + 1] - value) / (src[left + 1] - src[left])
+    return np.where(src[at] == dst, series[:, at], slope * (dst - src[left]) + value)
 
 
 def label_clusters(assignment: np.ndarray, matrix: np.ndarray) -> int:
@@ -109,7 +123,7 @@ def label_clusters(assignment: np.ndarray, matrix: np.ndarray) -> int:
     smaller cluster. Invariant under swapping the cluster ids.
     """
     half = matrix.shape[1] // 2
-    labels = sorted(set(int(a) for a in assignment))
+    labels = sorted(set(assignment.tolist()))
     if len(labels) != 2:
         raise ValueError("label_clusters expects exactly 2 clusters")
 
@@ -128,12 +142,19 @@ def label_clusters(assignment: np.ndarray, matrix: np.ndarray) -> int:
 
 
 def _margin_scores(matrix: np.ndarray, is_mapped: np.ndarray) -> list[float]:
-    """Distance margin to the rival centroid; positive means more mapped-like."""
-    mapped = matrix[is_mapped].mean(axis=0)
-    rival = matrix[~is_mapped].mean(axis=0)
-    return [
-        float(np.linalg.norm(row - rival)) - float(np.linalg.norm(row - mapped)) for row in matrix
-    ]
+    """Distance margin to the rival centroid; positive means more mapped-like.
+
+    A row's distance to a centroid is `sqrt(d @ d)` of their difference `d`,
+    the dot product `np.linalg.norm` takes; one batched matmul takes it for
+    every row.
+    """
+
+    def distances(centroid: np.ndarray) -> np.ndarray:
+        d = matrix - centroid
+        return np.sqrt(d[:, None, :] @ d[:, :, None])[:, 0, 0]
+
+    mapped = distances(matrix[is_mapped].mean(axis=0))
+    return (distances(matrix[~is_mapped].mean(axis=0)) - mapped).tolist()
 
 
 def map_class_aps(

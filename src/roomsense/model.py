@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -56,14 +57,21 @@ class LdaModel:
     prior_bystander: float
     rssi_fill: float = 0.0
 
+    @cached_property
+    def _weights(self) -> tuple[np.ndarray, np.ndarray]:
+        """S^-1 mu_k for both classes, solved once per model."""
+        try:
+            return (
+                np.linalg.solve(self.covariance, self.mean_occupant),
+                np.linalg.solve(self.covariance, self.mean_bystander),
+            )
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError("singular pooled covariance") from exc
+
     def discriminants(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """delta_k(x) = x' S^-1 mu_k - mu_k' S^-1 mu_k / 2 + ln pi_k for both classes."""
         X = np.atleast_2d(X)
-        try:
-            a_occ = np.linalg.solve(self.covariance, self.mean_occupant)
-            a_bys = np.linalg.solve(self.covariance, self.mean_bystander)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError("singular pooled covariance") from exc
+        a_occ, a_bys = self._weights
         d_occ = X @ a_occ - 0.5 * self.mean_occupant @ a_occ + math.log(self.prior_occupant)
         d_bys = X @ a_bys - 0.5 * self.mean_bystander @ a_bys + math.log(self.prior_bystander)
         return d_occ, d_bys

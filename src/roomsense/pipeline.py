@@ -235,7 +235,7 @@ def write_pca_csv(
                 positives = corpus.inventory.positives_for_room(
                     event.room_id, adjacency=config.adjacency
                 )
-            for ap, (x, y) in zip(ap_names, coords):
+            for ap, (x, y) in zip(ap_names, coords.tolist()):
                 truth_flag = None if positives is None else int(ap in positives)
                 yield event.class_id, ap, f"{x:.6f}", f"{y:.6f}", int(ap in mapped), truth_flag
 

@@ -143,6 +143,7 @@ class ApInventory:
 
     def __init__(self, locations: dict[str, ApLocation]):
         self._locations = dict(locations)
+        self._positives: dict[tuple[str, bool], frozenset[str]] = {}
 
     def __contains__(self, ap_name: str) -> bool:
         return ap_name in self._locations
@@ -164,14 +165,17 @@ class ApInventory:
 
         With `adjacency` on, corridor APs on the building+floor of the room's
         first AP count as associated as well. A room without an AP of its own
-        has no positive AP in either mode.
+        has no positive AP in either mode. Each answer is computed once.
         """
-        names = self.room_aps(room_id)
-        home = next((loc for loc in self._locations.values() if loc.room_id == room_id), None)
-        if adjacency and home is not None:
-            names |= {
-                ap
-                for ap, loc in self._locations.items()
-                if loc.is_corridor and (loc.building, loc.floor) == (home.building, home.floor)
-            }
-        return names
+        key = (room_id, adjacency)
+        if key not in self._positives:
+            names = self.room_aps(room_id)
+            home = next((loc for loc in self._locations.values() if loc.room_id == room_id), None)
+            if adjacency and home is not None:
+                names |= {
+                    ap
+                    for ap, loc in self._locations.items()
+                    if loc.is_corridor and (loc.building, loc.floor) == (home.building, home.floor)
+                }
+            self._positives[key] = names
+        return self._positives[key]

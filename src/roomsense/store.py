@@ -10,22 +10,25 @@ The table of a canonical log is kept beside it in a snapshot file, keyed by
 the log's bytes (`_Snapshot`), so a later load of the same bytes reads the
 table back instead of parsing the log again.
 `SessionStore` answers both time-window queries with one `_IntervalIndex`
-layout and search: it indexes the raw sessions for `sessions_overlapping` when
-it is built, and the merged intervals that `user_counts_at` reads on its
-first call; every query is read-only.
+layout and search, each index built on the first call of its query: the raw
+sessions for `sessions_overlapping`, and the merged intervals for
+`user_counts_at`; every query is read-only.
 """
 from __future__ import annotations
 
 import csv
 import os
+import re
 import stat
 import tempfile
+import threading
 from array import array
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from datetime import datetime
 from functools import cached_property
-from itertools import chain, islice
+from itertools import chain, compress, islice, repeat
+from operator import ne
 
 import numpy as np
 
@@ -145,14 +148,18 @@ def read_rows(path, delimiter: str, columns):
     The header must start with `columns`, compared without surrounding
     whitespace and case; extra trailing columns are allowed. Every field is
     stripped, and a row whose fields are all blank is skipped. What a short
-    or malformed row means is left to the caller.
+    or malformed row means is left to the caller. A row's line number is
+    that of its first line in the file, so a quoted field holding a line end
+    shifts no later row's number.
     """
     with _open_rows(path, delimiter) as rows:
         _check_header(path, next(rows, None), columns)
-        for line_no, fields in enumerate(rows, start=2):
+        line_no = rows.line_num + 1
+        for fields in rows:
             fields = list(map(str.strip, fields))
             if any(fields):
                 yield line_no, fields
+            line_no = rows.line_num + 1
 
 
 # `write_rows` frames this many rows at a time.
@@ -789,7 +796,9 @@ class _Snapshot:
     def read(self, raw, log_owner: int) -> SessionTable | None:
         """The table stored for the bytes of the binary file `raw`, or None; `raw` is rewound.
 
-        The log is hashed only when a snapshot file is there to compare with.
+        The log is hashed only when a snapshot file is there to compare with,
+        on a worker thread while this thread reads the stored table; both
+        mostly run with the GIL released.
         Anyone who can read the log can compute its key, so only a snapshot
         owned by the log's owner (`log_owner`) or by this process's user, and
         writable by no one else, is trusted.
@@ -807,13 +816,12 @@ class _Snapshot:
                     return None
                 with np.load(handle, allow_pickle=False) as stored:
                     key = stored["key"].tobytes()
-                    digest = self.digest()
-                    block = bytearray(_BLOCK_BYTES)
-                    while read := raw.readinto(block):
-                        digest.update(memoryview(block)[:read])
-                    if key != digest.hexdigest().encode():
-                        return None
-                    return _stored_table(stored)
+                    digesting = _Digesting(self.digest(), raw)
+                    try:
+                        table = _stored_table(stored)  # read while the worker hashes the log
+                    finally:
+                        digest = digesting.hexdigest()
+                    return table if key == digest.encode() else None
         except Exception:  # whatever the snapshot's bytes make numpy or zipfile raise, the log is parsed
             return None
         finally:
@@ -840,6 +848,30 @@ class _Snapshot:
         except OSError:
             with suppress(OSError):
                 os.remove(temp)
+
+
+class _Digesting(threading.Thread):
+    """Feeds the rest of the binary file `raw` to `digest`, on a thread of its own."""
+
+    def __init__(self, digest, raw):
+        super().__init__(name="roomsense-snapshot-digest")
+        self.digest, self.raw, self.error = digest, raw, None
+        self.start()
+
+    def run(self) -> None:
+        try:
+            block = bytearray(_BLOCK_BYTES)
+            while read := self.raw.readinto(block):
+                self.digest.update(memoryview(block)[:read])
+        except Exception as exc:  # an unreadable log: raised again on the thread that asks for the digest
+            self.error = exc
+
+    def hexdigest(self) -> str:
+        """The digest once the whole file is fed; the thread has ended when this returns."""
+        self.join()
+        if self.error is not None:
+            raise self.error
+        return self.digest.hexdigest()
 
 
 def _stored_table(stored) -> SessionTable | None:
@@ -1010,6 +1042,62 @@ def load_timetable(path, delimiter: str = ",") -> tuple[list[ClassEvent], LoadRe
 
 
 def load_rosters(path, delimiter: str = ",") -> tuple[dict[str, frozenset[str]], LoadReport]:
+    """The enrolled users of each class, by class id in order of first appearance.
+
+    A roster in canonical form is read in one pass (`_canonical_rosters`).
+    Any other file is read from its first line by the row loop, which alone
+    rejects rows and warns.
+    """
+    rosters = _canonical_rosters(path, delimiter)
+    if rosters is not None:
+        return rosters, LoadReport(rows_read=sum(map(len, rosters.values())))
+    return _roster_rows(path, delimiter)
+
+
+def _canonical_rosters(path, delimiter: str) -> dict[str, frozenset[str]] | None:
+    """The rosters of a roster file in canonical form, or None for any other file.
+
+    Canonical form is a regular file of UTF-8 text with one kind of line end,
+    LF or CRLF, and one of the delimiters `,;|` or tab. Its header is
+    exactly `class_id`, the delimiter and `user_id`; every other line holds
+    two fields, each non-empty, no longer than the csv field limit and free
+    of quotes, NULs and whitespace; and no class lists a user twice. The row
+    loop takes every row of such a file as it stands, without a reject or a
+    warning, so both paths return the same rosters.
+    """
+    if delimiter not in _CANONICAL_DELIMITERS:
+        return None
+    try:
+        with open(path, "rb") as handle:
+            if not stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
+                return None  # the row loop could not read a pipe again
+            text = handle.read().decode("utf-8")
+    except (OSError, ValueError):  # ValueError: text that is not UTF-8, or a NUL in the path
+        return None
+    eol = "\r\n" if "\r" in text else "\n"
+    header, _, body = text.partition(eol)
+    body = body.removesuffix(eol)
+    # the pattern bounds a field by at most 2**31 characters; the row loop reads any longer one
+    field = f'[^{re.escape(delimiter)}\\s"\\0]{{1,{min(csv.field_size_limit(), 2**31)}}}'
+    row = f"{field}{re.escape(delimiter)}{field}"
+    if header != delimiter.join(ROSTER_COLUMNS) or not re.fullmatch(f"(?:{row}(?:{eol}{row})*)?", body):
+        return None
+    fields = body.replace(eol, delimiter).split(delimiter) if body else []
+    classes, users = fields[0::2], fields[1::2]
+    # a class's rows are usually adjacent: take each run of one class at once
+    starts = list(compress(range(len(classes)), map(ne, classes, chain([None], classes))))
+    rosters: dict[str, frozenset[str]] = {}
+    for lo, hi in zip(starts, [*starts[1:], len(classes)]):
+        earlier = rosters.get(classes[lo], frozenset())
+        members = earlier.union(users[lo:hi])
+        if len(members) != len(earlier) + hi - lo:
+            return None  # a duplicate enrolment, which the row loop warns about
+        rosters[classes[lo]] = members
+    return rosters
+
+
+def _roster_rows(path, delimiter: str) -> tuple[dict[str, frozenset[str]], LoadReport]:
+    """The row loop of `load_rosters`: every rule, reject and warning, row by row."""
     report = LoadReport()
     enrolled: dict[str, set[str]] = {}
     for line_no, fields in read_rows(path, delimiter, ROSTER_COLUMNS):
@@ -1095,19 +1183,31 @@ def _row_order(*keys: np.ndarray) -> np.ndarray:
     """The stable order of rows by int64 `keys`, the first key most significant.
 
     The same order as `np.lexsort(keys[::-1])`. When the keys' value ranges
-    fit in 63 bits together, one stable argsort of the packed keys finds it.
+    and the row index fit in 63 bits together, the packed keys carry the row
+    index in their low bits: every packed value is then distinct, so numpy's
+    fastest sort, which is not stable, finds the stable order, and the low
+    bits are that order. When only the keys fit, one stable argsort of the
+    packed keys finds it.
     """
-    if keys[0].size == 0:
+    n = keys[0].size
+    if n == 0:
         return np.zeros(0, dtype=np.intp)
     lows = [int(k.min()) for k in keys]
     widths = [(int(k.max()) - low).bit_length() for k, low in zip(keys, lows)]
+    row_bits = (n - 1).bit_length()
     if sum(widths) > 63:
         return np.lexsort(keys[::-1])
-    packed = np.zeros(keys[0].size, dtype=np.int64)
+    packed = np.zeros(n, dtype=np.int64)
     for key, low, width in zip(keys, lows, widths):
         packed <<= width
         packed += key - low
-    return np.argsort(packed, kind="stable")
+    if sum(widths) + row_bits > 63:
+        return np.argsort(packed, kind="stable")
+    packed <<= row_bits
+    packed += np.arange(n, dtype=np.int64)
+    packed.sort()
+    packed &= (1 << row_bits) - 1
+    return packed
 
 
 @dataclass(frozen=True)
@@ -1152,8 +1252,11 @@ class _IntervalIndex:
         inside its own key range; rows come in the index's order.
         """
         base = codes * self.span
-        first = np.searchsorted(self.key, base + np.clip(lo - self.longest[codes] - self.low, 0, self.span))
-        stop = np.searchsorted(self.key, base + np.clip(hi - self.low, 0, self.span))
+        # np.minimum and np.maximum: np.clip costs more than the search on a few codes
+        first = np.searchsorted(
+            self.key, base + np.minimum(np.maximum(lo - self.longest[codes] - self.low, 0), self.span)
+        )
+        stop = np.searchsorted(self.key, base + min(max(hi - self.low, 0), self.span))
         counts = stop - first
         ap = np.repeat(codes, counts)
         positions = np.arange(ap.size) + np.repeat(first - (np.cumsum(counts) - counts), counts)
@@ -1181,26 +1284,30 @@ def _merge_intervals(table: SessionTable) -> tuple[_IntervalIndex, np.ndarray, n
 class SessionStore:
     """Immutable time-window queries over a `SessionTable`.
 
-    Both AP queries search an `_IntervalIndex`. The constructor indexes the
-    raw sessions, which `sessions_overlapping` reads. The per-(ap, user)
-    merged intervals that `user_counts_at` reads are indexed on its first
-    call, so a store that is never asked for counts never builds them.
+    Both AP queries search an `_IntervalIndex`, each built on the first call
+    that reads it: the raw sessions for `sessions_overlapping`, and the
+    per-(ap, user) merged intervals for `user_counts_at`. A store that is
+    never asked one of the queries never builds its index.
     """
 
     def __init__(self, table: SessionTable):
         self.table = table
         self._ap_code = {name: i for i, name in enumerate(table.ap_names)}
         self._user_code = {name: i for i, name in enumerate(table.user_names)}
-        self._sessions = _IntervalIndex.build(table.ap, table.start, table.end, len(table.ap_names))
+
+    @cached_property
+    def _sessions(self) -> _IntervalIndex:
+        table = self.table
+        return _IntervalIndex.build(table.ap, table.start, table.end, len(table.ap_names))
 
     @cached_property
     def _merged(self) -> tuple[_IntervalIndex, np.ndarray, np.ndarray, np.ndarray]:
         return _merge_intervals(self.table)
 
     def user_ids(self, user_names) -> np.ndarray:
-        """Integer ids for the given user names; unknown names are dropped."""
-        ids = [self._user_code[u] for u in user_names if u in self._user_code]
-        return np.array(sorted(ids), dtype=np.int64)
+        """Integer ids for the given user names, in ascending order; unknown names are dropped."""
+        ids = np.fromiter(map(self._user_code.get, user_names, repeat(-1)), dtype=np.int64)
+        return np.sort(ids[ids >= 0])
 
     def user_counts_at(
         self, times: np.ndarray, member_ids: np.ndarray | None = None

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .records import TEACHING_DAY_END_MIN, TEACHING_DAY_START_MIN, ClassEvent, from_minutes, to_minutes
-from .store import RSSI_MISSING, SessionStore, grouped_running_max
+from .store import RSSI_MISSING, SessionStore, _row_order, grouped_running_max
 
 FEATURE_NAMES = ("t_in", "t_out", "arrival_delay", "n_sessions", "n_devices", "avg_rssi")
 AVG_RSSI = FEATURE_NAMES.index("avg_rssi")
@@ -49,21 +49,6 @@ def stack(features: list[ClassFeatures]) -> tuple[np.ndarray, np.ndarray]:
     return np.vstack([f.matrix for f in features]), np.concatenate([f.occupant for f in features])
 
 
-def _union_minutes(group: np.ndarray, start: np.ndarray, end: np.ndarray, n_groups: int):
-    """Per-group length of the union of the intervals [start, end).
-
-    Rows are sorted by (group, start), with group codes 0..n_groups-1. Each
-    row adds the part of it past the running maximum end of the earlier rows
-    of its group; a row with end <= start adds nothing.
-    """
-    reach = np.empty_like(end)
-    reach[1:] = grouped_running_max(group, end)[:-1]
-    firsts = np.flatnonzero(np.diff(group, prepend=-1))
-    reach[firsts] = start[firsts]
-    added = np.maximum(end - np.maximum(start, reach), 0)
-    return np.bincount(group, weights=added, minlength=n_groups)
-
-
 def extract_class_features(
     store: SessionStore, event: ClassEvent, mapped_aps: frozenset[str]
 ) -> ClassFeatures:
@@ -81,15 +66,27 @@ def extract_class_features(
 
     rows = store.sessions_overlapping(mapped_aps, from_minutes(day_lo), from_minutes(day_hi))
     table = store.table
-    rows = rows[np.lexsort((table.start[rows], table.user[rows]))]
+    rows = rows[_row_order(table.user[rows], table.start[rows])]
     user, start, end = table.user[rows], table.start[rows], table.end[rows]
     opens = np.ones(rows.size, dtype=bool)
     opens[1:] = user[1:] != user[:-1]
     group = np.cumsum(opens) - 1
-    n_users = int(opens.sum())
+    heads = np.flatnonzero(opens)
+    n_users = heads.size
+    # the latest end among each row's earlier rows of its user; none for a user's first row
+    reach = np.empty_like(end)
+    reach[1:] = grouped_running_max(group, end)[:-1]
+    reach[heads] = np.iinfo(np.int64).min
 
     def union(lo, hi):
-        return _union_minutes(group, np.maximum(start, lo), np.minimum(end, hi), n_users)
+        """Per user, the minutes of the union of their sessions clipped to [lo, hi).
+
+        Each row adds the part of it past the latest end of its user's
+        earlier rows; clipped to the window, that end is min(reach, hi).
+        """
+        start_in, end_in = np.maximum(start, lo), np.minimum(end, hi)
+        added = end_in - np.maximum(start_in, np.minimum(reach, hi))
+        return np.bincount(group, weights=np.maximum(added, 0), minlength=n_users)
 
     in_minutes = union(class_lo, class_hi)
     # the teaching-day union minus its part inside the class window; a class
@@ -100,10 +97,15 @@ def extract_class_features(
     in_group = group[in_class]
     n_sessions = np.bincount(in_group, minlength=n_users)
     n_macs = len(table.mac_names)
-    devices = np.unique(in_group * n_macs + table.mac[rows[in_class]])
-    n_devices = np.bincount(devices // n_macs, minlength=n_users)
+    # sorted here, not by np.unique, which imports numpy.ma on its first call (8 ms)
+    devices = np.sort(in_group * n_macs + table.mac[rows[in_class]])
+    distinct = np.ones(devices.size, dtype=bool)
+    distinct[1:] = devices[1:] != devices[:-1]
+    n_devices = np.bincount(devices[distinct] // n_macs, minlength=n_users)
     # rows are sorted by start, so a user's first in-class row starts earliest
-    firsts = in_class[np.flatnonzero(np.diff(in_group, prepend=-1))]
+    first_in = np.ones(in_group.size, dtype=bool)
+    first_in[1:] = in_group[1:] != in_group[:-1]
+    firsts = in_class[first_in]
     arrival = np.maximum(start[firsts], class_lo) - class_lo
 
     rssi = table.rssi[rows[in_class]]
@@ -122,7 +124,7 @@ def extract_class_features(
     matrix = np.column_stack(
         [t_in, t_out, arrival, n_sessions[featured], n_devices[featured], avg_rssi]
     )
-    users = [table.user_names[code] for code in user[opens][featured].tolist()]
+    users = [table.user_names[code] for code in user[heads][featured].tolist()]
     return ClassFeatures(users, matrix, np.zeros(len(users), dtype=bool))
 
 

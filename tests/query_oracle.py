@@ -3,8 +3,9 @@
 These are the loops that `SessionStore.user_counts_at`,
 `mapping.compute_ap_features`, `mapping.build_feature_matrix` and
 `userfeatures.extract_class_features` replaced with whole-class array
-operations. The oracle tests in test_oracles.py require the new code to
-return exactly what these return.
+operations, and the per-class numpy calls that `clustering._too_few_distinct`
+and `mapping._margin_scores` replaced with cheaper ones. The oracle tests in
+test_oracles.py require the new code to return exactly what these return.
 """
 from __future__ import annotations
 
@@ -200,3 +201,17 @@ def extract_class_features(
         )
     matrix = np.array(rows_out, dtype=np.float64).reshape(len(users), len(FEATURE_NAMES))
     return ClassFeatures(users, matrix, np.zeros(len(users), dtype=bool))
+
+
+def too_few_distinct(X: np.ndarray, k: int) -> bool:
+    """Whether `X` has fewer than `k` distinct rows, counted by sorting them."""
+    return np.unique(X, axis=0).shape[0] < k
+
+
+def margin_scores(matrix: np.ndarray, is_mapped: np.ndarray) -> list[float]:
+    """Each row's `np.linalg.norm` distance to the rival centroid minus that to the mapped one."""
+    mapped = matrix[is_mapped].mean(axis=0)
+    rival = matrix[~is_mapped].mean(axis=0)
+    return [
+        float(np.linalg.norm(row - rival)) - float(np.linalg.norm(row - mapped)) for row in matrix
+    ]

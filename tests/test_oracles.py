@@ -13,9 +13,11 @@ from hypothesis.extra.numpy import arrays
 
 import query_oracle
 
+from roomsense.clustering import _too_few_distinct
 from roomsense.mapping import (
     DEFAULT_RESAMPLE_LEN,
     SWEEP_RESOLUTIONS,
+    _margin_scores,
     build_feature_matrix,
     compute_ap_features,
     sample_times,
@@ -53,7 +55,8 @@ def assert_same_matrix(frac_class, class_frac, resample_len):
         names, frac_class, class_frac, resample_len
     )
     assert ordered == names
-    assert np.array_equal(build_feature_matrix(frac_class, class_frac, resample_len), expected)
+    matrix = build_feature_matrix(frac_class, class_frac, resample_len)
+    assert matrix.shape == expected.shape and matrix.tobytes() == expected.tobytes()  # bit for bit
 
 
 @st.composite
@@ -137,6 +140,40 @@ class TestFeatureMatrixMatchesPerApResampling:
              resample_len=7)
     def test_generated_matrices(self, shares, resample_len):
         assert_same_matrix(*shares, resample_len)
+
+
+# Values that compare equal without being the same bits, and others.
+VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5]) | st.floats(-1e6, 1e6)
+
+
+@st.composite
+def repeating_matrices(draw, min_rows=0):
+    """Matrices of up to 8 rows, each a copy of one of a few drawn rows."""
+    width = draw(st.integers(1, 5))
+    pool = draw(st.lists(st.lists(VALUES, min_size=width, max_size=width), min_size=1, max_size=3))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=min_rows, max_size=8))
+    return np.array([pool[i] for i in picks], dtype=float).reshape(len(picks), width)
+
+
+class TestClusteringShortcutsMatchTheirOracles:
+    @settings(max_examples=300, deadline=None)
+    @given(X=repeating_matrices())
+    @example(X=np.array([[0.0, 1.0], [-0.0, 1.0]]))
+    @example(X=np.zeros((3, 0)))
+    def test_two_distinct_rows_without_a_sort(self, X):
+        assert _too_few_distinct(X, 2) == query_oracle.too_few_distinct(X, 2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(X=repeating_matrices(min_rows=2), data=st.data())
+    @example(X=np.array([[0.0, -0.0], [-0.0, 0.0], [3.0, 4.0]]), data=None)
+    def test_margins_bit_for_bit(self, X, data):
+        if data is None:
+            is_mapped = np.array([True, True, False])
+        else:
+            flags = st.lists(st.booleans(), min_size=len(X), max_size=len(X))
+            is_mapped = np.array(data.draw(flags.filter(lambda f: any(f) and not all(f))))
+        new = np.array(_margin_scores(X, is_mapped))
+        assert new.tobytes() == np.array(query_oracle.margin_scores(X, is_mapped)).tobytes()
 
 
 def assert_same_features(new, old):

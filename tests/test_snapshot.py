@@ -115,6 +115,35 @@ class TestSnapshotHit:
                     assert stored[names].dtype.kind == "S"
                     assert stored[names].astype(str).tolist() == getattr(table, names)
 
+    def test_the_log_is_hashed_on_a_worker_that_ends_with_the_load(self, logs, monkeypatch):
+        data, parsed = logs.this
+        hashed_on = []
+        run = store._Digesting.run
+
+        def record(self):
+            hashed_on.append(threading.current_thread())
+            run(self)
+
+        monkeypatch.setattr(store._Digesting, "run", record)
+        with log_dir(data) as path:
+            load_sessions(path)
+            running = set(threading.enumerate())
+            refuse_to_parse(monkeypatch)
+            assert_same_load(load_sessions(path), parsed)
+            assert set(threading.enumerate()) == running
+        assert len(hashed_on) == 1 and hashed_on[0] is not threading.current_thread()
+
+    def test_a_log_that_fails_while_hashed_is_parsed(self, logs, monkeypatch):
+        data, parsed = logs.this
+        with log_dir(data) as path:
+            load_sessions(path)
+
+            def fail(self):
+                self.error = OSError("read failed")
+
+            monkeypatch.setattr(store._Digesting, "run", fail)
+            assert_same_load(load_sessions(path), parsed)
+
     def test_the_key_alone_decides_a_hit(self, logs, monkeypatch):
         """The control for the misses below: another table stored under this log's key is read back."""
         (data, _), (_, other) = logs.this, logs.other

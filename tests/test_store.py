@@ -50,6 +50,7 @@ from roomsense.simulate import (
 )
 from roomsense.store import (
     RSSI_MISSING,
+    LoadReport,
     grouped_running_max,
     load_inventory,
     load_rosters,
@@ -524,6 +525,30 @@ class TestThreadedParse:
         assert report == expected[1]
 
 
+@st.composite
+def sort_keys(draw):
+    """1-3 int64 key columns of 0-40 rows whose value ranges span widths that
+    together with the row index's bits lie on either side of 63 bits, or
+    whose widths alone do, so each way of `_row_order` is taken."""
+    n_rows = draw(st.integers(0, 40))
+    row_bits = max(n_rows - 1, 0).bit_length()
+    n_keys = draw(st.integers(1, 3))
+    total = draw(
+        st.sampled_from([63 - row_bits - 1, 63 - row_bits, 63 - row_bits + 1, 62, 63, 64])
+        | st.integers(0, 63 * n_keys)
+    )
+    total = min(max(total, 0), 63 * n_keys)
+    cuts = sorted(draw(st.lists(st.integers(0, total), min_size=n_keys - 1, max_size=n_keys - 1)))
+    keys = []
+    for width in (b - a for a, b in zip([0, *cuts], [*cuts, total])):
+        width = min(width, 63)
+        top = (1 << width) - 1  # the key's range: exactly `width` bits when both ends are drawn
+        low = draw(st.integers(-(2**63), 2**63 - 1 - top))
+        offsets = st.sampled_from([0, top]) | st.integers(0, min(top, 3)) | st.integers(0, top)
+        keys.append(np.array(draw(st.lists(offsets, min_size=n_rows, max_size=n_rows)), dtype=object) + low)
+    return [key.astype(np.int64) for key in keys]
+
+
 class TestRowOrder:
     @settings(max_examples=200, deadline=None)
     @given(
@@ -535,6 +560,27 @@ class TestRowOrder:
     def test_matches_lexsort(self, rows):
         keys = [np.array(column, dtype=np.int64) for column in zip(*rows)] or [np.zeros(0, np.int64)] * 3
         assert store._row_order(*keys).tolist() == np.lexsort(keys[::-1]).tolist()
+
+    @settings(max_examples=400, deadline=None)
+    @given(keys=sort_keys())
+    def test_matches_lexsort_on_each_side_of_every_63_bit_tier(self, keys):
+        assert store._row_order(*keys).tolist() == np.lexsort(keys[::-1]).tolist()
+
+    @pytest.mark.parametrize(
+        "widths, way",
+        [((44,), "sort"), ((45,), "argsort"), ((63,), "argsort"), ((40, 24), "lexsort")],
+    )
+    def test_the_way_taken_at_each_tier(self, widths, way, monkeypatch):
+        """Keys of 19 bits' rows that fit 63 bits with the row index sort their
+        packed values; keys that fit only alone take a stable argsort; wider
+        keys take np.lexsort."""
+        rows = 2**18 + 1  # 19 row bits
+        keys = [np.arange(rows, dtype=np.int64) % 7 * (((1 << width) - 1) // 6) for width in widths]
+        expected = np.lexsort(keys[::-1])
+        for name in ("argsort", "lexsort"):
+            if name != way:
+                monkeypatch.setattr(np, name, lambda *args, name=name, **kwargs: pytest.fail(name))
+        assert (store._row_order(*keys) == expected).all()
 
 
 class TestLazyMergedIndex:
@@ -560,6 +606,17 @@ class TestLazyMergedIndex:
             assert main(["train", *inputs, "--mapping", f"{out}/mapping.csv", *truth, "--out", out]) == 0
             assert main(["estimate", *inputs, "--mapping", f"{out}/mapping.csv",
                          "--model", f"{out}/model.txt", *truth, "--out", out]) == 0
+
+
+class TestLazyRawIndex:
+    def test_built_on_the_first_window_query(self, store_builder):
+        store = store_builder(make_session("u1", "ap1", "10:00", "11:00"))
+        assert "_sessions" not in vars(store)
+        assert connected(store, "10:30") == (1, 0)  # the count query leaves it unbuilt
+        assert "_sessions" not in vars(store)
+        at = parse_stamp(f"{DAY} 10:30")
+        assert store.sessions_overlapping(["ap1"], at, at + timedelta(minutes=1)).tolist() == [0]
+        assert "_sessions" in vars(store)
 
 
 class TestMergeIntervals:
@@ -820,6 +877,89 @@ class TestOtherLoaders:
         assert inventory.positives_for_room("room2", adjacency=False) == frozenset()
 
 
+ROSTER_NAMES = st.sampled_from(["c1", "c2", "u1", "u2", "é", "教室", "ß9"]) | st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\n"), min_size=1, max_size=4
+)
+
+
+@st.composite
+def roster_files(draw):
+    """(delimiter, bytes) of a roster file: mostly canonical rows, each of which
+    may be blank, short, padded, quoted, repeated or given an extra column."""
+    delimiter = draw(st.sampled_from(sorted(store._CANONICAL_DELIMITERS)))
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    names = ROSTER_NAMES.filter(lambda name: delimiter not in name and '"' not in name)
+    canonical = ["class_id", "user_id"]
+    header = draw(st.sampled_from([canonical] * 4 + [["Class_ID", "user_id"],
+                                   ["class_id", "user_id", "note"], [" class_id", "user_id"]]))
+    rows = draw(st.lists(st.tuples(names, names), max_size=8))
+    changes = ["none", "none", "blank", "short", "empty", "pad", "quote", "repeat", "extra"]
+    clean = draw(st.booleans())  # half the files change no row
+    lines = [header]
+    for class_id, user_id in rows:
+        row = [class_id, user_id]
+        change = "none" if clean else draw(st.sampled_from(changes))
+        if change == "blank":
+            lines.append([])
+        elif change == "short":
+            row = row[:1]
+        elif change == "empty":
+            row[1] = ""
+        elif change == "pad":
+            row[0] = f" {row[0]}\t"
+        elif change == "quote":
+            row[1] = f'"{row[1]}"'
+        elif change == "repeat":
+            lines.append(row)
+        elif change == "extra":
+            row.append("x")
+        lines.append(row)
+    text = eol.join(delimiter.join(fields) for fields in lines) + draw(st.sampled_from(["", eol]))
+    return delimiter, text.encode("utf-8")
+
+
+def _outcome(read, path, delimiter):
+    """(rosters in order, report) of a roster read, or the message of the error it raised."""
+    try:
+        rosters, report = read(path, delimiter)
+    except DataValidationError as exc:
+        return str(exc)
+    return list(rosters.items()), report
+
+
+class TestRosterPaths:
+    @settings(max_examples=400, deadline=None)
+    @given(file=roster_files())
+    def test_one_pass_read_matches_the_row_loop(self, tmp_path_factory, file):
+        delimiter, data = file
+        path = tmp_path_factory.mktemp("rosters") / "roster.csv"
+        path.write_bytes(data)
+        assert _outcome(load_rosters, path, delimiter) == _outcome(store._roster_rows, path, delimiter)
+        rosters = store._canonical_rosters(path, delimiter)
+        if rosters is not None:
+            expected, report = store._roster_rows(path, delimiter)
+            assert list(rosters.items()) == list(expected.items())
+            assert not report.rejects and not report.warnings
+
+    @pytest.mark.parametrize("delimiter", sorted(store._CANONICAL_DELIMITERS))
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"])
+    def test_canonical_files_take_the_one_pass_read(self, tmp_path, monkeypatch, delimiter, eol):
+        lines = ["class_id", "user_id"], ["c2", "u1"], ["c1", "u2"], ["c2", "ü3"], ["c1", "u1"], ["c2", "u2"]
+        path = tmp_path / "roster.csv"
+        path.write_bytes(eol.join(map(delimiter.join, lines)).encode("utf-8"))
+        expected = store._roster_rows(path, delimiter)
+        monkeypatch.setattr(store, "_roster_rows", None)
+        rosters, report = load_rosters(path, delimiter)
+        assert list(rosters.items()) == list(expected[0].items())
+        assert list(rosters) == ["c2", "c1"] and rosters["c2"] == {"u1", "ü3", "u2"}
+        assert report == expected[1] == LoadReport(rows_read=5)
+
+    def test_simulated_roster_takes_the_one_pass_read(self, small_corpus_dir):
+        path = os.path.join(small_corpus_dir, "roster.csv")
+        rosters = store._canonical_rosters(path, ",")
+        assert rosters is not None and list(rosters.items()) == list(store._roster_rows(path, ",")[0].items())
+
+
 # One small clean file per tabular reader, and a function turning what the
 # reader returns into a value that compares equal for equal content.
 CLEAN_FILES = {
@@ -905,6 +1045,18 @@ class TestReadRows:
     def test_yields_stripped_fields_with_line_numbers(self, tmp_path):
         path = write(tmp_path, "r.csv", ["Class_ID , User_ID,extra", "", " c1 ,u1", "  ,  ", "c2"])
         assert list(read_rows(path, ",", ROSTER_COLUMNS)) == [(3, ["c1", "u1"]), (5, ["c2"])]
+
+    def test_a_row_is_numbered_by_its_first_line(self, tmp_path):
+        """A quoted line end shifts no later row's number."""
+        path = tmp_path / "r.csv"
+        path.write_bytes(b'class_id,user_id\n"c1\nx",u1\nc2,\n\n"c3",u3\n')
+        assert list(read_rows(path, ",", ROSTER_COLUMNS)) == [
+            (2, ["c1\nx", "u1"]),
+            (4, ["c2", ""]),
+            (6, ["c3", "u3"]),
+        ]
+        _, report = load_rosters(path)
+        assert report.rejects == [(4, "expected class_id,user_id")]
 
     def test_report_header_may_carry_extra_columns(self, tmp_path):
         path = write(
