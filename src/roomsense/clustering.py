@@ -1,7 +1,8 @@
 """Two-cluster algorithms used to split APs into mapped / not-mapped groups.
 
-All three algorithms are deterministic given their seed, which the rest of
-the pipeline relies on for reproducible runs.
+Each algorithm splits the rows of a feature matrix into clusters 0 and 1.
+All three are deterministic given their seed, which the rest of the pipeline
+relies on for reproducible runs. Their settings are the constants below.
 """
 from __future__ import annotations
 
@@ -11,12 +12,16 @@ import numpy as np
 
 from .records import DegenerateDataError
 
+KMEANS_MAX_ITER = 300
+EM_MAX_ITER = 200
+EM_TOL = 1e-6  # EM stops once the log-likelihood improves by less
+EM_REG = 1e-6  # added to every covariance diagonal
+PCA_COMPONENTS = 2
+
 
 @dataclass
 class KMeansResult:
     assignment: np.ndarray
-    centroids: np.ndarray
-    sse: float
     n_iter: int
     sse_history: list[float]
 
@@ -25,9 +30,6 @@ class KMeansResult:
 class GmmResult:
     assignment: np.ndarray
     posteriors: np.ndarray
-    means: np.ndarray
-    covariances: np.ndarray
-    weights: np.ndarray
     log_likelihoods: list[float]
 
 
@@ -40,53 +42,47 @@ def _as_matrix(matrix) -> np.ndarray:
     return X
 
 
-def _too_few_distinct(X: np.ndarray, k: int) -> bool:
-    """Whether `X` has fewer than `k` distinct rows.
-
-    For k=2 that is whether every row equals the first, which needs no sort.
-    """
-    if k == 2:
-        return X.shape[0] == 0 or bool((X == X[0]).all())
-    return np.unique(X, axis=0).shape[0] < k
+def too_few_distinct(X: np.ndarray) -> bool:
+    """Whether `X` has fewer than two distinct rows: every row equals the first."""
+    return X.shape[0] == 0 or bool((X == X[0]).all())
 
 
-def _kmeanspp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _kmeanspp_init(X: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     n = X.shape[0]
-    centroids = np.empty((k, X.shape[1]))
+    centroids = np.empty((2, X.shape[1]))
     centroids[0] = X[rng.integers(n)]
-    for j in range(1, k):
-        d2 = np.min(((X[:, None, :] - centroids[None, :j, :]) ** 2).sum(axis=2), axis=1)
-        total = d2.sum()
-        if total <= 0:
-            # remaining points coincide with chosen centroids; spread uniformly
-            centroids[j] = X[rng.integers(n)]
-            continue
-        centroids[j] = X[rng.choice(n, p=d2 / total)]
+    d2 = ((X - centroids[0]) ** 2).sum(axis=1)
+    total = d2.sum()
+    if total <= 0:
+        # every point coincides with the first centroid; draw the second uniformly
+        centroids[1] = X[rng.integers(n)]
+    else:
+        centroids[1] = X[rng.choice(n, p=d2 / total)]
     return centroids
 
 
-def kmeans(matrix, k: int = 2, seed: int = 0, max_iter: int = 300) -> KMeansResult:
+def kmeans(matrix, seed: int = 0) -> KMeansResult:
     """Lloyd's algorithm from a seeded k-means++ start.
 
     Point-to-centroid ties break toward the lower centroid index; a cluster
     that empties is reseeded to the point farthest from its current centroid.
-    Stops when assignments stop changing.
+    Stops when assignments stop changing, or after `KMEANS_MAX_ITER` steps.
     """
     X = _as_matrix(matrix)
     n = X.shape[0]
-    if _too_few_distinct(X, k):
-        raise DegenerateDataError(f"need at least {k} distinct rows for k={k}")
+    if too_few_distinct(X):
+        raise DegenerateDataError("need at least 2 distinct rows for two clusters")
     rng = np.random.default_rng(seed)
-    centroids = _kmeanspp_init(X, k, rng)
+    centroids = _kmeanspp_init(X, rng)
 
     assignment = np.full(n, -1, dtype=np.int64)
     history: list[float] = []
     n_iter = 0
-    for n_iter in range(1, max_iter + 1):
+    for n_iter in range(1, KMEANS_MAX_ITER + 1):
         d2 = ((X[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         new_assignment = np.argmin(d2, axis=1)  # argmin returns the lowest index on ties
-        if np.bincount(new_assignment, minlength=k).min() == 0:
-            for j in range(k):
+        if np.bincount(new_assignment, minlength=2).min() == 0:
+            for j in range(2):
                 if not np.any(new_assignment == j):
                     farthest = int(np.argmax(d2[np.arange(n), new_assignment]))
                     new_assignment[farthest] = j
@@ -95,24 +91,23 @@ def kmeans(matrix, k: int = 2, seed: int = 0, max_iter: int = 300) -> KMeansResu
         if (new_assignment == assignment).all():
             break
         assignment = new_assignment
-        for j in range(k):
+        for j in range(2):
             centroids[j] = X[assignment == j].mean(axis=0)
 
-    sse = float(((X - centroids[assignment]) ** 2).sum())
-    return KMeansResult(assignment, centroids, sse, n_iter, history)
+    return KMeansResult(assignment, n_iter, history)
 
 
-def hierarchical(matrix, k: int = 2) -> np.ndarray:
+def hierarchical(matrix) -> np.ndarray:
     """Agglomerative clustering, Ward linkage, Euclidean metric.
 
-    Merges until `k` clusters remain. Ties on merge cost break toward the
+    Merges until two clusters remain. Ties on merge cost break toward the
     pair of clusters with lexicographically smallest representative indices
     (a cluster is represented by its smallest original row index).
     """
     X = _as_matrix(matrix)
     n = X.shape[0]
-    if n < k:
-        raise DegenerateDataError(f"need at least {k} rows, found {n}")
+    if n < 2:
+        raise DegenerateDataError(f"need at least 2 rows, found {n}")
 
     # cluster key = smallest member row index
     members: dict[int, list[int]] = {i: [i] for i in range(n)}
@@ -123,7 +118,7 @@ def hierarchical(matrix, k: int = 2) -> np.ndarray:
         diff = means[a] - means[b]
         return sizes[a] * sizes[b] / (sizes[a] + sizes[b]) * float(diff @ diff)
 
-    while len(members) > k:
+    while len(members) > 2:
         keys = sorted(members)
         best = None
         for i, a in enumerate(keys):
@@ -163,44 +158,38 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     return (peak + np.log(np.exp(a - peak).sum(axis=axis, keepdims=True))).squeeze(axis)
 
 
-def em_gmm(
-    matrix,
-    k: int = 2,
-    seed: int = 0,
-    max_iter: int = 200,
-    tol: float = 1e-6,
-    reg: float = 1e-6,
-) -> GmmResult:
-    """Full-covariance Gaussian mixture fitted by EM, warm-started from k-means.
+def em_gmm(matrix, seed: int = 0) -> GmmResult:
+    """Two-component full-covariance Gaussian mixture fitted by EM, warm-started from k-means.
 
-    Every M-step adds `reg` to the covariance diagonals. Iteration stops when
-    the log-likelihood improves by less than `tol`. Hard assignments take the
-    highest posterior, ties breaking to component 0.
+    Every M-step adds `EM_REG` to the covariance diagonals. Iteration stops
+    when the log-likelihood improves by less than `EM_TOL`, or after
+    `EM_MAX_ITER` steps. Hard assignments take the highest posterior, ties
+    breaking to component 0.
     """
     X = _as_matrix(matrix)
     n, d = X.shape
-    if _too_few_distinct(X, 2):
+    if too_few_distinct(X):
         raise DegenerateDataError("all rows identical; mixture is undefined")
 
-    start = kmeans(X, k=k, seed=seed)
-    means = np.empty((k, d))
-    covariances = np.empty((k, d, d))
-    weights = np.empty(k)
-    for j in range(k):
+    start = kmeans(X, seed=seed)
+    means = np.empty((2, d))
+    covariances = np.empty((2, d, d))
+    weights = np.empty(2)
+    for j in range(2):
         rows = X[start.assignment == j]
         means[j] = rows.mean(axis=0)
         centered = rows - means[j]
-        covariances[j] = centered.T @ centered / rows.shape[0] + reg * np.eye(d)
+        covariances[j] = centered.T @ centered / rows.shape[0] + EM_REG * np.eye(d)
         weights[j] = rows.shape[0] / n
 
     log_likelihoods: list[float] = []
     log_resp = None
-    for _ in range(max_iter):
+    for _ in range(EM_MAX_ITER):
         joint = _log_gaussians(X, means, covariances) + np.log(weights)[None, :]
         norm = _logsumexp(joint, axis=1)
         log_resp = joint - norm[:, None]
         ll = float(norm.sum())
-        if log_likelihoods and ll - log_likelihoods[-1] < tol:
+        if log_likelihoods and ll - log_likelihoods[-1] < EM_TOL:
             log_likelihoods.append(ll)
             break
         log_likelihoods.append(ll)
@@ -209,18 +198,18 @@ def em_gmm(
         counts = resp.sum(axis=0)
         weights = counts / n
         means = (resp.T @ X) / counts[:, None]
-        for j in range(k):
+        for j in range(2):
             centered = X - means[j]
             weighted = centered * resp[:, j : j + 1]
-            covariances[j] = weighted.T @ centered / counts[j] + reg * np.eye(d)
+            covariances[j] = weighted.T @ centered / counts[j] + EM_REG * np.eye(d)
 
     posteriors = np.exp(log_resp)
     assignment = np.argmax(posteriors, axis=1)  # first max wins ties -> component 0
-    return GmmResult(assignment, posteriors, means, covariances, weights, log_likelihoods)
+    return GmmResult(assignment, posteriors, log_likelihoods)
 
 
-def pca_project(matrix, components: int = 2) -> tuple[np.ndarray, np.ndarray]:
-    """Project rows onto the top principal components of the column covariance.
+def pca_project(matrix) -> tuple[np.ndarray, np.ndarray]:
+    """Project rows onto the top `PCA_COMPONENTS` principal components of the column covariance.
 
     Returns (coordinates, explained_variance_ratio). Component signs are fixed
     so the largest-magnitude loading is positive, making output independent of
@@ -233,7 +222,7 @@ def pca_project(matrix, components: int = 2) -> tuple[np.ndarray, np.ndarray]:
     centered = X - X.mean(axis=0)
     cov = centered.T @ centered / (n - 1)
     eigvals, eigvecs = np.linalg.eigh(cov)
-    order = np.argsort(eigvals)[::-1][:components]
+    order = np.argsort(eigvals)[::-1][:PCA_COMPONENTS]
     vecs = eigvecs[:, order]
     for j in range(vecs.shape[1]):
         pivot = np.argmax(np.abs(vecs[:, j]))

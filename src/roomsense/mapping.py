@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import clustering
-from .records import ApInventory, ClassEvent, DataValidationError, DegenerateDataError, to_minutes
+from .records import ApInventory, ClassEvent, DataValidationError, to_minutes
 from .store import SessionStore
 
 TRIM_MINUTES = 10
@@ -26,6 +26,7 @@ DEFAULT_RESOLUTION = 10
 DEFAULT_RESAMPLE_LEN = 8
 MAX_RESAMPLE_LEN = 1440  # a sample per minute of a day; no class series is longer
 SWEEP_RESOLUTIONS = (1, 2, 5, 10, 15, 30, 45, 60)
+CCDF_STEP = 0.05
 
 ALGORITHMS = ("kmeans", "hierarchical", "em-gmm")
 
@@ -169,10 +170,11 @@ def map_class_aps(
     """Full per-class mapping: features, clustering, cluster naming.
 
     Returns the mapping and the clustered feature matrix of
-    `build_feature_matrix` with its AP names. Degenerate classes are handled
-    conservatively: zero featured APs give an empty mapping, a single
-    featured AP (which by definition holds all enrolled connections) maps
-    alone, and identical feature rows map together.
+    `build_feature_matrix` with its AP names. Degenerate classes are decided
+    here, the same way under every algorithm: zero featured APs give an empty
+    mapping, and a feature matrix with fewer than two distinct rows (one
+    featured AP, or APs that share enrolled traffic alike) maps every featured
+    AP with score 0.0.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -182,28 +184,22 @@ def map_class_aps(
         return empty, (np.empty((0, 2 * resample_len)), [])
     matrix = build_feature_matrix(frac_class, class_frac, resample_len)
     features = matrix, ap_names
-    if len(ap_names) == 1:
-        result = MappingResult(event.class_id, frozenset(ap_names), frozenset(), {ap_names[0]: 0.0})
-        return result, features
-
-    try:
-        if algorithm == "kmeans":
-            fit = clustering.kmeans(matrix, k=2, seed=seed)
-            assignment = fit.assignment
-            posterior = None
-        elif algorithm == "hierarchical":
-            assignment = clustering.hierarchical(matrix, k=2)
-            posterior = None
-        else:
-            fit = clustering.em_gmm(matrix, k=2, seed=seed)
-            assignment = fit.assignment
-            posterior = fit.posteriors
-    except DegenerateDataError:
-        # indistinguishable featured APs: all share enrolled traffic equally
+    if clustering.too_few_distinct(matrix):
         result = MappingResult(
-            event.class_id, frozenset(ap_names), frozenset(), {ap: 0.0 for ap in ap_names}
+            event.class_id, frozenset(ap_names), frozenset(), dict.fromkeys(ap_names, 0.0)
         )
         return result, features
+
+    if algorithm == "kmeans":
+        assignment = clustering.kmeans(matrix, seed=seed).assignment
+        posterior = None
+    elif algorithm == "hierarchical":
+        assignment = clustering.hierarchical(matrix)
+        posterior = None
+    else:
+        fit = clustering.em_gmm(matrix, seed=seed)
+        assignment = fit.assignment
+        posterior = fit.posteriors
 
     label = label_clusters(assignment, matrix)
     is_mapped = assignment == label
@@ -296,10 +292,10 @@ def consistency(
     return {ap: correct.get(ap, 0) / seen[ap] for ap in sorted(seen)}
 
 
-def consistency_ccdf(per_ap: dict[str, float], step: float = 0.05) -> list[tuple[float, float]]:
-    """(threshold, fraction of APs with consistency >= threshold) pairs."""
+def consistency_ccdf(per_ap: dict[str, float]) -> list[tuple[float, float]]:
+    """(threshold, fraction of APs with consistency >= threshold) pairs, every `CCDF_STEP`."""
     values = np.array(sorted(per_ap.values()))
-    thresholds = np.round(np.arange(0.0, 1.0 + step / 2, step), 10)
+    thresholds = np.round(np.arange(0.0, 1.0 + CCDF_STEP / 2, CCDF_STEP), 10)
     if values.size == 0:
         return [(float(t), 0.0) for t in thresholds]
     return [(float(t), float(np.mean(values >= t))) for t in thresholds]

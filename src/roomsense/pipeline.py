@@ -229,7 +229,7 @@ def write_pca_csv(
             if len(ap_names) < 2:
                 continue
             mapped = results[event.class_id].mapped
-            coords, _ = pca_project(matrix, components=2)
+            coords, _ = pca_project(matrix)
             positives = None
             if corpus.inventory is not None:
                 positives = corpus.inventory.positives_for_room(

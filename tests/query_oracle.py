@@ -3,8 +3,9 @@
 These are the loops that `SessionStore.user_counts_at`,
 `mapping.compute_ap_features`, `mapping.build_feature_matrix` and
 `userfeatures.extract_class_features` replaced with whole-class array
-operations, and the per-class numpy calls that `clustering._too_few_distinct`
-and `mapping._margin_scores` replaced with cheaper ones. The oracle tests in
+operations, the per-class numpy calls that `clustering.too_few_distinct`
+and `mapping._margin_scores` replaced with cheaper ones, and the k-cluster
+seeding loop that `clustering._kmeanspp_init` replaced with a two-cluster one. The oracle tests in
 test_oracles.py require the new code to return exactly what these return.
 """
 from __future__ import annotations
@@ -206,6 +207,21 @@ def extract_class_features(
 def too_few_distinct(X: np.ndarray, k: int) -> bool:
     """Whether `X` has fewer than `k` distinct rows, counted by sorting them."""
     return np.unique(X, axis=0).shape[0] < k
+
+
+def kmeanspp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k-means++ seeding of `k` centroids, each drawn by squared distance to the nearest so far."""
+    n = X.shape[0]
+    centroids = np.empty((k, X.shape[1]))
+    centroids[0] = X[rng.integers(n)]
+    for j in range(1, k):
+        d2 = np.min(((X[:, None, :] - centroids[None, :j, :]) ** 2).sum(axis=2), axis=1)
+        total = d2.sum()
+        if total <= 0:
+            centroids[j] = X[rng.integers(n)]
+            continue
+        centroids[j] = X[rng.choice(n, p=d2 / total)]
+    return centroids
 
 
 def margin_scores(matrix: np.ndarray, is_mapped: np.ndarray) -> list[float]:

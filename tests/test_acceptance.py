@@ -21,7 +21,7 @@ from roomsense.records import BYSTANDER, OCCUPANT, ClassEvent, day_start, parse_
 from roomsense.userfeatures import ClassFeatures
 
 from conftest import DAY, pipeline_config
-from test_clustering import SMALL_FIXTURES, best_two_partition_sse
+from test_clustering import SMALL_FIXTURES, assignment_sse, best_two_partition_sse
 from test_model import make_corpus
 from test_userfeatures import build_four_user_day, user_features
 
@@ -123,8 +123,8 @@ def test_criterion_06_clustering_oracles():
     ok = True
     for X in SMALL_FIXTURES:
         for seed in (0, 3, 17):
-            fit = kmeans(X, k=2, seed=seed)
-            ok = ok and math.isclose(fit.sse, best_two_partition_sse(X), rel_tol=1e-9, abs_tol=1e-9)
+            sse = assignment_sse(X, kmeans(X, seed=seed).assignment)
+            ok = ok and math.isclose(sse, best_two_partition_sse(X), rel_tol=1e-9, abs_tol=1e-9)
     for seed in range(20):
         rng = np.random.default_rng(1000 + seed)
         X = np.vstack(
@@ -133,12 +133,12 @@ def test_criterion_06_clustering_oracles():
                 rng.normal(rng.uniform(3, 8), 1.5, (rng.integers(8, 20), 2)),
             ]
         )
-        fit = em_gmm(X, k=2, seed=seed)
+        fit = em_gmm(X, seed=seed)
         ok = ok and bool(np.all(np.diff(fit.log_likelihoods) >= -1e-9))
     rng = np.random.default_rng(77)
     blob_a = rng.normal(0, 1, (11, 3))
     blob_b = rng.normal(25, 1, (7, 3))
-    labels = hierarchical(np.vstack([blob_a, blob_b]), k=2)
+    labels = hierarchical(np.vstack([blob_a, blob_b]))
     ok = ok and len(set(labels[:11].tolist())) == 1 and len(set(labels[11:].tolist())) == 1
     ok = ok and labels[0] != labels[-1]
     check(

@@ -21,6 +21,16 @@ def best_two_partition_sse(X: np.ndarray) -> float:
     return best
 
 
+def cluster_means(X: np.ndarray, assignment: np.ndarray) -> np.ndarray:
+    """The centroid of each of the two clusters of `assignment`."""
+    return np.array([X[assignment == j].mean(axis=0) for j in (0, 1)])
+
+
+def assignment_sse(X: np.ndarray, assignment: np.ndarray) -> float:
+    """Squared distance of every row to the mean of its cluster, summed."""
+    return float(((X - cluster_means(X, assignment)[assignment]) ** 2).sum())
+
+
 SMALL_FIXTURES = [
     np.array([[0.0, 0.0], [0.0, 1.0], [10.0, 10.0], [10.0, 11.0]]),
     np.array([[0.0], [1.0], [2.0], [10.0], [11.0], [12.0]]),
@@ -37,54 +47,54 @@ for _n0, _n1, _gap in ((2, 3, 6.0), (4, 4, 8.0), (3, 5, 7.0), (2, 6, 9.0)):
 class TestKMeans:
     def test_separable_pairs(self):
         X = SMALL_FIXTURES[0]
-        fit = kmeans(X, k=2, seed=0)
+        fit = kmeans(X, seed=0)
         assert fit.assignment[0] == fit.assignment[1]
         assert fit.assignment[2] == fit.assignment[3]
         assert fit.assignment[0] != fit.assignment[2]
 
     def test_identical_rows_error(self):
         with pytest.raises(DegenerateDataError):
-            kmeans(np.ones((4, 3)), k=2, seed=0)
+            kmeans(np.ones((4, 3)), seed=0)
 
     @pytest.mark.parametrize("idx", range(len(SMALL_FIXTURES)))
     @pytest.mark.parametrize("seed", [0, 3, 17])
     def test_sse_matches_bruteforce_optimum(self, idx, seed):
         X = SMALL_FIXTURES[idx]
-        fit = kmeans(X, k=2, seed=seed)
-        assert fit.sse == pytest.approx(best_two_partition_sse(X), rel=1e-9, abs=1e-9)
+        fit = kmeans(X, seed=seed)
+        sse = assignment_sse(X, fit.assignment)
+        assert sse == pytest.approx(best_two_partition_sse(X), rel=1e-9, abs=1e-9)
 
     def test_sse_nonincreasing_and_fixed_point(self):
         rng = np.random.default_rng(5)
         X = np.vstack([rng.normal(0, 1, (12, 3)), rng.normal(6, 1, (12, 3))])
-        fit = kmeans(X, k=2, seed=11)
+        fit = kmeans(X, seed=11)
         diffs = np.diff(fit.sse_history)
         assert np.all(diffs <= 1e-9)
         # one more Lloyd step changes nothing
-        d2 = ((X[:, None, :] - fit.centroids[None]) ** 2).sum(axis=2)
+        d2 = ((X[:, None, :] - cluster_means(X, fit.assignment)[None]) ** 2).sum(axis=2)
         assert np.array_equal(np.argmin(d2, axis=1), fit.assignment)
 
     def test_deterministic_under_seed(self):
         X = SMALL_FIXTURES[2]
-        a = kmeans(X, k=2, seed=9)
-        b = kmeans(X, k=2, seed=9)
+        a = kmeans(X, seed=9)
+        b = kmeans(X, seed=9)
         assert np.array_equal(a.assignment, b.assignment)
-        assert np.array_equal(a.centroids, b.centroids)
-        assert a.sse == b.sse
+        assert (a.n_iter, a.sse_history) == (b.n_iter, b.sse_history)
 
 
 class TestHierarchical:
     def test_two_far_pairs(self):
         X = np.array([[0.0, 0], [0.5, 0], [50, 0], [50.5, 0]])
-        labels = hierarchical(X, k=2)
+        labels = hierarchical(X)
         assert labels[0] == labels[1] and labels[2] == labels[3] and labels[0] != labels[2]
 
     def test_two_rows_singletons(self):
-        labels = hierarchical(np.array([[0.0], [5.0]]), k=2)
+        labels = hierarchical(np.array([[0.0], [5.0]]))
         assert sorted(labels.tolist()) == [0, 1]
 
     def test_too_few_rows_error(self):
         with pytest.raises(DegenerateDataError):
-            hierarchical(np.array([[1.0]]), k=2)
+            hierarchical(np.array([[1.0]]))
 
     def test_five_point_hand_trace(self):
         # points 0, 0.5, 2, 9, 10 on a line. Ward costs (size-weighted squared
@@ -92,7 +102,7 @@ class TestHierarchical:
         # {0,0.5}+{2} at 2*(2-0.25)^2/3 = 2.042 < {9,10} joins. Final split:
         # {0, 0.5, 2} vs {9, 10}.
         X = np.array([[0.0], [0.5], [2.0], [9.0], [10.0]])
-        labels = hierarchical(X, k=2)
+        labels = hierarchical(X)
         assert labels[0] == labels[1] == labels[2]
         assert labels[3] == labels[4]
         assert labels[0] != labels[3]
@@ -103,7 +113,7 @@ class TestHierarchical:
         b = rng.normal(30, 1, (9, 4))
         X = np.vstack([a, b])
         order = rng.permutation(len(X))
-        labels = hierarchical(X[order], k=2)
+        labels = hierarchical(X[order])
         truth = (order >= 10).astype(int)
         agree = (labels == truth).mean()
         assert agree in (0.0, 1.0)  # label names are arbitrary
@@ -115,7 +125,7 @@ class TestEmGmm:
         a = rng.normal(0, 0.5, (15, 2))
         b = rng.normal(20, 0.5, (15, 2))  # separation 20x the spread
         X = np.vstack([a, b])
-        fit = em_gmm(X, k=2, seed=1)
+        fit = em_gmm(X, seed=1)
         own = fit.posteriors[np.arange(len(X)), fit.assignment]
         assert np.all(own >= 0.99)
         assert len(set(fit.assignment[:15].tolist())) == 1
@@ -123,7 +133,7 @@ class TestEmGmm:
 
     def test_symmetric_two_point_split(self):
         X = np.array([[0.0], [10.0]])
-        fit = em_gmm(X, k=2, seed=0)
+        fit = em_gmm(X, seed=0)
         assert sorted(fit.assignment.tolist()) == [0, 1]
         assert np.all(fit.posteriors.max(axis=1) > 0.999)
 
@@ -136,19 +146,19 @@ class TestEmGmm:
                 rng.normal(rng.uniform(3, 8), 1.5, (rng.integers(8, 20), 2)),
             ]
         )
-        fit = em_gmm(X, k=2, seed=seed)
+        fit = em_gmm(X, seed=seed)
         diffs = np.diff(fit.log_likelihoods)
         assert np.all(diffs >= -1e-9)
 
     def test_posteriors_sum_to_one(self):
         rng = np.random.default_rng(8)
         X = rng.normal(0, 2, (25, 3))
-        fit = em_gmm(X, k=2, seed=4)
+        fit = em_gmm(X, seed=4)
         assert np.allclose(fit.posteriors.sum(axis=1), 1.0, atol=1e-9)
 
     def test_identical_rows_error(self):
         with pytest.raises(DegenerateDataError):
-            em_gmm(np.ones((5, 2)), k=2, seed=0)
+            em_gmm(np.ones((5, 2)), seed=0)
 
 
 class TestPca:
@@ -156,7 +166,7 @@ class TestPca:
         rng = np.random.default_rng(2)
         X = rng.normal(0, 1, (10, 2))
         X -= X.mean(axis=0)
-        coords, _ = pca_project(X, components=2)
+        coords, _ = pca_project(X)
         orig = np.linalg.norm(X[:, None] - X[None, :], axis=2)
         proj = np.linalg.norm(coords[:, None] - coords[None, :], axis=2)
         assert np.allclose(orig, proj, atol=1e-9)
@@ -164,13 +174,13 @@ class TestPca:
     def test_rank_one_second_component_zero(self):
         direction = np.array([1.0, 2.0, 3.0])
         X = np.outer(np.arange(6, dtype=float), direction)
-        coords, _ = pca_project(X, components=2)
+        coords, _ = pca_project(X)
         assert np.all(np.abs(coords[:, 1]) < 1e-9)
 
     def test_explained_variance_against_independent_eigensolver(self):
         rng = np.random.default_rng(7)
         X = rng.normal(0, 1, (12, 4)) @ np.diag([4.0, 2.0, 1.0, 0.5])
-        _, ratio = pca_project(X, components=2)
+        _, ratio = pca_project(X)
         # independent path: singular values of the centered data matrix
         centered = X - X.mean(axis=0)
         svals = np.linalg.svd(centered, compute_uv=False)
@@ -181,7 +191,7 @@ class TestPca:
     def test_row_reorder_invariance(self):
         rng = np.random.default_rng(9)
         X = rng.normal(0, 1, (9, 5))
-        coords, _ = pca_project(X, components=2)
+        coords, _ = pca_project(X)
         perm = rng.permutation(len(X))
-        coords_perm, _ = pca_project(X[perm], components=2)
+        coords_perm, _ = pca_project(X[perm])
         assert np.allclose(coords[perm], coords_perm, atol=1e-9)

@@ -275,6 +275,14 @@ class TestMapClassAps:
         result, _ = map_class_aps(store, event(), frozenset(["e1", "e2"]))
         assert result.mapped == {"only"} and result.not_mapped == frozenset()
 
+    @pytest.mark.parametrize("algorithm", ["kmeans", "hierarchical", "em-gmm"])
+    def test_identical_feature_rows_map_together(self, algorithm):
+        # each AP holds one of the two enrolled users all along: 50% / 100% at every sample
+        store = record_store(span_sessions("a1", ["e1"]) + span_sessions("a2", ["e2"], prefix="n"))
+        result, _ = map_class_aps(store, event(), frozenset(["e1", "e2"]), algorithm=algorithm)
+        assert result.mapped == {"a1", "a2"} and result.not_mapped == frozenset()
+        assert result.scores == {"a1": 0.0, "a2": 0.0}
+
     def test_no_featured_aps_empty_mapping(self):
         store = record_store(span_sessions("ap1", ["b1"]))
         result, (matrix, ap_names) = map_class_aps(store, event(), frozenset(["enrolled-absent"]))

@@ -13,7 +13,7 @@ from hypothesis.extra.numpy import arrays
 
 import query_oracle
 
-from roomsense.clustering import _too_few_distinct
+from roomsense.clustering import _kmeanspp_init, too_few_distinct
 from roomsense.mapping import (
     DEFAULT_RESAMPLE_LEN,
     SWEEP_RESOLUTIONS,
@@ -161,7 +161,16 @@ class TestClusteringShortcutsMatchTheirOracles:
     @example(X=np.array([[0.0, 1.0], [-0.0, 1.0]]))
     @example(X=np.zeros((3, 0)))
     def test_two_distinct_rows_without_a_sort(self, X):
-        assert _too_few_distinct(X, 2) == query_oracle.too_few_distinct(X, 2)
+        assert too_few_distinct(X) == query_oracle.too_few_distinct(X, 2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(X=repeating_matrices(min_rows=1), seed=st.integers(0, 2**32 - 1))
+    @example(X=np.array([[0.0, 1.0], [-0.0, 1.0]]), seed=0)
+    def test_kmeanspp_same_draws_in_the_same_order(self, X, seed):
+        new_rng, old_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        new = _kmeanspp_init(X, new_rng)
+        assert new.tobytes() == query_oracle.kmeanspp_init(X, 2, old_rng).tobytes()
+        assert new_rng.bit_generator.state == old_rng.bit_generator.state
 
     @settings(max_examples=300, deadline=None)
     @given(X=repeating_matrices(min_rows=2), data=st.data())
