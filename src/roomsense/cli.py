@@ -26,7 +26,7 @@ from . import estimation, mapping, model as model_mod, pipeline, userfeatures
 from .config import PipelineConfig, echo_config, pipeline_config_from, sim_config_from
 from .records import ConfigError, RoomsenseError
 from .simulate import simulate_corpus
-from .store import read_key_values
+from .store import MERGED_INDEX, RAW_INDEX, read_key_values
 
 
 # Every pipeline flag, declared once: its config key, flag and argparse options.
@@ -100,7 +100,7 @@ def cmd_map_aps(args) -> int:
     resolutions = _parse_sweep(args.sweep) if args.sweep else ()
     if resolutions and not config.inventory:
         raise ConfigError("--sweep requires --inventory for accuracy scoring")
-    corpus = pipeline.load_corpus(config)
+    corpus = pipeline.load_corpus(config, indexes=(MERGED_INDEX,))
     if args.classes:
         wanted = {part.strip() for part in args.classes.split(",")}
         unknown = sorted(wanted - {e.class_id for e in corpus.events})
@@ -130,7 +130,7 @@ def cmd_map_aps(args) -> int:
 
 def cmd_train(args) -> int:
     config = _config_from_args(args, need_truth=True)
-    corpus = pipeline.load_corpus(config)
+    corpus = pipeline.load_corpus(config, indexes=(RAW_INDEX,))
     results = pipeline.read_mapping_csv(args.mapping)
     train_ids, _ = estimation.split_classes(
         [e.class_id for e in corpus.events], train_ratio=config.train_ratio, seed=config.seed
@@ -151,7 +151,7 @@ def cmd_train(args) -> int:
 
 def cmd_estimate(args) -> int:
     config = _config_from_args(args)
-    corpus = pipeline.load_corpus(config)
+    corpus = pipeline.load_corpus(config, indexes=(RAW_INDEX,))
     results = pipeline.read_mapping_csv(args.mapping)
     lda, calibration = model_mod.load_model(args.model)
     features = pipeline.features_stage(corpus, results, config)

@@ -6,6 +6,7 @@ relies on for reproducible runs. Their settings are the constants below.
 """
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +48,27 @@ def too_few_distinct(X: np.ndarray) -> bool:
     return X.shape[0] == 0 or bool((X == X[0]).all())
 
 
+# Per thread, one (generator, its initial state) per seed; see `_generator`.
+_SEEDED = threading.local()
+
+
+def _generator(seed: int) -> np.random.Generator:
+    """A generator in the state `np.random.default_rng(seed)` starts in.
+
+    On every call with `seed` in one thread it is the same generator, its
+    initial state restored: setting a state costs about a tenth of seeding a
+    new generator, which k-means would otherwise do for every class. No
+    thread draws from another's.
+    """
+    generators = _SEEDED.__dict__.setdefault("generators", {})
+    if seed not in generators:
+        rng = np.random.default_rng(seed)
+        generators[seed] = rng, rng.bit_generator.state
+    rng, state = generators[seed]
+    rng.bit_generator.state = state
+    return rng
+
+
 def _kmeanspp_init(X: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     n = X.shape[0]
     centroids = np.empty((2, X.shape[1]))
@@ -72,8 +94,7 @@ def kmeans(matrix, seed: int = 0) -> KMeansResult:
     n = X.shape[0]
     if too_few_distinct(X):
         raise DegenerateDataError("need at least 2 distinct rows for two clusters")
-    rng = np.random.default_rng(seed)
-    centroids = _kmeanspp_init(X, rng)
+    centroids = _kmeanspp_init(X, _generator(seed))
 
     assignment = np.full(n, -1, dtype=np.int64)
     history: list[float] = []

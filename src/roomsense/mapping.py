@@ -13,13 +13,14 @@ dominated by enrolled traffic is the mapped set for the class.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import clustering
 from .records import ApInventory, ClassEvent, DataValidationError, to_minutes
-from .store import SessionStore
+from .store import SessionStore, batches
 
 TRIM_MINUTES = 10
 DEFAULT_RESOLUTION = 10
@@ -45,8 +46,8 @@ class MappingResult:
         return self.mapped | self.not_mapped
 
 
-def sample_times(event: ClassEvent, resolution: int) -> np.ndarray:
-    """Sample instants: start+10min stepping by `resolution` up to end-10min."""
+def sample_grid(event: ClassEvent, resolution: int) -> tuple[int, int]:
+    """(first, count) of the sample instants: start+10min stepping by `resolution` up to end-10min."""
     if resolution <= 0:
         raise ValueError("resolution must be positive minutes")
     lo = to_minutes(event.start) + TRIM_MINUTES
@@ -56,31 +57,33 @@ def sample_times(event: ClassEvent, resolution: int) -> np.ndarray:
             f"class {event.class_id} too short ({event.duration_minutes} min) "
             "for the 10-minute trim"
         )
-    return np.arange(lo, hi + 1, resolution, dtype=np.int64)
+    return lo, (hi - lo) // resolution + 1
 
 
 def compute_ap_features(
-    store: SessionStore, event: ClassEvent, enrolled: frozenset[str], resolution: int
-) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """(AP names, fracClass, classFrac) of every AP with enrolled activity during the class.
+    store: SessionStore, events: list[ClassEvent], rosters: list[frozenset[str]], resolution: int
+) -> list[tuple[list[str], np.ndarray, np.ndarray]]:
+    """Per class, (AP names, fracClass, classFrac) of every AP with enrolled activity during it.
 
-    The two share matrices hold one row per AP, in name order, and one column
-    per sample instant. APs that never hold an enrolled connection at any
-    sample instant carry identically-zero features and are omitted
-    (implicitly not mapped).
+    `rosters[i]` is the enrolled users of `events[i]`; one count query serves
+    every class. The two share matrices hold one row per AP, in name order,
+    and one column per sample instant. APs that never hold an enrolled
+    connection at any sample instant carry identically-zero features and are
+    omitted (implicitly not mapped).
     """
-    times = sample_times(event, resolution)
-    totals, members = store.user_counts_at(times, store.user_ids(enrolled))
-    featured = np.flatnonzero(members.any(axis=1))
-    totals, members = totals[featured], members[featured]
-
-    enrolled_sum = members.sum(axis=0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        frac_class = np.where(enrolled_sum > 0, 100.0 * members / enrolled_sum, 0.0)
-        class_frac = np.where(totals > 0, 100.0 * members / totals, 0.0)
-
+    grids = [sample_grid(event, resolution) for event in events]
+    counts = store.user_counts_at(resolution, grids, [store.user_ids(enrolled) for enrolled in rosters])
     ap_names = store.table.ap_names  # code order is name order
-    return [ap_names[code] for code in featured.tolist()], frac_class, class_frac
+    series = []
+    for totals, members in counts:
+        featured = np.flatnonzero(members.any(axis=1))
+        totals, members = totals[featured], members[featured]
+        enrolled_sum = members.sum(axis=0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            frac_class = np.where(enrolled_sum > 0, 100.0 * members / enrolled_sum, 0.0)
+            class_frac = np.where(totals > 0, 100.0 * members / totals, 0.0)
+        series.append(([ap_names[code] for code in featured.tolist()], frac_class, class_frac))
+    return series
 
 
 def build_feature_matrix(
@@ -159,15 +162,13 @@ def _margin_scores(matrix: np.ndarray, is_mapped: np.ndarray) -> list[float]:
 
 
 def map_class_aps(
-    store: SessionStore,
-    event: ClassEvent,
-    enrolled: frozenset[str],
-    resolution: int = DEFAULT_RESOLUTION,
+    class_id: str,
+    series: tuple[list[str], np.ndarray, np.ndarray],
     resample_len: int = DEFAULT_RESAMPLE_LEN,
     algorithm: str = "kmeans",
     seed: int = 0,
 ) -> tuple[MappingResult, tuple[np.ndarray, list[str]]]:
-    """Full per-class mapping: features, clustering, cluster naming.
+    """One class's mapping from its `compute_ap_features` series: features, clustering, cluster naming.
 
     Returns the mapping and the clustered feature matrix of
     `build_feature_matrix` with its AP names. Degenerate classes are decided
@@ -178,15 +179,15 @@ def map_class_aps(
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    ap_names, frac_class, class_frac = compute_ap_features(store, event, enrolled, resolution)
+    ap_names, frac_class, class_frac = series
     if not ap_names:
-        empty = MappingResult(event.class_id, frozenset(), frozenset(), {})
+        empty = MappingResult(class_id, frozenset(), frozenset(), {})
         return empty, (np.empty((0, 2 * resample_len)), [])
     matrix = build_feature_matrix(frac_class, class_frac, resample_len)
     features = matrix, ap_names
     if clustering.too_few_distinct(matrix):
         result = MappingResult(
-            event.class_id, frozenset(ap_names), frozenset(), dict.fromkeys(ap_names, 0.0)
+            class_id, frozenset(ap_names), frozenset(), dict.fromkeys(ap_names, 0.0)
         )
         return result, features
 
@@ -208,12 +209,29 @@ def map_class_aps(
     else:
         scores = _margin_scores(matrix, is_mapped)
     result = MappingResult(
-        event.class_id,
+        class_id,
         frozenset(ap for ap, m in zip(ap_names, is_mapped) if m),
         frozenset(ap for ap, m in zip(ap_names, is_mapped) if not m),
         dict(zip(ap_names, scores)),
     )
     return result, features
+
+
+def map_classes(
+    store: SessionStore,
+    events: list[ClassEvent],
+    rosters: dict[str, frozenset[str]],
+    resolution: int = DEFAULT_RESOLUTION,
+    resample_len: int = DEFAULT_RESAMPLE_LEN,
+    algorithm: str = "kmeans",
+    seed: int = 0,
+) -> Iterator[tuple[MappingResult, tuple[np.ndarray, list[str]]]]:
+    """`map_class_aps` of each event, in order; the counts are queried
+    `QUERY_BATCH` classes at a time, and each class is clustered alone."""
+    for batch in batches(events):
+        series = compute_ap_features(store, batch, [rosters[e.class_id] for e in batch], resolution)
+        for event, one in zip(batch, series):
+            yield map_class_aps(event.class_id, one, resample_len, algorithm, seed)
 
 
 @dataclass
@@ -332,21 +350,14 @@ def resolution_sweep(
         if not eligible:
             rows.append({"resolution": resolution, "skipped": True})
             continue
-        known = mapped.get(resolution, {})
-        results = [
-            known[e.class_id]
-            if e.class_id in known
-            else map_class_aps(
-                store,
-                e,
-                rosters[e.class_id],
-                resolution=resolution,
-                resample_len=resample_len,
-                algorithm=algorithm,
-                seed=seed,
-            )[0]
-            for e in eligible
-        ]
+        known = dict(mapped.get(resolution, {}))
+        fresh = [e for e in eligible if e.class_id not in known]
+        for event, (result, _) in zip(
+            fresh,
+            map_classes(store, fresh, rosters, resolution, resample_len, algorithm, seed),
+        ):
+            known[event.class_id] = result
+        results = [known[e.class_id] for e in eligible]
         scored = evaluate_mapping(results, inventory, events_by_id, adjacency=adjacency)
         rows.append(
             {

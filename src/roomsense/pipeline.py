@@ -18,8 +18,10 @@ from .config import PipelineConfig, check_echo, echo_config
 from .records import ApInventory, ClassEvent, DataValidationError
 from .simulate import load_ground_truth_counts
 from .store import (
+    INDEXES,
     SessionStore,
     _check_row,
+    batches,
     load_inventory,
     load_rosters,
     load_sessions,
@@ -57,8 +59,10 @@ class LoadedCorpus:
         return {e.class_id: e for e in self.events}
 
 
-def load_corpus(config: PipelineConfig) -> LoadedCorpus:
-    sessions, _ = load_sessions(config.sessions, delimiter=config.delimiter)
+def load_corpus(config: PipelineConfig, indexes=INDEXES) -> LoadedCorpus:
+    """Load every input file; `indexes` names the store indexes the caller's
+    stages search (`store.INDEXES`), which a snapshot of the log gives."""
+    sessions, _ = load_sessions(config.sessions, delimiter=config.delimiter, indexes=indexes)
     events, timetable_report = load_timetable(config.timetable, delimiter=config.delimiter)
     if timetable_report.rejects:
         first = timetable_report.rejects[0]
@@ -82,17 +86,19 @@ def map_stage(
     corpus: LoadedCorpus, config: PipelineConfig
 ) -> tuple[dict[str, mapping.MappingResult], dict[str, tuple[np.ndarray, list[str]]]]:
     """Mapping results and the clustered (feature matrix, AP names), by class id."""
+    events = sorted(corpus.events, key=lambda e: e.class_id)
+    mapped = mapping.map_classes(
+        corpus.store,
+        events,
+        corpus.rosters,
+        resolution=config.resolution,
+        resample_len=config.resample_len,
+        algorithm=config.algorithm,
+        seed=config.seed,
+    )
     results, features = {}, {}
-    for event in sorted(corpus.events, key=lambda e: e.class_id):
-        results[event.class_id], features[event.class_id] = mapping.map_class_aps(
-            corpus.store,
-            event,
-            corpus.rosters[event.class_id],
-            resolution=config.resolution,
-            resample_len=config.resample_len,
-            algorithm=config.algorithm,
-            seed=config.seed,
-        )
+    for event, (result, clustered) in zip(events, mapped):
+        results[event.class_id], features[event.class_id] = result, clustered
     return results, features
 
 
@@ -122,13 +128,17 @@ def features_stage(
     class_ids: set[str] | None = None,
 ) -> dict[str, userfeatures.ClassFeatures]:
     """Labelled user features by class id, for every class or only `class_ids`."""
+    events = [
+        e for e in sorted(corpus.events, key=lambda e: e.class_id)
+        if class_ids is None or e.class_id in class_ids
+    ]
     features = {}
-    for event in sorted(corpus.events, key=lambda e: e.class_id):
-        if class_ids is not None and event.class_id not in class_ids:
-            continue
-        aps = mapped_aps_for(event, results, corpus, config)
-        features[event.class_id] = userfeatures.extract_class_features(corpus.store, event, aps)
-        userfeatures.label_vectors(features[event.class_id], corpus.rosters[event.class_id])
+    for batch in batches(events):
+        aps = [mapped_aps_for(event, results, corpus, config) for event in batch]
+        found = userfeatures.extract_class_features(corpus.store, batch, aps)
+        for event, class_features in zip(batch, found.classes):
+            userfeatures.label_vectors(class_features, corpus.rosters[event.class_id])
+            features[event.class_id] = class_features
     return features
 
 

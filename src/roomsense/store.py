@@ -10,9 +10,10 @@ The table of a canonical log is kept beside it in a snapshot file, keyed by
 the log's bytes (`_Snapshot`), so a later load of the same bytes reads the
 table back instead of parsing the log again.
 `SessionStore` answers both time-window queries with one `_IntervalIndex`
-layout and search, each index built on the first call of its query: the raw
-sessions for `sessions_overlapping`, and the merged intervals for
-`user_counts_at`; every query is read-only.
+layout and search: the raw sessions for `sessions_overlapping`, and the
+merged intervals for `user_counts_at`. Each query answers many classes in
+one call, and every query is read-only. The snapshot keeps both indexes
+beside the table, so a warm load reads them instead of sorting the log.
 """
 from __future__ import annotations
 
@@ -51,6 +52,10 @@ from .records import (
 
 # `rssi` column value of a session whose RSSI was logged as `-` or empty.
 RSSI_MISSING = -(2**63)
+# The names of the store's two interval indexes: the raw sessions, searched by
+# `sessions_overlapping`, and the merged intervals, searched by `user_counts_at`.
+RAW_INDEX, MERGED_INDEX = "sessions", "merged"
+INDEXES = (RAW_INDEX, MERGED_INDEX)
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,6 +66,8 @@ class SessionTable:
     by code is ordering by name. `start` and `end` are minutes since epoch of
     the half-open interval [start, end); `end` is the effective end (the
     report time for ongoing sessions). `rssi` holds RSSI_MISSING where unknown.
+    `indexes` holds the `SessionStore` indexes of this table, by name
+    (`INDEXES`), that a snapshot gave or a load built to store in one.
     """
 
     user_names: list[str]
@@ -72,6 +79,7 @@ class SessionTable:
     start: np.ndarray
     end: np.ndarray
     rssi: np.ndarray
+    indexes: dict = field(default_factory=dict, repr=False)
 
     def __len__(self) -> int:
         return len(self.start)
@@ -357,7 +365,8 @@ def _load_canonical(path, delimiter: str, snapshot: _Snapshot | None = None) -> 
     """The `SessionTable` of a session log in canonical form, or None for any other file.
 
     With a `snapshot`, a regular file is first looked up in it, and a table
-    parsed from the file is stored in it under the hash of the bytes parsed.
+    parsed from the file is stored in it, with both its indexes, under the
+    hash of the bytes parsed.
 
     Canonical form is printable ASCII without `"`, plus the delimiter (one of
     `,;|` or tab) and one kind of line end, LF or CRLF. The header passes
@@ -752,27 +761,39 @@ SNAPSHOT_SUFFIX = ".roomsense.npz"
 # log parses to changes, and every older snapshot is a miss. A golden test
 # pins it with the table of a fixed log, so a changed parse that leaves it
 # as it is fails that test.
-_SNAPSHOT_VERSION = 1
+_SNAPSHOT_VERSION = 2
 _NAME_LISTS = ("user_names", "mac_names", "ap_names")
 _COLUMNS = ("user", "mac", "ap", "start", "end", "rssi")  # the codes first, in `_NAME_LISTS` order
+# An index's arrays in a snapshot, each stored as `<index name>_<part>`.
+_INDEX_PARTS = ("row", "key", "longest", "bounds")
+_MERGED_COLUMNS = ("start", "end", "user")
+_MEMBERS = frozenset(
+    ("key", *_NAME_LISTS, *_COLUMNS)
+    + tuple(f"{name}_{part}" for name in INDEXES for part in _INDEX_PARTS)
+    + tuple(f"{MERGED_INDEX}_{column}" for column in _MERGED_COLUMNS)
+)
 
 
 class _Snapshot:
-    """The snapshot beside a session log: the log's canonical `SessionTable`.
+    """The snapshot beside a session log: the log's canonical `SessionTable` and its two indexes.
 
-    One uncompressed `np.savez` file holds the key, the six int64 columns and
-    the three name lists as `S` arrays. The key is the hex SHA-256 of
+    One uncompressed `np.savez` file holds the key, the six int64 columns,
+    the three name lists as `S` arrays, and the arrays of both `INDEXES`
+    (`_index_arrays`). The key is the hex SHA-256 of
     `_SNAPSHOT_VERSION`, the delimiter, the csv field size limit, the
     constants the parse writes into the table (`REPORT_HOUR`, `RSSI_MISSING`)
     and the log's bytes, so a snapshot stands for exactly the bytes its table
     was parsed from. It lies beside the file the log's path resolves to. It is
     only ever a cache: a snapshot that cannot be read, checked or trusted is a
-    miss, and one that cannot be written is left unwritten.
+    miss, and one that cannot be written is left unwritten. A read takes the
+    table and only the `indexes` named, so a command reads only the index its
+    queries search.
     """
 
-    def __init__(self, log, delimiter: str):
+    def __init__(self, log, delimiter: str, indexes=INDEXES):
         self.log = os.path.realpath(os.fsdecode(log))  # beside the file, not beside a link to it
         self.path = self.log + SNAPSHOT_SUFFIX
+        self.indexes = indexes
         self.salt = (
             f"roomsense snapshot {_SNAPSHOT_VERSION}\n{delimiter}\n{csv.field_size_limit()}\n"
             f"{REPORT_HOUR}\n{RSSI_MISSING}\n"
@@ -815,10 +836,12 @@ class _Snapshot:
                 if own.st_uid not in (log_owner, os.geteuid()):
                     return None
                 with np.load(handle, allow_pickle=False) as stored:
+                    if set(stored.files) != _MEMBERS:
+                        return None
                     key = stored["key"].tobytes()
                     digesting = _Digesting(self.digest(), raw)
                     try:
-                        table = _stored_table(stored)  # read while the worker hashes the log
+                        table = _stored_table(stored, self.indexes)  # read while the worker hashes the log
                     finally:
                         digest = digesting.hexdigest()
                     return table if key == digest.encode() else None
@@ -828,9 +851,17 @@ class _Snapshot:
             raw.seek(0)
 
     def write(self, digest, table: SessionTable) -> None:
-        """Store `table` under the key that `digest` has hashed: a temporary file
-        beside the snapshot, then `os.replace`. An `OSError` leaves the snapshot as
-        it was: a read-only directory, a full disk or a directory at its path."""
+        """Store `table` and both its indexes under the key that `digest` has hashed.
+
+        An index the table lacks is built into `table.indexes` first. The file
+        is written as a temporary file beside the snapshot, then `os.replace`d.
+        An `OSError` leaves the snapshot as it was: a read-only directory, a
+        full disk or a directory at its path.
+        """
+        if RAW_INDEX not in table.indexes:
+            table.indexes[RAW_INDEX] = _raw_index(table)
+        if MERGED_INDEX not in table.indexes:
+            table.indexes[MERGED_INDEX] = _merge_intervals(table)
         folder, name = os.path.split(self.path)
         try:
             fd, temp = tempfile.mkstemp(prefix=name + ".", suffix=".tmp", dir=folder)
@@ -843,6 +874,8 @@ class _Snapshot:
                     key=np.array(digest.hexdigest().encode()),
                     **{column: getattr(table, column) for column in _COLUMNS},
                     **{names: np.array(getattr(table, names), dtype=bytes) for names in _NAME_LISTS},
+                    **_index_arrays(RAW_INDEX, table.indexes[RAW_INDEX]),
+                    **_index_arrays(MERGED_INDEX, *table.indexes[MERGED_INDEX]),
                 )
             os.replace(temp, self.path)
         except OSError:
@@ -874,36 +907,104 @@ class _Digesting(threading.Thread):
         return self.digest.hexdigest()
 
 
-def _stored_table(stored) -> SessionTable | None:
-    """The table of a snapshot's arrays, or None when they do not form one as
-    the parse does: six int64 columns of one length, strictly increasing `S`
-    name lists, codes that index them, and no session ending before it starts."""
+def _index_arrays(name: str, index: _IntervalIndex, *columns: np.ndarray) -> dict[str, np.ndarray]:
+    """The snapshot arrays of the index `name`: its row order, keys, longest
+    interval per AP and (low, span), and the merged index's own columns."""
+    arrays = {
+        f"{name}_row": index.row,
+        f"{name}_key": index.key,
+        f"{name}_longest": index.longest,
+        f"{name}_bounds": np.array([index.low, index.span], dtype=np.int64),
+    }
+    arrays.update((f"{name}_{column}", values) for column, values in zip(_MERGED_COLUMNS, columns))
+    return arrays
+
+
+def _int64_vectors(length: int, *arrays: np.ndarray) -> bool:
+    """Whether every array is a 1-D native int64 array of `length` entries."""
+    return all(a.dtype == np.int64 and a.shape == (length,) for a in arrays)
+
+
+def _within(codes: np.ndarray, n_codes: int) -> bool:
+    """Whether every code lies in [0, n_codes)."""
+    return not codes.size or 0 <= codes.min() <= codes.max() < n_codes
+
+
+def _stored_table(stored, indexes) -> SessionTable | None:
+    """The table of a snapshot's arrays, with the indexes named by `indexes`,
+    or None when they do not form one as the parse does: six int64 columns
+    of one length, strictly increasing `S` name lists, codes that index them,
+    no session ending before it starts, and indexes that pass `_stored_index`."""
     names = [stored[key] for key in _NAME_LISTS]
     columns = [stored[key] for key in _COLUMNS]
-    if columns[0].ndim != 1 or any(c.dtype != np.int64 or c.shape != columns[0].shape for c in columns):
+    if columns[0].ndim != 1 or not _int64_vectors(len(columns[0]), *columns):
         return None
     if any(texts.dtype.kind != "S" or texts.ndim != 1 or (texts[1:] <= texts[:-1]).any() for texts in names):
         return None
     if (columns[_COLUMNS.index("end")] < columns[_COLUMNS.index("start")]).any():
         return None
-    for codes, texts in zip(columns, names):
-        if codes.size and not 0 <= codes.min() <= codes.max() < len(texts):
+    if not all(_within(codes, len(texts)) for codes, texts in zip(columns, names)):
+        return None
+    table = SessionTable(*(texts.astype(str).tolist() for texts in names), *columns)
+    for name in indexes:
+        index = _stored_index(stored, name, table)
+        if index is None:
             return None
-    return SessionTable(*(texts.astype(str).tolist() for texts in names), *columns)
+        table.indexes[name] = index
+    return table
 
 
-def load_sessions(path, delimiter: str = ",") -> tuple[SessionTable, LoadReport]:
+def _stored_index(stored, name: str, table: SessionTable):
+    """The index `name` of `table` from a snapshot's arrays, or None when they do not form one.
+
+    They form one when every array is native int64 of the right shape; the
+    row order is a permutation of the intervals; the keys do not decrease and
+    lie in [0, APs * span); no AP's longest interval is negative; and the
+    span is at least 1. The merged index's own columns are one length, hold
+    user codes in range, and no interval of theirs ends before it starts.
+    These bound every search to the arrays, whatever the bytes; they do not
+    show that the index was built from this table, which the key stands for.
+    """
+    n_aps = len(table.ap_names)
+    if name == MERGED_INDEX:
+        columns = [stored[f"{name}_{column}"] for column in _MERGED_COLUMNS]
+        start, end, user = columns
+        if start.ndim != 1 or not _int64_vectors(len(start), *columns):
+            return None
+        if (end < start).any() or not _within(user, len(table.user_names)):
+            return None
+        n = len(start)
+    else:
+        columns, n = [], len(table)
+    row, key, longest, bounds = (stored[f"{name}_{part}"] for part in _INDEX_PARTS)
+    if not (_int64_vectors(n, row, key) and _int64_vectors(n_aps, longest) and _int64_vectors(2, bounds)):
+        return None
+    low, span = bounds.tolist()
+    if span < 1 or n_aps * span >= 2**63 or (longest < 0).any():
+        return None
+    if (key[1:] < key[:-1]).any() or not _within(key, n_aps * span) or not _within(row, n):
+        return None
+    seen = np.zeros(n, dtype=bool)
+    seen[row] = True
+    if not seen.all():  # n codes in range, each seen: a permutation
+        return None
+    index = _IntervalIndex(row, key, longest, low, span)
+    return (index, *columns) if columns else index
+
+
+def load_sessions(path, delimiter: str = ",", indexes=INDEXES) -> tuple[SessionTable, LoadReport]:
     """Load and validate a session-log file into a `SessionTable`.
 
     Ongoing (`Ass`) sessions end at the 9pm report time on their own date.
     Bytes, SNR and Retries are validated but not kept.
 
     A log in canonical form is parsed with numpy, block by block, and its
-    table kept in a snapshot beside it; a later load of the same bytes reads
-    that snapshot instead. Any other file is read from its first line by the
-    row loop, which alone rejects rows and warns.
+    table kept in a snapshot beside it with both store indexes; a later load
+    of the same bytes reads that snapshot instead, with the indexes named by
+    `indexes` (those the caller's queries search). Any other file is read
+    from its first line by the row loop, which alone rejects rows and warns.
     """
-    table = _load_canonical(path, delimiter, _Snapshot(path, delimiter))
+    table = _load_canonical(path, delimiter, _Snapshot(path, delimiter, indexes))
     if table is not None:
         return table, LoadReport(rows_read=len(table))
     return _load_rows(path, delimiter)
@@ -1150,17 +1251,6 @@ def _longest(lengths: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return longest
 
 
-def _sum_by_group(rows: np.ndarray, groups: np.ndarray, n_groups: int) -> np.ndarray:
-    """Column sums of the 2-D `rows` per group code; `groups` is sorted.
-
-    Returns shape (n_groups, columns), with zeros for groups without rows.
-    """
-    sums = np.zeros((rows.shape[0] + 1, rows.shape[1]), dtype=np.int64)
-    np.cumsum(rows, axis=0, out=sums[1:])
-    cuts = _offsets(groups, n_groups)
-    return sums[cuts[1:]] - sums[cuts[:-1]]
-
-
 def grouped_running_max(group: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Running maximum of int64 `values` that restarts at each group.
 
@@ -1243,24 +1333,31 @@ class _IntervalIndex:
         key -= low
         return cls(row, key, longest, low, span)
 
-    def search(self, codes: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        """(rows, AP code of each) of the intervals on the sorted AP `codes`
-        that start in [lo - longest, hi), with the longest interval of their own AP.
+    def search(self, codes: np.ndarray, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, query of each) of the intervals, for each query q, on AP
+        codes[q] that start in [lo[q] - longest, hi[q]), with the longest
+        interval of that AP; `lo` and `hi` are arrays like `codes`, or numbers.
 
-        Every interval on those APs that overlaps [lo, hi), lo <= hi, is among them.
-        Both bounds are clipped to [0, span], so each AP's search stays
-        inside its own key range; rows come in the index's order.
+        Every interval on codes[q] that overlaps [lo[q], hi[q]), lo[q] <= hi[q],
+        is among them. Both bounds are clipped to [0, span], so each search
+        stays inside its AP's key range; rows come by query, each query's in
+        the index's order.
         """
         base = codes * self.span
         # np.minimum and np.maximum: np.clip costs more than the search on a few codes
         first = np.searchsorted(
             self.key, base + np.minimum(np.maximum(lo - self.longest[codes] - self.low, 0), self.span)
         )
-        stop = np.searchsorted(self.key, base + min(max(hi - self.low, 0), self.span))
+        stop = np.searchsorted(self.key, base + np.minimum(np.maximum(hi - self.low, 0), self.span))
         counts = stop - first
-        ap = np.repeat(codes, counts)
-        positions = np.arange(ap.size) + np.repeat(first - (np.cumsum(counts) - counts), counts)
-        return self.row[positions], ap
+        query = np.repeat(np.arange(codes.size), counts)
+        positions = np.arange(query.size) + np.repeat(first - (np.cumsum(counts) - counts), counts)
+        return self.row[positions], query
+
+
+def _raw_index(table: SessionTable) -> _IntervalIndex:
+    """The index of the table's own sessions."""
+    return _IntervalIndex.build(table.ap, table.start, table.end, len(table.ap_names))
 
 
 def _merge_intervals(table: SessionTable) -> tuple[_IntervalIndex, np.ndarray, np.ndarray, np.ndarray]:
@@ -1281,12 +1378,23 @@ def _merge_intervals(table: SessionTable) -> tuple[_IntervalIndex, np.ndarray, n
     return _IntervalIndex.build(ap[heads], start, end, len(table.ap_names)), start, end, user[heads]
 
 
-class SessionStore:
-    """Immutable time-window queries over a `SessionTable`.
+# The most classes a caller asks one query about: the memory of a query
+# grows with its classes, and batches of this size keep it small.
+QUERY_BATCH = 32
 
-    Both AP queries search an `_IntervalIndex`, each built on the first call
-    that reads it: the raw sessions for `sessions_overlapping`, and the
-    per-(ap, user) merged intervals for `user_counts_at`. A store that is
+
+def batches(items: list) -> list[list]:
+    """`items` in consecutive lists of at most `QUERY_BATCH`."""
+    return [items[i : i + QUERY_BATCH] for i in range(0, len(items), QUERY_BATCH)]
+
+
+class SessionStore:
+    """Immutable time-window queries over a `SessionTable`, many classes per call.
+
+    Both AP queries search an `_IntervalIndex`: the raw sessions for
+    `sessions_overlapping`, and the per-(ap, user) merged intervals for
+    `user_counts_at`. Each is taken from `table.indexes` when a load gave it,
+    and otherwise built on the first call that reads it, so a store that is
     never asked one of the queries never builds its index.
     """
 
@@ -1297,47 +1405,76 @@ class SessionStore:
 
     @cached_property
     def _sessions(self) -> _IntervalIndex:
-        table = self.table
-        return _IntervalIndex.build(table.ap, table.start, table.end, len(table.ap_names))
+        stored = self.table.indexes.get(RAW_INDEX)
+        return _raw_index(self.table) if stored is None else stored
 
     @cached_property
     def _merged(self) -> tuple[_IntervalIndex, np.ndarray, np.ndarray, np.ndarray]:
-        return _merge_intervals(self.table)
+        stored = self.table.indexes.get(MERGED_INDEX)
+        return _merge_intervals(self.table) if stored is None else stored
 
     def user_ids(self, user_names) -> np.ndarray:
         """Integer ids for the given user names, in ascending order; unknown names are dropped."""
         ids = np.fromiter(map(self._user_code.get, user_names, repeat(-1)), dtype=np.int64)
         return np.sort(ids[ids >= 0])
 
-    def user_counts_at(
-        self, times: np.ndarray, member_ids: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Distinct-user connection counts of every AP at each sample time.
+    def user_counts_at(self, step: int, grids, member_ids) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Distinct-user connection counts of every AP on the sample grid of each of several classes.
 
-        Returns (total, members), int64 arrays of shape (AP code, sample);
-        `member_ids` restricts the second count to a user subset (typically a
-        class roster). Multi-device users count once because intervals are
-        merged per user.
+        Samples are `step` minutes apart, step > 0. `grids[c]` is class c's
+        grid (first, count): the sample times first + step * k for
+        0 <= k < count. `member_ids[c]` holds the user ids (`user_ids`) whose
+        connections alone the class's second count takes, typically its
+        roster. Returns per class (total, members), int64 arrays of shape
+        (AP code, sample). Multi-device users count once because intervals
+        are merged per user.
+
+        A merged interval [start, end) covers the samples k in
+        [ceil((start - first) / step), ceil((end - first) / step)), clipped to
+        [0, count]. Each (class, AP) pair owns count + 1 slots of one flat
+        grid; every interval adds 1 at its first sample's slot and -1 at the
+        slot past its last, and one running sum gives every count.
         """
-        times = np.asarray(times, dtype=np.int64)
-        n_aps = len(self.table.ap_names)
+        n_aps, n_classes = len(self.table.ap_names), len(grids)
+        if not n_classes:
+            return []
         index, start, end, user = self._merged
-        if times.size == 0:
-            zero = np.zeros((n_aps, 0), dtype=np.int64)
-            return zero, zero.copy()
-        lo, hi = int(times.min()), int(times.max())
-        # an interval covering a sample time in [lo, hi] starts before hi + 1
-        rows, ap = index.search(np.arange(n_aps), lo, hi + 1)
-        ending = end[rows] > lo
-        rows, ap = rows[ending], ap[ending]
-        cover = (start[rows, None] <= times) & (times < end[rows, None])
-        total = _sum_by_group(cover, ap, n_aps)
-        if member_ids is None or member_ids.size == 0:
-            return total, np.zeros_like(total)
-        enrolled = np.zeros(len(self.table.user_names), dtype=bool)
-        enrolled[member_ids] = True
-        enrolled = enrolled[user[rows]]
-        return total, _sum_by_group(cover[enrolled], ap[enrolled], n_aps)
+        first, count = (np.array(column, dtype=np.int64) for column in zip(*grids))
+        width = count + 1
+        offsets = np.zeros(n_classes + 1, dtype=np.int64)
+        np.cumsum(n_aps * width, out=offsets[1:])
+        # one search per (class, AP) pair q = class * n_aps + AP code, each
+        # pair's values taken once; an interval covering a sample starts
+        # before the last sample's next minute
+        pair_class = np.repeat(np.arange(n_classes), n_aps)
+        codes = np.tile(np.arange(n_aps), n_classes)
+        pair_first, pair_count = first[pair_class], count[pair_class]
+        pair_last = pair_first + step * np.maximum(pair_count - 1, 0)
+        rows, pair = index.search(codes, pair_first, pair_last + 1)
+        f, n = pair_first[pair], pair_count[pair]
+        slot = (offsets[pair_class] + codes * width[pair_class])[pair]
+        opens = slot + np.minimum(np.maximum(-((f - start[rows]) // step), 0), n)
+        closes = slot + np.minimum(np.maximum(-((f - end[rows]) // step), 0), n)
+        del f, n, slot
+        size = int(offsets[-1])
+
+        def counts(keep) -> np.ndarray:
+            marks = np.bincount(opens[keep], minlength=size)
+            marks -= np.bincount(closes[keep], minlength=size)
+            return np.cumsum(marks, out=marks)
+
+        total = counts(slice(None))
+        # whether each (class, user) pair is enrolled, and so each interval found
+        n_users = len(self.table.user_names)
+        enrolled = np.zeros(n_classes * n_users, dtype=bool)
+        for c, ids in enumerate(member_ids):
+            enrolled[c * n_users + np.asarray(ids, dtype=np.int64)] = True
+        members = counts(enrolled[(pair_class * n_users)[pair] + user[rows]])
+        return [
+            tuple(flat[offsets[c] : offsets[c + 1]].reshape(n_aps, width[c])[:, : count[c]]
+                  for flat in (total, members))
+            for c in range(n_classes)
+        ]
 
     def active_aps(self, lo: datetime, hi: datetime) -> list[str]:
         """APs with at least one session overlapping [lo, hi), in name order."""
@@ -1345,12 +1482,20 @@ class SessionStore:
         hit = (table.start < to_minutes(hi)) & (table.end > to_minutes(lo))
         return [table.ap_names[code] for code in np.unique(table.ap[hit])]
 
-    def sessions_overlapping(self, ap_names, lo: datetime, hi: datetime) -> np.ndarray:
-        """Table rows of raw (unclipped) sessions on the given APs overlapping [lo, hi).
+    def sessions_overlapping(self, ap_names, windows) -> tuple[np.ndarray, np.ndarray]:
+        """Table rows of raw (unclipped) sessions overlapping each of several windows on its APs.
 
-        Rows come grouped by AP name in sorted order, then by (start, end, row).
+        Query q is the APs named in `ap_names[q]`, unknown names ignored, and
+        the window `windows[q]`, (lo, hi) in minutes since the epoch for
+        [lo, hi). Returns (rows, query of each row). Rows come by query, then
+        grouped by AP name in sorted order, then by (start, end, row).
         """
-        lo_m = to_minutes(lo)
-        codes = sorted({self._ap_code[ap] for ap in ap_names if ap in self._ap_code})
-        rows, _ = self._sessions.search(np.array(codes, dtype=np.int64), lo_m, to_minutes(hi))
-        return rows[self.table.end[rows] > lo_m]
+        codes = [sorted({self._ap_code[ap] for ap in aps if ap in self._ap_code}) for aps in ap_names]
+        lo = np.array([window[0] for window in windows], dtype=np.int64)
+        hi = np.array([window[1] for window in windows], dtype=np.int64)
+        code_query = np.repeat(np.arange(len(codes)), list(map(len, codes)))
+        flat = np.fromiter(chain.from_iterable(codes), dtype=np.int64, count=code_query.size)
+        rows, pair = self._sessions.search(flat, lo[code_query], hi[code_query])
+        query = code_query[pair]
+        ending = self.table.end[rows] > lo[query]
+        return rows[ending], query[ending]

@@ -3,10 +3,13 @@
 These are the loops that `SessionStore.user_counts_at`,
 `mapping.compute_ap_features`, `mapping.build_feature_matrix` and
 `userfeatures.extract_class_features` replaced with whole-class array
-operations, the per-class numpy calls that `clustering.too_few_distinct`
-and `mapping._margin_scores` replaced with cheaper ones, and the k-cluster
-seeding loop that `clustering._kmeanspp_init` replaced with a two-cluster one. The oracle tests in
-test_oracles.py require the new code to return exactly what these return.
+operations; the whole-class queries (`class_user_counts_at`,
+`class_features`) that the many-class ones replaced; the per-class numpy
+calls that `clustering.too_few_distinct` and `mapping._margin_scores`
+replaced with cheaper ones; and the k-cluster seeding loop that
+`clustering._kmeanspp_init` replaced with a two-cluster one. The oracle
+tests in test_oracles.py require the new code to return exactly what these
+return.
 """
 from __future__ import annotations
 
@@ -16,7 +19,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from roomsense.mapping import TRIM_MINUTES, sample_times
+from roomsense.mapping import TRIM_MINUTES, sample_grid
 from roomsense.records import (
     TEACHING_DAY_END_MIN,
     TEACHING_DAY_START_MIN,
@@ -24,8 +27,14 @@ from roomsense.records import (
     day_start,
     to_minutes,
 )
-from roomsense.store import RSSI_MISSING, SessionStore
+from roomsense.store import RSSI_MISSING, SessionStore, _offsets, _row_order, grouped_running_max
 from roomsense.userfeatures import FEATURE_NAMES, ClassFeatures
+
+
+def sample_times(event: ClassEvent, resolution: int) -> np.ndarray:
+    """The sample instants of `mapping.sample_grid`, as an array."""
+    first, count = sample_grid(event, resolution)
+    return first + resolution * np.arange(count, dtype=np.int64)
 
 
 def merge_intervals(intervals):
@@ -75,6 +84,47 @@ def user_counts_at(
     else:
         members = cover[np.isin(users, member_ids)].sum(axis=0)
     return total, members
+
+
+def _sum_by_group(rows: np.ndarray, groups: np.ndarray, n_groups: int) -> np.ndarray:
+    """Column sums of the 2-D `rows` per group code; `groups` is sorted.
+
+    Returns shape (n_groups, columns), with zeros for groups without rows.
+    """
+    sums = np.zeros((rows.shape[0] + 1, rows.shape[1]), dtype=np.int64)
+    np.cumsum(rows, axis=0, out=sums[1:])
+    cuts = _offsets(groups, n_groups)
+    return sums[cuts[1:]] - sums[cuts[:-1]]
+
+
+def class_user_counts_at(
+    store: SessionStore, times: np.ndarray, member_ids: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct-user connection counts of every AP at each sample time of one class, every AP at once.
+
+    Returns (total, members), int64 arrays of shape (AP code, sample).
+    """
+    times = np.asarray(times, dtype=np.int64)
+    n_aps = len(store.table.ap_names)
+    index, start, end, user = store._merged
+    if times.size == 0:
+        zero = np.zeros((n_aps, 0), dtype=np.int64)
+        return zero, zero.copy()
+    lo, hi = int(times.min()), int(times.max())
+    codes = np.arange(n_aps)
+    # an interval covering a sample time in [lo, hi] starts before hi + 1
+    rows, query = index.search(codes, lo, hi + 1)
+    ap = codes[query]
+    ending = end[rows] > lo
+    rows, ap = rows[ending], ap[ending]
+    cover = (start[rows, None] <= times) & (times < end[rows, None])
+    total = _sum_by_group(cover, ap, n_aps)
+    if member_ids is None or member_ids.size == 0:
+        return total, np.zeros_like(total)
+    enrolled = np.zeros(len(store.table.user_names), dtype=bool)
+    enrolled[member_ids] = True
+    enrolled = enrolled[user[rows]]
+    return total, _sum_by_group(cover[enrolled], ap[enrolled], n_aps)
 
 
 def compute_ap_features(
@@ -142,9 +192,7 @@ def extract_class_features(
     day_lo = midnight + TEACHING_DAY_START_MIN
     day_hi = midnight + TEACHING_DAY_END_MIN
 
-    rows = store.sessions_overlapping(
-        mapped_aps, event.date.replace(hour=9), event.date.replace(hour=21)
-    )
+    rows, _ = store.sessions_overlapping([mapped_aps], [(day_lo, day_hi)])
     table = store.table
     # a stable sort keeps each user's sessions in the store's AP-then-time order
     rows = rows[np.argsort(table.user[rows], kind="stable")]
@@ -201,6 +249,66 @@ def extract_class_features(
             ]
         )
     matrix = np.array(rows_out, dtype=np.float64).reshape(len(users), len(FEATURE_NAMES))
+    return ClassFeatures(users, matrix, np.zeros(len(users), dtype=bool))
+
+
+def class_features(store: SessionStore, event: ClassEvent, mapped_aps: frozenset[str]) -> ClassFeatures:
+    """Features of every user featured in one class, every user at once, in user-code order."""
+    class_lo, class_hi = to_minutes(event.start), to_minutes(event.end)
+    duration = class_hi - class_lo
+    midnight = to_minutes(event.date)
+    day_lo = midnight + TEACHING_DAY_START_MIN
+    day_hi = midnight + TEACHING_DAY_END_MIN
+
+    rows, _ = store.sessions_overlapping([mapped_aps], [(day_lo, day_hi)])
+    table = store.table
+    rows = rows[_row_order(table.user[rows], table.start[rows])]
+    user, start, end = table.user[rows], table.start[rows], table.end[rows]
+    opens = np.ones(rows.size, dtype=bool)
+    opens[1:] = user[1:] != user[:-1]
+    group = np.cumsum(opens) - 1
+    heads = np.flatnonzero(opens)
+    n_users = heads.size
+    reach = np.empty_like(end)
+    reach[1:] = grouped_running_max(group, end)[:-1]
+    reach[heads] = np.iinfo(np.int64).min
+
+    def union(lo, hi):
+        start_in, end_in = np.maximum(start, lo), np.minimum(end, hi)
+        added = end_in - np.maximum(start_in, np.minimum(reach, hi))
+        return np.bincount(group, weights=np.maximum(added, 0), minlength=n_users)
+
+    in_minutes = union(class_lo, class_hi)
+    out_minutes = union(day_lo, day_hi) - union(max(day_lo, class_lo), min(day_hi, class_hi))
+
+    in_class = np.flatnonzero(np.minimum(end, class_hi) > np.maximum(start, class_lo))
+    in_group = group[in_class]
+    n_sessions = np.bincount(in_group, minlength=n_users)
+    n_macs = len(table.mac_names)
+    devices = np.sort(in_group * n_macs + table.mac[rows[in_class]])
+    distinct = np.ones(devices.size, dtype=bool)
+    distinct[1:] = devices[1:] != devices[:-1]
+    n_devices = np.bincount(devices[distinct] // n_macs, minlength=n_users)
+    first_in = np.ones(in_group.size, dtype=bool)
+    first_in[1:] = in_group[1:] != in_group[:-1]
+    firsts = in_class[first_in]
+    arrival = np.maximum(start[firsts], class_lo) - class_lo
+
+    rssi = table.rssi[rows[in_class]]
+    known = rssi != RSSI_MISSING
+    rssi_count = np.bincount(in_group[known], minlength=n_users)
+    rssi_sum = np.bincount(in_group[known], weights=np.abs(rssi[known]), minlength=n_users)
+
+    featured = n_sessions > 0
+    t_in = 100.0 * in_minutes[featured] / duration
+    out_denom = (day_hi - day_lo) - duration
+    t_out = 100.0 * out_minutes[featured] / out_denom if out_denom > 0 else np.zeros_like(t_in)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        avg_rssi = rssi_sum[featured] / rssi_count[featured]
+    matrix = np.column_stack(
+        [t_in, t_out, arrival, n_sessions[featured], n_devices[featured], avg_rssi]
+    )
+    users = [table.user_names[code] for code in user[heads][featured].tolist()]
     return ClassFeatures(users, matrix, np.zeros(len(users), dtype=bool))
 
 

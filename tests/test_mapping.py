@@ -10,9 +10,9 @@ from roomsense.mapping import (
     consistency_ccdf,
     evaluate_mapping,
     label_clusters,
-    map_class_aps,
+    map_classes,
     resolution_sweep,
-    sample_times,
+    sample_grid,
 )
 from roomsense.records import ApInventory, ApLocation, ClassEvent, DataValidationError, parse_stamp
 
@@ -21,6 +21,18 @@ from conftest import DAY, make_session, record_store
 
 def event(class_id="c1", room="room1", start="10:00", end="11:00"):
     return ClassEvent(class_id, room, parse_stamp(f"{DAY} {start}"), parse_stamp(f"{DAY} {end}"))
+
+
+def ap_features(store, event, enrolled, resolution):
+    """`compute_ap_features` of one class."""
+    (series,) = compute_ap_features(store, [event], [enrolled], resolution)
+    return series
+
+
+def map_one(store, event, enrolled, **settings):
+    """`map_classes` of one class: (mapping, clustered features)."""
+    (mapped,) = map_classes(store, [event], {event.class_id: enrolled}, **settings)
+    return mapped
 
 
 def span_sessions(ap, users, start="10:00", end="11:00", prefix="m"):
@@ -32,22 +44,22 @@ def span_sessions(ap, users, start="10:00", end="11:00", prefix="m"):
 
 class TestSampleTimes:
     def test_one_hour_class_at_10min_gives_5_samples(self):
-        times = sample_times(event(), 10)
-        assert len(times) == 5  # 10:10 .. 10:50 inclusive
+        _, count = sample_grid(event(), 10)
+        assert count == 5  # 10:10 .. 10:50 inclusive
 
     def test_trimmed_window_empty_errors(self):
         with pytest.raises(DataValidationError):
-            sample_times(event(end="10:20"), 10)
+            sample_grid(event(end="10:20"), 10)
 
     def test_inclusive_upper_bound(self):
-        times = sample_times(event(end="12:00"), 10)
-        assert times[-1] - times[0] == 100  # 10:10 .. 11:50
+        _, count = sample_grid(event(end="12:00"), 10)
+        assert 10 * (count - 1) == 100  # 10:10 .. 11:50
 
 
 class TestComputeApFeatures:
     def test_single_ap_holds_all_connections(self, store_builder):
         store = record_store(span_sessions("ap1", ["e1", "e2", "e3", "e4", "e5"]))
-        names, frac_class, class_frac = compute_ap_features(
+        names, frac_class, class_frac = ap_features(
             store, event(), frozenset(["e1", "e2", "e3", "e4", "e5"]), 10
         )
         assert names == ["ap1"]
@@ -60,7 +72,7 @@ class TestComputeApFeatures:
         store = record_store(
             span_sessions("ap1", enrolled) + span_sessions("ap1", outsiders, prefix="x")
         )
-        _, _, class_frac = compute_ap_features(store, event(), frozenset(enrolled), 10)
+        _, _, class_frac = ap_features(store, event(), frozenset(enrolled), 10)
         assert np.allclose(class_frac[0], 60.0)
 
     def test_frac_class_split_50_30_20(self):
@@ -70,7 +82,7 @@ class TestComputeApFeatures:
             + span_sessions("ap2", e[5:8], prefix="n")
             + span_sessions("ap3", e[8:], prefix="o")
         )
-        names, frac_class, _ = compute_ap_features(store, event(), frozenset(e), 10)
+        names, frac_class, _ = ap_features(store, event(), frozenset(e), 10)
         assert names == ["ap1", "ap2", "ap3"]
         assert np.allclose(frac_class[0], 50.0)
         assert np.allclose(frac_class[1], 30.0)
@@ -82,7 +94,7 @@ class TestComputeApFeatures:
             span_sessions("ap1", e, start="10:00", end="10:30")  # gone by 10:40
             + span_sessions("ap2", ["b1"], prefix="q")
         )
-        _, frac_class, _ = compute_ap_features(store, event(), frozenset(e), 10)
+        _, frac_class, _ = ap_features(store, event(), frozenset(e), 10)
         total = frac_class.sum(axis=0)
         assert all(abs(t - 100.0) < 1e-9 or abs(t) < 1e-9 for t in total)
         assert any(abs(t) < 1e-9 for t in total)  # samples after the enrolled left
@@ -91,14 +103,14 @@ class TestComputeApFeatures:
         store = record_store(
             span_sessions("ap1", ["e1"]) + span_sessions("ap2", ["b1"], prefix="z")
         )
-        names, frac_class, class_frac = compute_ap_features(store, event(), frozenset(["e1"]), 10)
+        names, frac_class, class_frac = ap_features(store, event(), frozenset(["e1"]), 10)
         assert names == ["ap1"] and len(frac_class) == len(class_frac) == 1
 
     def test_class_frac_100_iff_all_enrolled(self):
         store = record_store(
             span_sessions("ap1", ["e1", "e2"]) + span_sessions("ap1", ["b1"], prefix="y")
         )
-        _, _, class_frac = compute_ap_features(store, event(), frozenset(["e1", "e2"]), 10)
+        _, _, class_frac = ap_features(store, event(), frozenset(["e1", "e2"]), 10)
         assert np.all(class_frac[0] < 100.0)
         assert np.allclose(class_frac[0], 200.0 / 3)
 
@@ -252,40 +264,40 @@ class TestMapClassAps:
     @pytest.mark.parametrize("algorithm", ["kmeans", "hierarchical", "em-gmm"])
     def test_algorithms_find_the_room_aps(self, algorithm):
         store, enrolled = self._store_two_groups()
-        result, series = map_class_aps(store, event(), enrolled, algorithm=algorithm, seed=1)
+        result, series = map_one(store, event(), enrolled, algorithm=algorithm, seed=1)
         assert result.mapped == {"in0", "in1"}
         assert result.not_mapped == {"far0"}
         assert set(result.scores) == {"in0", "in1", "far0"}
 
     def test_deterministic_result_bitwise(self):
         store, enrolled = self._store_two_groups()
-        a, _ = map_class_aps(store, event(), enrolled, seed=42)
-        b, _ = map_class_aps(store, event(), enrolled, seed=42)
+        a, _ = map_one(store, event(), enrolled, seed=42)
+        b, _ = map_one(store, event(), enrolled, seed=42)
         assert a == b
 
     def test_em_gmm_scores_are_posteriors(self):
         store, enrolled = self._store_two_groups()
-        result, _ = map_class_aps(store, event(), enrolled, algorithm="em-gmm", seed=1)
+        result, _ = map_one(store, event(), enrolled, algorithm="em-gmm", seed=1)
         for ap, score in result.scores.items():
             assert 0.0 <= score <= 1.0
             assert (score > 0.5) == (ap in result.mapped)
 
     def test_single_featured_ap_maps_alone(self):
         store = record_store(span_sessions("only", ["e1", "e2"]))
-        result, _ = map_class_aps(store, event(), frozenset(["e1", "e2"]))
+        result, _ = map_one(store, event(), frozenset(["e1", "e2"]))
         assert result.mapped == {"only"} and result.not_mapped == frozenset()
 
     @pytest.mark.parametrize("algorithm", ["kmeans", "hierarchical", "em-gmm"])
     def test_identical_feature_rows_map_together(self, algorithm):
         # each AP holds one of the two enrolled users all along: 50% / 100% at every sample
         store = record_store(span_sessions("a1", ["e1"]) + span_sessions("a2", ["e2"], prefix="n"))
-        result, _ = map_class_aps(store, event(), frozenset(["e1", "e2"]), algorithm=algorithm)
+        result, _ = map_one(store, event(), frozenset(["e1", "e2"]), algorithm=algorithm)
         assert result.mapped == {"a1", "a2"} and result.not_mapped == frozenset()
         assert result.scores == {"a1": 0.0, "a2": 0.0}
 
     def test_no_featured_aps_empty_mapping(self):
         store = record_store(span_sessions("ap1", ["b1"]))
-        result, (matrix, ap_names) = map_class_aps(store, event(), frozenset(["enrolled-absent"]))
+        result, (matrix, ap_names) = map_one(store, event(), frozenset(["enrolled-absent"]))
         assert result.mapped == frozenset() and ap_names == [] and matrix.size == 0
 
 
@@ -319,7 +331,7 @@ class TestResolutionSweep:
 class TestFeatureInvariantsOnSyntheticCorpus:
     def test_bounds_and_normalization(self, corpus42):
         for event in corpus42.events[:12]:
-            names, frac_class, class_frac = compute_ap_features(
+            names, frac_class, class_frac = ap_features(
                 corpus42.store, event, corpus42.rosters[event.class_id], 10
             )
             assert names, event.class_id

@@ -30,6 +30,8 @@ from conftest import TINY, without_snapshot
 
 NAME_LISTS = ("user_names", "mac_names", "ap_names")
 COLUMNS = ("user", "mac", "ap", "start", "end", "rssi")
+INDEX_ARRAYS = tuple(f"{name}_{part}" for name in ("sessions", "merged") for part in ("row", "key", "longest", "bounds")) + (
+    "merged_start", "merged_end", "merged_user")
 
 
 def assert_same_load(got, expected):
@@ -105,7 +107,7 @@ class TestSnapshotHit:
         with log_dir(data) as path:
             Path(path + SNAPSHOT_SUFFIX).write_bytes(snapshot)
             with np.load(path + SNAPSHOT_SUFFIX, allow_pickle=False) as stored:
-                assert sorted(stored.files) == sorted(("key", *COLUMNS, *NAME_LISTS))
+                assert sorted(stored.files) == sorted(("key", *COLUMNS, *NAME_LISTS, *INDEX_ARRAYS))
                 digest = store._Snapshot(path, ",").digest()
                 digest.update(data)  # the log's exact bytes
                 assert stored["key"].tobytes() == digest.hexdigest().encode()
@@ -114,6 +116,42 @@ class TestSnapshotHit:
                 for names in NAME_LISTS:
                     assert stored[names].dtype.kind == "S"
                     assert stored[names].astype(str).tolist() == getattr(table, names)
+
+    def test_the_stored_indexes_equal_fresh_ones(self, logs, monkeypatch):
+        data, parsed = logs.this
+        with log_dir(data) as path:
+            load_sessions(path)
+            refuse_to_parse(monkeypatch)
+            table, _ = load_sessions(path)
+            with np.load(path + SNAPSHOT_SUFFIX, allow_pickle=False) as stored:
+                arrays = {name: stored[name] for name in INDEX_ARRAYS}
+        sessions, merged = table.indexes["sessions"], table.indexes["merged"]
+        fresh_sessions, fresh_merged = store._raw_index(table), store._merge_intervals(table)
+        assert store.INDEXES == ("sessions", "merged")
+        for name, got, want in (("sessions", sessions, fresh_sessions), ("merged", merged[0], fresh_merged[0])):
+            for part in ("row", "key", "longest"):
+                assert np.array_equal(getattr(got, part), getattr(want, part)), (name, part)
+                assert np.array_equal(arrays[f"{name}_{part}"], getattr(want, part)), (name, part)
+            assert (got.low, got.span) == (want.low, want.span)
+            assert arrays[f"{name}_bounds"].tolist() == [want.low, want.span]
+        for column, got, want in zip(("start", "end", "user"), merged[1:], fresh_merged[1:]):
+            assert np.array_equal(got, want) and np.array_equal(arrays[f"merged_{column}"], want), column
+
+    @pytest.mark.parametrize("indexes", [(), ("sessions",), ("merged",), ("sessions", "merged")])
+    def test_a_load_reads_only_the_indexes_asked_for(self, logs, monkeypatch, indexes):
+        data, parsed = logs.this
+        with log_dir(data) as path:
+            load_sessions(path)
+            refuse_to_parse(monkeypatch)
+            read, stored_index = [], store._stored_index
+
+            def record(stored, name, table):
+                read.append(name)
+                return stored_index(stored, name, table)
+
+            monkeypatch.setattr(store, "_stored_index", record)
+            table, _ = load_sessions(path, indexes=indexes)
+            assert read == list(indexes) and list(table.indexes) == list(indexes)
 
     def test_the_log_is_hashed_on_a_worker_that_ends_with_the_load(self, logs, monkeypatch):
         data, parsed = logs.this
@@ -168,7 +206,7 @@ GOLDEN_LOG = (
 # A parse that changes this table must raise `store._SNAPSHOT_VERSION`, then
 # pin both anew: the key covers the log's bytes, not the code that parses
 # them, so snapshots written by the old parse would be read as the new one's.
-GOLDEN = (1, "1fb4b5a587d39f11e37a3d80697f4820ab90d075c9d16cb83cb13e8f3a9c4bf1")
+GOLDEN = (2, "1fb4b5a587d39f11e37a3d80697f4820ab90d075c9d16cb83cb13e8f3a9c4bf1")
 
 
 def table_digest(table) -> str:
@@ -254,6 +292,22 @@ class TestUntrustedSnapshot:
         "end before start": lambda a: a["end"].__setitem__(0, a["start"][0] - 1),
         "missing column": lambda a: a.pop("end"),
         "missing key": lambda a: a.pop("key"),
+        # the stored indexes
+        "short index rows": lambda a: a.update(merged_row=a["merged_row"][:-1]),
+        "int32 index keys": lambda a: a.update(sessions_key=a["sessions_key"].astype(np.int32)),
+        "rows not a permutation": lambda a: a["sessions_row"].__setitem__(0, a["sessions_row"][1]),
+        "row past the intervals": lambda a: a["merged_row"].__setitem__(0, len(a["merged_row"])),
+        "unsorted keys": lambda a: a.update(merged_key=a["merged_key"][::-1]),
+        "key past the last AP": lambda a: a["sessions_key"].__setitem__(
+            -1, len(a["ap_names"]) * a["sessions_bounds"][1]),
+        "negative longest": lambda a: a["sessions_longest"].__setitem__(0, -1),
+        "short longest": lambda a: a.update(merged_longest=a["merged_longest"][:-1]),
+        "zero span": lambda a: a["merged_bounds"].__setitem__(1, 0),
+        "merged end before start": lambda a: a["merged_end"].__setitem__(0, a["merged_start"][0] - 1),
+        "merged user past its names": lambda a: a["merged_user"].__setitem__(0, len(a["user_names"])),
+        "short merged column": lambda a: a.update(merged_end=a["merged_end"][:-1]),
+        "missing index part": lambda a: a.pop("merged_longest"),
+        "extra member": lambda a: a.update(extra=np.zeros(1)),
     }
 
     @pytest.mark.parametrize("case", BAD_ARRAYS)
@@ -266,7 +320,11 @@ class TestUntrustedSnapshot:
             self.BAD_ARRAYS[case](arrays)
             np.savez(path + SNAPSHOT_SUFFIX, **arrays)
             os.chmod(path + SNAPSHOT_SUFFIX, 0o600)  # trusted, so only the arrays make it a miss
-            assert_same_load(load_sessions(path), parsed)
+            with monkeypatch.context() as patch:
+                parses, parse = [], store._CanonicalBlocks.parse
+                patch.setattr(store._CanonicalBlocks, "parse", lambda *args: parses.append(1) or parse(*args))
+                assert_same_load(load_sessions(path), parsed)
+                assert parses  # a miss, though the table alone may be intact
             refuse_to_parse(monkeypatch)  # the parse replaced the bad snapshot
             assert_same_load(load_sessions(path), parsed)
 
@@ -454,3 +512,76 @@ class TestCliWithASnapshot:
         monkeypatch.setattr(store.os, "replace", fail)
         assert _run(corpus, tmp_path / "out") == cold
         assert not (corpus / ("sessions.csv" + SNAPSHOT_SUFFIX)).exists()
+
+    # One snapshot per check of the stored indexes, each under the log's key.
+    CORRUPT_INDEXES = {
+        "wrong length": lambda a: a.update(merged_row=a["merged_row"][:-1]),
+        "wrong dtype": lambda a: a.update(sessions_key=a["sessions_key"].astype(np.int32)),
+        "row not a permutation": lambda a: a["sessions_row"].__setitem__(0, a["sessions_row"][1]),
+        "unsorted key": lambda a: a.update(merged_key=a["merged_key"][::-1]),
+        "out-of-range code": lambda a: a["merged_user"].__setitem__(0, len(a["user_names"])),
+        "missing member": lambda a: a.pop("sessions_longest"),
+    }
+
+    @pytest.mark.parametrize("case", [*CORRUPT_INDEXES, "version-1 snapshot"])
+    def test_a_corrupt_index_is_parsed_again_and_rewritten(self, tiny_corpus, tmp_path, monkeypatch, case):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(tiny_corpus, corpus)
+        log, snapshot = corpus / "sessions.csv", corpus / ("sessions.csv" + SNAPSHOT_SUFFIX)
+        without_snapshot(log)
+        cold = _run(corpus, tmp_path / "out")
+        assert cold[0] == 0 and cold[2] == ""
+        with np.load(snapshot, allow_pickle=False) as stored:
+            written = {name: stored[name] for name in stored.files}
+        if case == "version-1 snapshot":
+            # the layout and key that version 1 wrote: the table alone
+            arrays = {name: written[name] for name in ("key", *COLUMNS, *NAME_LISTS)}
+            with monkeypatch.context() as patch:
+                patch.setattr(store, "_SNAPSHOT_VERSION", 1)
+                digest = store._Snapshot(log, ",").digest()
+            digest.update(log.read_bytes())
+            arrays["key"] = np.array(digest.hexdigest().encode())
+        else:
+            arrays = {name: array.copy() for name, array in written.items()}
+            self.CORRUPT_INDEXES[case](arrays)
+        np.savez(snapshot, **arrays)
+        os.chmod(snapshot, 0o600)  # trusted, so only the arrays make it a miss
+
+        parses = []
+        parse = store._CanonicalBlocks.parse
+        monkeypatch.setattr(store._CanonicalBlocks, "parse", lambda *args: parses.append(1) or parse(*args))
+        assert _run(corpus, tmp_path / "out") == cold
+        assert parses  # the log was parsed again
+        with np.load(snapshot, allow_pickle=False) as stored:  # and the snapshot rewritten
+            assert sorted(stored.files) == sorted(written)
+            for name in stored.files:
+                assert stored[name].dtype == written[name].dtype, name
+                assert np.array_equal(stored[name], written[name]), name
+
+    def test_train_and_estimate_read_only_the_raw_index(self, tiny_corpus, tmp_path, monkeypatch):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(tiny_corpus, corpus)
+        log, snapshot = corpus / "sessions.csv", corpus / ("sessions.csv" + SNAPSHOT_SUFFIX)
+        without_snapshot(log)
+        cold = _run(corpus, tmp_path / "out")
+        with np.load(snapshot, allow_pickle=False) as stored:
+            arrays = {name: stored[name] for name in stored.files}
+        arrays["merged_key"] = arrays["merged_key"][::-1].copy()  # a merged index no query could use
+        np.savez(snapshot, **arrays)
+        os.chmod(snapshot, 0o600)
+
+        def refuse(*args):
+            raise AssertionError("the merged-interval index was read or built")
+
+        refuse_to_parse(monkeypatch)
+        monkeypatch.setattr(store, "_merge_intervals", refuse)
+        inputs = [arg for flag, name in CORPUS_FLAGS[:3] for arg in (flag, str(corpus / name))]
+        truth = ["--ground-truth-counts", str(corpus / "ground_truth_counts.csv")]
+        out = tmp_path / "staged"
+        mapping = str(tmp_path / "out" / "mapping.csv")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["train", *inputs, "--mapping", mapping, *truth, "--seed", "5", "--out", str(out)]) == 0
+            assert main(["estimate", *inputs, "--mapping", mapping, "--model", str(out / "model.txt"),
+                         *truth, "--out", str(out)]) == 0
+        assert (out / "model.txt").read_bytes() == cold[3]["model.txt"]
+        assert (out / "estimates.csv").read_bytes() == cold[3]["estimates.csv"]

@@ -614,8 +614,9 @@ class TestLazyRawIndex:
         assert "_sessions" not in vars(store)
         assert connected(store, "10:30") == (1, 0)  # the count query leaves it unbuilt
         assert "_sessions" not in vars(store)
-        at = parse_stamp(f"{DAY} 10:30")
-        assert store.sessions_overlapping(["ap1"], at, at + timedelta(minutes=1)).tolist() == [0]
+        at = to_minutes(parse_stamp(f"{DAY} 10:30"))
+        rows, query = store.sessions_overlapping([["ap1"]], [(at, at + 1)])
+        assert rows.tolist() == [0] and query.tolist() == [0]
         assert "_sessions" in vars(store)
 
 
@@ -684,8 +685,8 @@ class TestGroupedRunningMax:
 
 def connected(store, at: str, ap: str = "ap1", members=()) -> tuple[int, int]:
     """`user_counts_at` on one AP at one 'HH:MM' instant of DAY: (total, members)."""
-    times = np.array([to_minutes(parse_stamp(f"{DAY} {at}"))], dtype=np.int64)
-    total, enrolled = store.user_counts_at(times, store.user_ids(members))
+    grid = (to_minutes(parse_stamp(f"{DAY} {at}")), 1)
+    ((total, enrolled),) = store.user_counts_at(1, [grid], [store.user_ids(members)])
     code = store.table.ap_names.index(ap)
     return int(total[code, 0]), int(enrolled[code, 0])
 
@@ -714,11 +715,11 @@ class TestConnectedUsers:
 
     def test_unknown_ap_is_empty_not_error(self, store_builder):
         store = store_builder(make_session("u1", "ap1", "09:00", "09:30"))
-        at = parse_stamp(f"{DAY} 09:10")
-        total, _ = store.user_counts_at(np.array([to_minutes(at)]), store.user_ids({"u1"}))
+        at = to_minutes(parse_stamp(f"{DAY} 09:10"))
+        ((total, _),) = store.user_counts_at(1, [(at, 1)], [store.user_ids({"u1"})])
         # one row per AP in the log and nothing else
         assert store.table.ap_names == ["ap1"] and total.tolist() == [[1]]
-        assert store.sessions_overlapping(["nosuch"], at, at + timedelta(minutes=1)).size == 0
+        assert store.sessions_overlapping([["nosuch"]], [(at, at + 1)])[0].size == 0
 
     def test_half_open_convention(self, store_builder):
         store = store_builder(make_session("u1", "ap1", "09:00", "09:30"))
@@ -760,8 +761,11 @@ class TestIndexMatchesBruteForce:
             for r in records
         ]
         lo_m, hi_m = midnight + lo, midnight + lo + length
-        for times in (np.arange(midnight + 9 * 60, midnight + 14 * 60, 7), np.arange(lo_m, hi_m, 7)):
-            total, members = store.user_counts_at(times, store.user_ids({"u1", "u3", "nosuch"}))
+        # two classes in one query, each a grid of 7-minute steps
+        grids = [(midnight + 9 * 60, len(range(9 * 60, 14 * 60, 7))), (lo_m, len(range(lo_m, hi_m, 7)))]
+        counts = store.user_counts_at(7, grids, [store.user_ids({"u1", "u3", "nosuch"})] * 2)
+        for (first, count), (total, members) in zip(grids, counts):
+            times = first + 7 * np.arange(count)
             assert total.shape == members.shape == (len(store.table.ap_names), len(times))
             for code, ap in enumerate(store.table.ap_names):
                 covering = [{u for u, a, s, e in spans if a == ap and s <= t < e} for t in times]
@@ -776,7 +780,8 @@ class TestIndexMatchesBruteForce:
             (i for i in hits if spans[i][1] in aps),
             key=lambda i: (spans[i][1], spans[i][2], spans[i][3], i),
         )
-        assert store.sessions_overlapping(aps, *window).tolist() == expected
+        rows, query = store.sessions_overlapping([aps], [(lo_m, hi_m)])
+        assert rows.tolist() == expected and query.tolist() == [0] * len(expected)
 
 
 class TestClassWindowSessions:
@@ -788,8 +793,8 @@ class TestClassWindowSessions:
         return ClassEvent("c1", "room1", parse_stamp(f"{DAY} {start}"), parse_stamp(f"{DAY} {end}"))
 
     def _clipped(self, store, event, aps):
-        rows = store.sessions_overlapping(aps, event.start, event.end)
         lo, hi = to_minutes(event.start), to_minutes(event.end)
+        rows, _ = store.sessions_overlapping([aps], [(lo, hi)])
         table = store.table
         return [(max(s, lo), min(e, hi)) for s, e in zip(table.start[rows], table.end[rows])]
 

@@ -21,6 +21,12 @@ def event(class_id="c1", start="11:00", end="14:00"):
 AP = frozenset(["room-ap"])
 
 
+def class_features(store, event, aps):
+    """`extract_class_features` of one class."""
+    (features,) = extract_class_features(store, [event], [aps]).classes
+    return features
+
+
 def by_user(features) -> dict[str, dict[str, float]]:
     """An extracted class as {user: {feature name: value}}."""
     return {
@@ -31,12 +37,12 @@ def by_user(features) -> dict[str, dict[str, float]]:
 
 def user_features(store, event, user, aps=AP) -> dict[str, float] | None:
     """One user's features, or None when the user is not featured."""
-    return by_user(extract_class_features(store, event, aps)).get(user)
+    return by_user(class_features(store, event, aps)).get(user)
 
 
 def only_user(sessions) -> dict[str, float]:
     """The features of the single user of `sessions` in the default class."""
-    (features,) = by_user(extract_class_features(record_store(sessions), event(), AP)).values()
+    (features,) = by_user(class_features(record_store(sessions), event(), AP)).values()
     return features
 
 
@@ -92,7 +98,7 @@ class TestExtraction:
     def test_unfeatured_user_skipped_not_bystander(self):
         store = build_four_user_day()
         assert user_features(store, event(), "S1") is None
-        assert extract_class_features(store, event(), AP).users == ["S2", "S3", "S4"]
+        assert class_features(store, event(), AP).users == ["S2", "S3", "S4"]
 
     def test_t_in_capped_at_100_with_many_devices(self):
         sessions = [
@@ -136,14 +142,14 @@ class TestExtraction:
 
     def test_empty_mapped_set_features_nobody(self):
         store = build_four_user_day()
-        features = extract_class_features(store, event(), frozenset())
+        features = class_features(store, event(), frozenset())
         assert len(features) == 0 and features.matrix.shape == (0, len(FEATURE_NAMES))
 
 
 class TestLabelsAndImputation:
     def test_label_vectors(self):
         store = build_four_user_day()
-        features = extract_class_features(store, event(), AP)
+        features = class_features(store, event(), AP)
         assert features.occupant.tolist() == [False, False, False]
         label_vectors(features, frozenset(["S2", "S3", "nobody"]))
         assert dict(zip(features.users, features.occupant.tolist())) == {
@@ -158,16 +164,16 @@ class TestLabelsAndImputation:
             make_session("u2", "room-ap", "11:10", "11:40", rssi=-70, mac="b"),
             make_session("u3", "room-ap", "11:10", "11:40", rssi=None, mac="c"),
         ]
-        features = extract_class_features(record_store(sessions), event(), AP)
+        features = class_features(record_store(sessions), event(), AP)
         assert np.isnan(features.matrix[:, AVG_RSSI]).tolist() == [False, False, True]
-        empty = extract_class_features(record_store(sessions), event(), frozenset())
+        empty = class_features(record_store(sessions), event(), frozenset())
         fill = impute_rssi([features, empty])
         assert fill == pytest.approx(65.0)
         assert features.matrix[:, AVG_RSSI].tolist() == pytest.approx([60.0, 70.0, 65.0])
 
     def test_impute_with_explicit_fill(self):
         sessions = [make_session("u", "room-ap", "11:10", "11:40", rssi=None)]
-        features = extract_class_features(record_store(sessions), event(), AP)
+        features = class_features(record_store(sessions), event(), AP)
         assert impute_rssi([features], 58.5) == 58.5
         assert features.matrix[0, AVG_RSSI] == pytest.approx(58.5)
         assert impute_rssi([]) == 0.0
